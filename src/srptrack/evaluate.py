@@ -194,6 +194,10 @@ def track_file(
         raise FormatError(
             f"{wav_path} has {signals.channels.shape[0]} channels, array has {array.n_mics}"
         )
+    bad = np.argwhere(~np.isfinite(signals.channels))
+    if len(bad):
+        channel, sample = bad[0]
+        raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
     framing = framing or FramingConfig(fs=signals.fs)
     model = None
     if checkpoint_path is not None:

@@ -13,6 +13,7 @@ the per-frame map-maximum coordinates or the stacked pairwise GCC values.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -446,6 +447,35 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             f.write(ckpt.tensors[name].astype("<f4").tobytes())
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(header) -> None:
+    """Raise FormatError unless ``header`` has the layout save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    for key, valid in (
+        ("kind", lambda v: isinstance(v, str)),
+        ("spec", lambda v: isinstance(v, dict)),
+        ("step", _is_count),
+        ("tensors", lambda v: isinstance(v, list)),
+    ):
+        if key not in header:
+            raise FormatError(f"checkpoint header has no {key!r}")
+        if not valid(header[key]):
+            raise FormatError(f"checkpoint header has a bad {key!r}: {header[key]!r}")
+    for entry in header["tensors"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_count(n) for n in entry["shape"])
+            and _is_count(entry.get("offset"))
+        ):
+            raise FormatError(f"bad checkpoint tensor entry {entry!r}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     blob = open(path, "rb").read()
     if blob[:4] != _CKPT_MAGIC:
@@ -461,10 +491,11 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt checkpoint header: {exc}") from exc
+    _check_header(header)
     body = blob[12 + header_len :]
     tensors = {}
     for entry in header["tensors"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        size = math.prod(entry["shape"])
         lo = entry["offset"]
         hi = lo + size * 4
         if hi > len(body):

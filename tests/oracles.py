@@ -5,7 +5,12 @@ explicit loops, textbook formulas) and deliberately avoids the code paths
 under test.
 """
 
+import math
+
 import numpy as np
+from scipy.signal import fftconvolve
+
+from srptrack.roomsim import _KERNEL_UP, OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
 
 
 def plane_wave_frames(dry: np.ndarray, mic_positions: np.ndarray, u: np.ndarray, fs: float, c: float = 343.0) -> np.ndarray:
@@ -84,3 +89,65 @@ def schroeder_t60(taps: np.ndarray, fs: float) -> float:
     t = np.arange(start, stop) / fs
     slope, _ = np.polyfit(t, curve[start:stop], 1)
     return -60.0 / slope
+
+
+# The image-source RIR path as it stood before the polyphase kernel: every
+# microphone runs its own pass over the whole image grid, and one FFT
+# convolution on the 16x oversampled grid applies the 1281-tap kernel. It
+# shares only the kernel table and image_counts with the package.
+def deposit_to_rirs_oversampled(hist_up: np.ndarray, n_taps: int) -> np.ndarray:
+    """Convolve oversampled impulse deposits with the sinc kernel and decimate."""
+    half = SINC_HALF_WIDTH * OVERSAMPLE
+    full = fftconvolve(hist_up, _KERNEL_UP[None, :], axes=1)
+    idx = np.arange(n_taps) * OVERSAMPLE + half
+    return full[:, idx]
+
+
+def rirs_for_point_oversampled(
+    room: Room, src: np.ndarray, mic_positions: np.ndarray, fs: float, t_max: float, c: float
+) -> np.ndarray:
+    """Image-source RIRs from one source point to every microphone."""
+    n_mics = mic_positions.shape[0]
+    n_taps = int(round(t_max * fs))
+    n_up = n_taps * OVERSAMPLE + 1
+    hist = np.zeros((n_mics, n_up))
+    max_dist = c * t_max
+
+    if room.beta == 0.0:
+        # fully absorbing walls: only the direct path survives
+        d = np.linalg.norm(mic_positions - src, axis=1)
+        q = np.rint(d / c * fs * OVERSAMPLE).astype(int)
+        keep = q < n_up
+        np.add.at(hist, (np.arange(n_mics)[keep], q[keep]), 1.0 / (4.0 * np.pi * d[keep]))
+        return deposit_to_rirs_oversampled(hist, n_taps)
+
+    counts = image_counts(room.dims, t_max, c)
+    grids = [np.arange(-n, n + 1) for n in counts]
+    # per axis and wall-parity: image coordinate and reflection count
+    coords = [[(1 - 2 * p) * src[a] + 2 * grids[a] * room.dims[a] for p in (0, 1)] for a in range(3)]
+    expos = [[np.abs(grids[a] + p) + np.abs(grids[a]) for p in (0, 1)] for a in range(3)]
+    log_beta = math.log(room.beta)
+
+    for px in (0, 1):
+        for py in (0, 1):
+            for pz in (0, 1):
+                expo = (
+                    expos[0][px][:, None, None]
+                    + expos[1][py][None, :, None]
+                    + expos[2][pz][None, None, :]
+                )
+                gain = np.exp(log_beta * expo)
+                for m in range(n_mics):
+                    d2 = (
+                        (coords[0][px] - mic_positions[m, 0])[:, None, None] ** 2
+                        + (coords[1][py] - mic_positions[m, 1])[None, :, None] ** 2
+                        + (coords[2][pz] - mic_positions[m, 2])[None, None, :] ** 2
+                    )
+                    d = np.sqrt(d2)
+                    keep = d <= max_dist
+                    dk = d[keep]
+                    amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
+                    q = np.rint(dk / c * fs * OVERSAMPLE).astype(int)
+                    inside = q < n_up
+                    hist[m] += np.bincount(q[inside], weights=amp[inside], minlength=n_up)
+    return deposit_to_rirs_oversampled(hist, n_taps)

@@ -217,6 +217,15 @@ class TestTrackFile:
         with pytest.raises(FormatError):
             track_file(path, default_array())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        channels = np.random.default_rng(46).normal(scale=0.1, size=(12, 48000)).astype(np.float32)
+        channels[5, 20000] = value
+        path = tmp_path / "bad.wav"
+        MicSignals(channels=channels, fs=16000).to_wav(path)
+        with pytest.raises(FormatError, match="channel 5, sample 20000"):
+            track_file(path, default_array())
+
     def test_with_untrained_checkpoint(self, tmp_path):
         from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
 

@@ -1,5 +1,8 @@
 """Tests for srptrack.models: architecture exactness, causality, training."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,47 @@ class TestCheckpoints:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
         path.write_bytes(b"XXXX" + b"\x00" * 100)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda h: h.pop("tensors"),
+            lambda h: h.pop("kind"),
+            lambda h: h.pop("spec"),
+            lambda h: h.pop("step"),
+            lambda h: h.update(kind=3),
+            lambda h: h.update(spec=[4, 8]),
+            lambda h: h.update(step=-1),
+            lambda h: h.update(step="7"),
+            lambda h: h.update(tensors={"a": 1}),
+            lambda h: h["tensors"].__setitem__(0, "w"),
+            lambda h: h["tensors"][0].pop("name"),
+            lambda h: h["tensors"][0].update(shape=[-1, 2]),
+            lambda h: h["tensors"][0].update(shape=[1.5, 2]),
+            lambda h: h["tensors"][0].update(shape=[True, 2]),
+            lambda h: h["tensors"][0].update(shape=7),
+            lambda h: h["tensors"][0].update(offset=-4),
+            lambda h: h["tensors"][0].update(offset=2.0),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, make_checkpoint(build_baseline_max()))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + header_len])
+        corrupt(header)
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "model.sstc"
+        text = b"[1, 2]"
+        path.write_bytes(b"SSTC" + struct.pack("<2I", 1, len(text)) + text)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

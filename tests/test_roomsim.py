@@ -1,11 +1,14 @@
 """Tests for srptrack.roomsim."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from srptrack import roomsim
 from srptrack.errors import AllSilent, NonPhysicalT60Warning, OutOfRoom
+from srptrack.geometry import default_array
 from srptrack.roomsim import (
     MicSignals,
     Room,
@@ -16,9 +19,15 @@ from srptrack.roomsim import (
     simulate_rir,
 )
 
-from oracles import schroeder_t60
+from oracles import rirs_for_point_oversampled, schroeder_t60
 
 FS = 16000
+C = 343.0
+
+
+def assert_matches_oracle(rirs, ref):
+    assert rirs.shape == ref.shape
+    assert np.max(np.abs(rirs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBetaFromT60:
@@ -99,6 +108,93 @@ class TestSimulateRir:
             rir = simulate_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], FS, t_max=t60)
             measured.append(schroeder_t60(rir.taps, FS))
         assert measured[0] < measured[1] < measured[2]
+
+
+class TestRirsMatchOversampledOracle:
+    """The polyphase kernel and the culled image loop against the old path."""
+
+    @staticmethod
+    def _rirs(room, src, mics, t_max):
+        with roomsim._MicGroups(len(mics)) as groups:
+            return roomsim._rirs_for_point(room, src, mics, FS, t_max, C, groups)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rooms(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        dims = rng.uniform(3.0, 8.0, size=3)
+        room = Room.from_t60(dims, rng.uniform(0.1, 0.5))
+        src = rng.uniform(0.1, 0.9, size=3) * dims
+        mics = rng.uniform(0.1, 0.9, size=(5, 3)) * dims
+        rirs = self._rirs(room, src, mics, room.t60)
+        assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, room.t60, C))
+
+    def test_default_array(self):
+        room = Room.from_t60([6.0, 5.0, 3.0], 0.4)
+        mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
+        src = np.array([1.7, 3.1, 1.6])
+        rirs = self._rirs(room, src, mics, 0.4)
+        assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, 0.4, C))
+
+    def test_anechoic_direct_path_only(self):
+        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0, beta=0.0)
+        mics = np.array([[3.0, 2.5, 1.5], [1.0, 4.0, 2.0], [5.5, 0.5, 0.5]])
+        src = np.array([2.0, 2.0, 1.0])
+        rirs = self._rirs(room, src, mics, 0.03)
+        assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, 0.03, C))
+
+    def test_simulate_rir_single_mic(self):
+        room = Room.from_t60([5.0, 4.0, 3.0], 0.3)
+        src, mic = np.array([1.0, 2.0, 1.2]), np.array([3.0, 2.0, 1.5])
+        rir = simulate_rir(room, src, mic, FS, t_max=0.3)
+        ref = rirs_for_point_oversampled(room, src, mic[None, :], FS, 0.3, C)
+        assert_matches_oracle(rir.taps[None, :], ref)
+
+    def test_t_max_rounding_down_drops_late_deposits(self):
+        # t_max * fs = 1600.4 gives 1600 taps, while images out to c * t_max
+        # land on oversampled slots up to 16 * 1600.4 > 16 * 1600 + 1
+        t_max = 1600.4 / FS
+        room = Room.from_t60([4.0, 3.5, 2.8], 0.3)
+        src = np.array([1.1, 2.0, 1.3])
+        mics = np.array([[2.5, 1.5, 1.4], [2.6, 1.5, 1.4]])
+        rirs = self._rirs(room, src, mics, t_max)
+        assert rirs.shape == (2, 1600)
+        assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, t_max, C))
+
+
+class TestThreadedRendering:
+    """Microphone groups on threads give the serial loop's output bit for bit."""
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_pool_equals_serial(self, monkeypatch, static):
+        room = Room.from_t60([6.0, 5.0, 3.0], 0.3)
+        mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
+        points = np.array([[1.5, 1.0, 1.4], [2.0, 1.6, 1.5], [2.5, 2.2, 1.6]])
+        if static:
+            points = np.tile(points[0], (3, 1))
+        dry = np.random.default_rng(45).normal(size=3 * 1600)
+        # split every block, however small
+        monkeypatch.setattr(roomsim, "_MIN_SPLIT_WORK", 0)
+        monkeypatch.setattr(roomsim, "_worker_count", lambda: 1)
+        serial = render_moving_source(dry, points, mics, room, FS, hop=1600).channels
+
+        submitted = []
+
+        class CountingPool(roomsim.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(roomsim, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(roomsim, "_worker_count", lambda: 4)  # more threads than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = render_moving_source(dry, points, mics, room, FS, hop=1600).channels
+        finally:
+            sys.setswitchinterval(interval)
+        assert submitted
+        assert threaded.dtype == np.float32
+        np.testing.assert_array_equal(threaded, serial)
 
 
 class TestRenderMovingSource:
