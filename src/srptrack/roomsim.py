@@ -151,11 +151,9 @@ def _polyphase_kernel() -> np.ndarray:
 
 _KERNEL_PHASES = _polyphase_kernel()
 
-# Work per microphone below which a block runs on the calling thread alone:
-# images for the deposit step, output taps for the kernel step. On 2 cores,
-# splitting the deposits lost time at 18k images per block (6x5x3 m room,
-# T60 0.4 s) and saved 20-35 % from 35k (0.5 s); splitting the kernel step was
-# within noise up to 11k taps and saved about 10 % at 16k.
+# Images per parity block below which the block runs on the calling thread
+# alone. On 2 cores, splitting lost time at 18k images per block (6x5x3 m
+# room, T60 0.4 s) and saved 20-35 % from 35k (0.5 s).
 _MIN_SPLIT_WORK = 20_000
 
 
@@ -207,7 +205,7 @@ def _kernel_spectra(n_fft: int) -> np.ndarray:
     return spectra
 
 
-def _deposit_to_rirs(hist: np.ndarray, n_taps: int, groups: _MicGroups) -> np.ndarray:
+def _deposit_to_rirs(hist: np.ndarray, n_taps: int) -> np.ndarray:
     """Apply the sinc kernel to oversampled impulse deposits, at the output rate.
 
     ``hist`` holds ``OVERSAMPLE * (n_taps + 1)`` deposits per microphone.
@@ -220,14 +218,10 @@ def _deposit_to_rirs(hist: np.ndarray, n_taps: int, groups: _MicGroups) -> np.nd
     n_fft = sp_fft.next_fast_len(n_taps + 2 * SINC_HALF_WIDTH + 1, real=True)
     spectra = _kernel_spectra(n_fft)
     out = np.empty((n_mics, n_taps))
-
-    def convolve(lo, hi):
-        for m in range(lo, hi):
-            phases = hist[m].reshape(n_taps + 1, OVERSAMPLE).T
-            spectrum = (sp_fft.rfft(phases, n=n_fft, axis=1) * spectra).sum(axis=0)
-            out[m] = sp_fft.irfft(spectrum, n=n_fft)[SINC_HALF_WIDTH : SINC_HALF_WIDTH + n_taps]
-
-    groups.run(convolve, n_taps)
+    for m in range(n_mics):
+        phases = hist[m].reshape(n_taps + 1, OVERSAMPLE).T
+        spectrum = (sp_fft.rfft(phases, n=n_fft, axis=1) * spectra).sum(axis=0)
+        out[m] = sp_fft.irfft(spectrum, n=n_fft)[SINC_HALF_WIDTH : SINC_HALF_WIDTH + n_taps]
     return out
 
 
@@ -256,7 +250,7 @@ def _rirs_for_point(
         q = np.rint(d / c * fs * OVERSAMPLE).astype(int)
         keep = q < n_up
         np.add.at(hist, (np.arange(n_mics)[keep], q[keep]), 1.0 / (4.0 * np.pi * d[keep]))
-        return _deposit_to_rirs(hist, n_taps, groups)
+        return _deposit_to_rirs(hist, n_taps)
 
     counts = image_counts(room.dims, t_max, c)
     grids = [np.arange(-n, n + 1) for n in counts]
@@ -297,7 +291,7 @@ def _rirs_for_point(
 
                 groups.run(deposit, len(xs))
     hist[:, n_up:] = 0.0
-    return _deposit_to_rirs(hist, n_taps, groups)
+    return _deposit_to_rirs(hist, n_taps)
 
 
 def simulate_rir(
