@@ -152,8 +152,8 @@ def _polyphase_kernel() -> np.ndarray:
 _KERNEL_PHASES = _polyphase_kernel()
 
 # Images per parity block below which the block runs on the calling thread
-# alone. On 2 cores, splitting lost time at 18k images per block (6x5x3 m
-# room, T60 0.4 s) and saved 20-35 % from 35k (0.5 s).
+# alone. On 2 cores (6x5x3 m room, default array), splitting a block lost
+# time up to 15k images, was mixed at 17k, and saved 13-25 % from 20k on.
 _MIN_SPLIT_WORK = 20_000
 
 
