@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySelection, FormatError
-from .geometry import MicArray, SphericalGrid, angular_error, delay_table, unit_to_doa
+from .geometry import MicArray, SphericalGrid, angular_error, delay_table, sphere_to_unit, unit_to_doa
 from .models import baseline_gcc_features, forward_track, load_checkpoint, model_from_checkpoint
 from .roomsim import MicSignals
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
@@ -63,17 +63,6 @@ class ExperimentGrid:
             raise ValueError("grid axes must be nonempty")
 
 
-def _srp_argmax_errors(tensor, scene) -> np.ndarray:
-    gt = scene.gt_units()
-    est = np.array([doa_to_unit_from_pair(t, p) for t, p in tensor.argmax_doa])
-    return np.array([angular_error(est[i], gt[i]) for i in range(len(gt))])
-
-
-def doa_to_unit_from_pair(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 def _model_errors(model, tensor, signals, scene, array, framing) -> np.ndarray:
     if getattr(model, "kind", None) == "baseline-gcc":
         feats = baseline_gcc_features(
@@ -82,8 +71,7 @@ def _model_errors(model, tensor, signals, scene, array, framing) -> np.ndarray:
     else:
         feats = model.features_from(tensor)
     _, units, _ = forward_track(model, feats)
-    gt = scene.gt_units()
-    return np.array([angular_error(units[:, i], gt[i]) for i in range(len(gt))])
+    return angular_error(units.T, scene.gt_units())
 
 
 def evaluate_models_on_scene(signals, scene, grid, framing, models: dict):
@@ -92,7 +80,7 @@ def evaluate_models_on_scene(signals, scene, grid, framing, models: dict):
     tensor = compute_input_tensor(
         signals.channels.astype(float), delays, framing, vad_mask=scene.vad_mask
     )
-    out = {"srp-argmax": _srp_argmax_errors(tensor, scene)}
+    out = {"srp-argmax": angular_error(sphere_to_unit(*tensor.argmax_doa.T), scene.gt_units())}
     for name, model in models.items():
         out[name] = _model_errors(model, tensor, signals, scene, scene.array, framing)
     return out, tensor
@@ -218,7 +206,7 @@ def track_file(
     delays = delay_table(array, grid)
     tensor = compute_input_tensor(channels, delays, framing, vad_mask=vad_mask)
     if model is None:
-        units = np.stack([doa_to_unit_from_pair(t, p) for t, p in tensor.argmax_doa]).T
+        units = sphere_to_unit(*tensor.argmax_doa.T).T
         degenerate = np.zeros(tensor.n_frames, dtype=bool)
     else:
         if model.kind == "baseline-gcc":

@@ -55,10 +55,16 @@ class Doa:
         return math.degrees(self.theta), math.degrees(self.phi)
 
 
+def sphere_to_unit(theta, phi) -> np.ndarray:
+    """Unit vectors ``(..., 3)`` for elevations ``theta`` and azimuths ``phi``;
+    the two angle arrays broadcast against each other."""
+    st = np.sin(theta)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
+
+
 def doa_to_unit(doa: Doa) -> np.ndarray:
     """Unit vector pointing towards ``doa``."""
-    st = math.sin(doa.theta)
-    return np.array([st * math.cos(doa.phi), st * math.sin(doa.phi), math.cos(doa.theta)])
+    return sphere_to_unit(doa.theta, doa.phi)
 
 
 def unit_to_doa(v) -> Doa:
@@ -72,16 +78,23 @@ def unit_to_doa(v) -> Doa:
     return Doa(theta, phi)
 
 
-def angular_error(a, b) -> float:
-    """Great-circle angle in radians between two direction vectors."""
-    a = as_vec3(a)
-    b = as_vec3(b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= _MIN_DIRECTION_NORM or nb <= _MIN_DIRECTION_NORM:
+def angular_error(a, b):
+    """Great-circle angle in radians between direction vectors: a float for
+    two 3-vectors, an ``(N,)`` array for ``(N, 3)`` stacks (broadcast by row)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vectors, got shapes {a.shape} and {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("vector components must be finite")
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na <= _MIN_DIRECTION_NORM) or np.any(nb <= _MIN_DIRECTION_NORM):
         raise DegenerateDirection("cannot measure the angle to a zero vector")
-    cos = float(np.dot(a, b) / (na * nb))
-    return math.acos(min(1.0, max(-1.0, cos)))
+    # atan2 of |a x b| and a . b stays accurate for nearly parallel vectors,
+    # where acos of their cosine loses half the digits
+    angle = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +190,7 @@ class SphericalGrid:
 
     def unit_vectors(self) -> np.ndarray:
         """(n_theta, n_phi, 3) array of direction unit vectors."""
-        th = self.thetas[:, None]
-        ph = self.phis[None, :]
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th) * np.ones_like(ph)],
-            axis=-1,
-        )
+        return sphere_to_unit(self.thetas[:, None], self.phis[None, :])
 
 
 @dataclass(frozen=True, eq=False)

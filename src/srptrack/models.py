@@ -16,11 +16,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .geometry import MicArray, SphericalGrid, delay_table, unit_to_doa
+from .geometry import MicArray, SphericalGrid, delay_table
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
 from .srpfeat import FramingConfig, InputTensor, compute_input_tensor, default_lag_range, frame_signal, gcc_set
 from .tensornet import Adam, CausalConv1d, CausalConv3d, MaxPoolAxis, PReLU, Tanh, euclidean_distance_loss
@@ -237,10 +238,13 @@ def build_baseline_max(seed: int = 0, dtype=np.float32) -> Baseline1D:
     return Baseline1D("baseline-max", 2, seed=seed, dtype=dtype)
 
 
+def _gcc_feature_width(array: MicArray, fs: int) -> int:
+    """Input channels of the GCC baseline: sensor pairs x lags -L..+L."""
+    return array.n_mics * (array.n_mics - 1) // 2 * (2 * default_lag_range(array, fs) + 1)
+
+
 def build_baseline_gcc(array: MicArray, fs: int, seed: int = 0, dtype=np.float32) -> Baseline1D:
-    n_lags = 2 * default_lag_range(array, fs) + 1
-    n_pairs = array.n_mics * (array.n_mics - 1) // 2
-    return Baseline1D("baseline-gcc", n_pairs * n_lags, seed=seed, dtype=dtype)
+    return Baseline1D("baseline-gcc", _gcc_feature_width(array, fs), seed=seed, dtype=dtype)
 
 
 def baseline_max_features(tensor: InputTensor) -> np.ndarray:
@@ -257,10 +261,8 @@ def baseline_gcc_features(
     """(n_pairs * n_lags, T) stacked GCC-PHAT values; silent frames zeroed."""
     lag_range = default_lag_range(array, cfg.fs)
     frames = frame_signal(channels, cfg)
-    t = frames.shape[1]
-    feats = np.empty((array.n_mics * (array.n_mics - 1) // 2 * (2 * lag_range + 1), t))
-    for i in range(t):
-        feats[:, i] = gcc_set(frames[:, i], lag_range).pair_lags.reshape(-1)
+    feats = np.stack([gcc_set(frames[:, i], lag_range).pair_lags.reshape(-1)
+                      for i in range(frames.shape[1])], axis=1)
     if vad_mask is not None:
         feats[:, ~np.asarray(vad_mask, dtype=bool)] = 0.0
     return feats
@@ -279,11 +281,6 @@ def forward_track(model, features: np.ndarray):
     units = raw / safe
     units[:, degenerate] = np.array([0.0, 0.0, 1.0])[:, None]
     return raw, units, degenerate
-
-
-def estimate_doas(units: np.ndarray):
-    """Column unit vectors to a list of Doa."""
-    return [unit_to_doa(units[:, i]) for i in range(units.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -477,7 +474,7 @@ def _check_header(header) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     if blob[:4] != _CKPT_MAGIC:
         raise FormatError("not a checkpoint (bad magic)")
     if len(blob) < 12:
@@ -506,14 +503,27 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(kind=header["kind"], spec=header["spec"], tensors=tensors, step=header["step"])
 
 
+def _spec_count(ckpt: Checkpoint, key: str) -> int:
+    value = ckpt.spec.get(key)
+    if not _is_count(value) or value == 0:
+        raise FormatError(f"{ckpt.kind} checkpoint spec needs a positive integer {key!r}, got {value!r}")
+    return value
+
+
 def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: int = 16000):
-    """Rebuild the model a checkpoint describes and load its parameters."""
+    """Rebuild the model a checkpoint describes and load its parameters; with
+    ``array`` given, a GCC baseline must fit that array's features at ``fs``."""
     if ckpt.kind == "cross3d":
-        model = build_cross3d(ckpt.spec["n_theta"], ckpt.spec["n_phi"])
+        model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
     elif ckpt.kind == "baseline-max":
         model = build_baseline_max()
     elif ckpt.kind == "baseline-gcc":
-        model = Baseline1D("baseline-gcc", ckpt.spec["in_channels"])
+        in_channels = _spec_count(ckpt, "in_channels")
+        width = in_channels if array is None else _gcc_feature_width(array, fs)
+        if in_channels != width:
+            raise FormatError(f"baseline-gcc checkpoint takes {in_channels} input channels,"
+                              f" the {array.n_mics}-sensor array at {fs} Hz gives {width}")
+        model = Baseline1D("baseline-gcc", in_channels)
     else:
         raise FormatError(f"unknown model kind {ckpt.kind!r}")
     load_into(model, ckpt)

@@ -32,6 +32,7 @@ from scipy.signal import fftconvolve
 
 from .errors import AllSilent, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
+from .srpfeat import frame_indices
 
 SINC_HALF_WIDTH = 40  # taps each side at the output rate (81-tap kernel)
 OVERSAMPLE = 16
@@ -384,8 +385,7 @@ def add_noise(
     vad_mask = np.asarray(vad_mask, dtype=bool)
     if not vad_mask.any():
         raise AllSilent("cannot set an SNR with every frame silent")
-    idx = np.arange(window_len)[None, :] + hop * np.arange(len(vad_mask))[:, None]
-    frames = sig.channels[:, idx]  # (n_ch, T, K)
+    frames = sig.channels[:, frame_indices(len(vad_mask), window_len, hop)]  # (n_ch, T, K)
     p_sig = float(np.mean(frames[:, vad_mask] ** 2))
     sigma = math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0))
     noise = rng.normal(0.0, sigma, size=sig.channels.shape)

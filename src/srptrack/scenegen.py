@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import firwin, lfilter
 
-from .geometry import MicArray, as_vec3, default_array, unit_to_doa
+from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_doa
 from .roomsim import MicSignals, Room, add_noise, render_moving_source
-from .srpfeat import EnergyVad, FramingConfig
+from .srpfeat import EnergyVad, FramingConfig, frame_indices
 
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
 _AMP_SAFETY = 0.999
@@ -98,9 +98,7 @@ class AcousticScene:
 
     def gt_units(self) -> np.ndarray:
         """(L, 3) ground-truth unit vectors."""
-        th = self.gt_doa[:, 0]
-        ph = self.gt_doa[:, 1]
-        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+        return sphere_to_unit(self.gt_doa[:, 0], self.gt_doa[:, 1])
 
     def metadata(self) -> dict:
         return {
@@ -190,21 +188,18 @@ def synthetic_source(
     peak = np.max(np.abs(sig))
     if peak > 0:
         sig = 0.5 * sig / peak
-    frames_rms = _frame_rms(sig, framing)
-    return sig, frames_rms > 0.0
-
-
-def _frame_rms(sig: np.ndarray, framing: FramingConfig) -> np.ndarray:
-    t = framing.n_frames(len(sig))
-    idx = np.arange(framing.K)[None, :] + framing.hop * np.arange(t)[:, None]
-    return np.sqrt(np.mean(sig[idx] ** 2, axis=1))
+    idx = frame_indices(framing.n_frames(n), framing.K, framing.hop)
+    return sig, np.mean(sig[idx] ** 2, axis=1) > 0.0
 
 
 def clean_dry_signal(sig: np.ndarray, vad_mask: np.ndarray, framing: FramingConfig) -> np.ndarray:
     """Zero every sample not covered by at least one voiced frame."""
+    vad_mask = np.asarray(vad_mask, dtype=bool)
+    n_frames = framing.n_frames(len(sig))
+    if vad_mask.shape != (n_frames,):
+        raise ValueError(f"vad mask has shape {vad_mask.shape}, the signal has {n_frames} frames")
     keep = np.zeros(len(sig), dtype=bool)
-    for i in np.nonzero(vad_mask)[0]:
-        keep[i * framing.hop : i * framing.hop + framing.K] = True
+    keep[frame_indices(len(vad_mask), framing.K, framing.hop)[vad_mask]] = True
     out = sig.copy()
     out[~keep] = 0.0
     return out
@@ -255,10 +250,7 @@ def synthesize_trajectory_sample(
     dry = clean_dry_signal(dry, vad_mask, framing)
 
     room, origin, snr, _ = sample_scene(cfg, rng)
-    n_frames = framing.n_frames(len(dry))
-    if vad_mask.shape != (n_frames,):
-        raise ValueError("source provider mask length does not match the frame count")
-    traj = generate_trajectory(room, n_frames, rng)
+    traj = generate_trajectory(room, len(vad_mask), rng)
 
     mic_positions = origin + array.positions
     signals = render_moving_source(

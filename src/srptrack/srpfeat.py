@@ -3,7 +3,8 @@
 A power map is the steered response power evaluated on a spherical grid,
 computed from the pairwise generalized cross-correlations with phase-transform
 weighting. Fractional steering delays are approximated to the nearest sample;
-no interpolation is performed.
+no interpolation is performed. Maps are plain arrays: one frame gives an
+``(n_theta, n_phi)`` map, a signal a ``(T, n_theta, n_phi)`` stack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, LagRangeTooSmall, TooShort
-from .geometry import DelayTable, MicArray, SphericalGrid, grid_argmax
+from .geometry import DelayTable, MicArray, SphericalGrid
 
 _FEATURE_MAGIC = b"SRPM"
 _FEATURE_VERSION = 1
@@ -54,12 +55,15 @@ class FramingConfig:
         return (np.arange(n_frames) * self.hop + self.K / 2) / self.fs
 
 
+def frame_indices(n_frames: int, length: int, hop: int) -> np.ndarray:
+    """(n_frames, length) sample indices of frames starting every ``hop`` samples."""
+    return np.arange(length)[None, :] + hop * np.arange(n_frames)[:, None]
+
+
 def frame_signal(channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
     """Split (n_ch, n_samples) into Hann-windowed frames (n_ch, T, K)."""
     channels = np.atleast_2d(np.asarray(channels))
-    n = channels.shape[-1]
-    t = cfg.n_frames(n)
-    idx = np.arange(cfg.K)[None, :] + cfg.hop * np.arange(t)[:, None]
+    idx = frame_indices(cfg.n_frames(channels.shape[-1]), cfg.K, cfg.hop)
     return channels[:, idx] * np.hanning(cfg.K)
 
 
@@ -83,57 +87,20 @@ class EnergyVad:
 
     def mask(self, channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
         """Per-frame speech mask for a (n_ch, n_samples) signal."""
-        channels = np.atleast_2d(np.asarray(channels))
-        t = cfg.n_frames(channels.shape[-1])
-        idx = np.arange(cfg.K)[None, :] + cfg.hop * np.arange(t)[:, None]
-        frames = channels[:, idx] * np.hanning(cfg.K)
-        rms = np.sqrt(np.mean(frames**2, axis=(0, 2)))
+        rms = np.sqrt(np.mean(frame_signal(channels, cfg) ** 2, axis=(0, 2)))
         return self.mask_from_rms(rms)
-
-
-def gcc_phat(frame_n: np.ndarray, frame_m: np.ndarray, lag_range: int) -> np.ndarray:
-    """PHAT-weighted cross-correlation of two equal-length frames.
-
-    Returns values for integer lags ``-lag_range .. +lag_range``. With
-    ``frame_n`` equal to ``frame_m`` delayed by d samples, the peak sits at
-    lag +d.
-    """
-    frame_n = np.asarray(frame_n, dtype=float)
-    frame_m = np.asarray(frame_m, dtype=float)
-    if frame_n.shape != frame_m.shape:
-        raise ValueError("frames must have equal length")
-    k = frame_n.shape[-1]
-    cross = np.fft.rfft(frame_n) * np.conj(np.fft.rfft(frame_m))
-    mag = np.abs(cross)
-    floor = max(float(mag.max()) * _PHAT_EPS_REL, np.finfo(float).tiny)
-    r = np.fft.irfft(cross / np.maximum(mag, floor), n=k)
-    return np.concatenate([r[-lag_range:], r[: lag_range + 1]])
 
 
 @dataclass(frozen=True, eq=False)
 class GccSet:
-    """All-pairs GCC-PHAT of one frame: ``pair_lags[p]`` covers lags -L..+L for
-    pair ``pairs[p] = (n, m)`` with n < m; ``R_mn(tau) = R_nm(-tau)``.
-    ``auto_zero[n]`` is the n == m term at lag 0."""
+    """All-pairs GCC-PHAT of one frame. ``pair_lags[p]`` covers lags -L..+L
+    of the p-th pair (n, m), n < m, in ``np.triu_indices(n_mics, k=1)``
+    order; with x_n(t) = x_m(t - d) its peak sits at lag +d, and
+    ``R_mn(tau) = R_nm(-tau)``. ``auto_zero[n]`` is the n == m term at lag 0."""
 
     pair_lags: np.ndarray  # (n_pairs, 2 * lag_range + 1)
     auto_zero: np.ndarray  # (n_mics,)
-    pairs: list[tuple[int, int]]
     lag_range: int
-
-    @property
-    def n_mics(self) -> int:
-        return len(self.auto_zero)
-
-    def r(self, n: int, m: int, lag: int) -> float:
-        """Correlation of sensors (n, m) at an integer lag."""
-        if abs(lag) > self.lag_range:
-            raise LagRangeTooSmall(f"lag {lag} outside +-{self.lag_range}")
-        if n == m:
-            return float(self.auto_zero[n]) if lag == 0 else 0.0
-        if n < m:
-            return float(self.pair_lags[self.pairs.index((n, m)), self.lag_range + lag])
-        return float(self.pair_lags[self.pairs.index((m, n)), self.lag_range - lag])
 
 
 def default_lag_range(array: MicArray, fs: float, c: float = 343.0) -> int:
@@ -146,8 +113,8 @@ def gcc_set(frames: np.ndarray, lag_range: int) -> GccSet:
     frames = np.asarray(frames, dtype=float)
     n_mics, k = frames.shape
     spectra = np.fft.rfft(frames, axis=-1)
-    pairs = [(i, j) for i in range(n_mics) for j in range(i + 1, n_mics)]
-    cross = np.stack([spectra[n] * np.conj(spectra[m]) for n, m in pairs])
+    n, m = np.triu_indices(n_mics, k=1)
+    cross = spectra[n] * np.conj(spectra[m])
     mag = np.abs(cross)
     floor = np.maximum(mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, np.finfo(float).tiny)
     r = np.fft.irfft(cross / np.maximum(mag, floor), n=k, axis=-1)
@@ -156,41 +123,34 @@ def gcc_set(frames: np.ndarray, lag_range: int) -> GccSet:
     auto_mag = np.abs(spectra) ** 2
     auto_floor = np.maximum(auto_mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, np.finfo(float).tiny)
     auto_zero = np.mean(auto_mag / np.maximum(auto_mag, auto_floor), axis=-1)
-    return GccSet(pair_lags=pair_lags, auto_zero=auto_zero, pairs=pairs, lag_range=lag_range)
+    return GccSet(pair_lags=pair_lags, auto_zero=auto_zero, lag_range=lag_range)
 
 
-@dataclass(frozen=True, eq=False)
-class PowerMap:
-    values: np.ndarray  # (n_theta, n_phi)
-    normalized: bool = False
-
-
-def srp_map(gcc: GccSet, delays: DelayTable, fs: float) -> PowerMap:
-    """Steered response power over the grid from nearest-sample GCC values.
+def srp_map(gcc: GccSet, delays: DelayTable, fs: float) -> np.ndarray:
+    """Steered response power over the grid, (n_theta, n_phi), from
+    nearest-sample GCC values.
 
     Evaluates the double sum over all sensor pairs, autoterms included.
     """
-    lag_idx = np.rint(delays.delays * fs).astype(int)  # (N, N, nt, np)
-    max_lag = int(np.max(np.abs(lag_idx)))
+    n_pairs, width = gcc.pair_lags.shape
+    lags = np.rint(delays.delays[np.triu_indices(len(gcc.auto_zero), k=1)] * fs).astype(int)
+    max_lag = int(np.max(np.abs(lags)))
     if max_lag > gcc.lag_range:
         raise LagRangeTooSmall(
             f"delay table needs lags up to {max_lag}, GCC set stores +-{gcc.lag_range}"
         )
-    nt, npx = delays.grid.shape
-    values = np.full((nt, npx), float(np.sum(gcc.auto_zero)))
+    # flat positions in pair_lags: row p, column lag_range + lag
+    steered = np.take(gcc.pair_lags, lags + (gcc.lag_range + width * np.arange(n_pairs))[:, None, None])
     # R_mn(-l) == R_nm(l), so each unordered pair contributes twice its value
-    for p, (n, m) in enumerate(gcc.pairs):
-        values += 2.0 * gcc.pair_lags[p, gcc.lag_range + lag_idx[n, m]]
-    return PowerMap(values=values, normalized=False)
+    return (2.0 * steered).sum(axis=0, initial=float(np.sum(gcc.auto_zero)))
 
 
-def normalize_map(pmap: PowerMap) -> PowerMap:
-    """Zero-mean the map and scale its largest magnitude to 1."""
-    v = pmap.values - pmap.values.mean()
-    peak = np.max(np.abs(v))
-    if peak > 0.0:
-        v = v / peak
-    return PowerMap(values=v, normalized=True)
+def normalize_map(maps: np.ndarray) -> np.ndarray:
+    """Zero-mean each map of a (..., n_theta, n_phi) stack and scale its
+    largest magnitude to 1; constant maps become all zero."""
+    v = maps - maps.mean(axis=(-2, -1), keepdims=True)
+    peak = np.max(np.abs(v), axis=(-2, -1), keepdims=True)
+    return v / np.where(peak > 0.0, peak, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,15 +177,13 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     vad = np.asarray(vad, dtype=bool)
     if vad.shape != (t,):
         raise ValueError("vad mask length must match the number of maps")
+    # ties break to the lowest row-major index, as in grid_argmax
+    i, j = np.divmod(maps.reshape(t, grid.n_theta * grid.n_phi).argmax(axis=1), grid.n_phi)
+    argmax = np.stack([grid.thetas[i], grid.phis[j]], axis=1)
     data = np.zeros((3, t) + grid.shape)
-    argmax = np.zeros((t, 2))
-    for i in range(t):
-        doa, _ = grid_argmax(maps[i], grid)
-        argmax[i] = (doa.theta, doa.phi)
-        if vad[i]:
-            data[0, i] = maps[i]
-            data[1, i] = doa.theta / np.pi
-            data[2, i] = (doa.phi + np.pi) / (2.0 * np.pi)
+    data[0, vad] = maps[vad]
+    data[1, vad] = (argmax[vad, 0] / np.pi)[:, None, None]
+    data[2, vad] = ((argmax[vad, 1] + np.pi) / (2.0 * np.pi))[:, None, None]
     return InputTensor(data=data, vad=vad, argmax_doa=argmax)
 
 
@@ -234,12 +192,14 @@ def compute_power_maps(
     delays: DelayTable,
     cfg: FramingConfig,
     lag_range: int | None = None,
-) -> list[PowerMap]:
-    """Raw SRP-PHAT map of every analysis frame of a multichannel signal."""
+) -> np.ndarray:
+    """Raw SRP-PHAT maps (T, n_theta, n_phi) of every analysis frame of a
+    multichannel signal."""
     if lag_range is None:
         lag_range = max(default_lag_range(delays.array, cfg.fs, delays.c), delays.max_abs_lag(cfg.fs))
     frames = frame_signal(channels, cfg)  # (n_ch, T, K)
-    return [srp_map(gcc_set(frames[:, i], lag_range), delays, cfg.fs) for i in range(frames.shape[1])]
+    return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, cfg.fs)
+                     for i in range(frames.shape[1])])
 
 
 def compute_input_tensor(
@@ -254,8 +214,7 @@ def compute_input_tensor(
     ``vad_mask`` takes priority (e.g. the oracle mask of a simulated scene);
     otherwise the energy detector runs on the signal itself.
     """
-    raw = compute_power_maps(channels, delays, cfg)
-    maps = np.stack([normalize_map(m).values for m in raw])
+    maps = normalize_map(compute_power_maps(channels, delays, cfg))
     if vad_mask is None:
         vad_mask = (vad or EnergyVad()).mask(channels, cfg)
     return assemble_input(maps, vad_mask, delays.grid)
@@ -283,6 +242,8 @@ def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
     blob = path.read_bytes()
     if blob[:4] != _FEATURE_MAGIC:
         raise FormatError("not a feature dump (bad magic)")
+    if len(blob) < 24:
+        raise FormatError(f"feature dump truncated inside its 24-byte header: {len(blob)} bytes")
     version, c, t, nt, npx = struct.unpack_from("<5I", blob, 4)
     if version != _FEATURE_VERSION:
         raise FormatError(f"unsupported feature dump version {version}")
@@ -290,9 +251,15 @@ def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
     if len(blob) != expected:
         raise FormatError(f"feature dump truncated: {len(blob)} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=24).reshape(c, t, nt, npx).astype(float)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    grid = SphericalGrid(**sidecar["grid"])
-    cfg = FramingConfig(**sidecar["framing"])
-    vad = np.array(sidecar["vad"], dtype=bool)
-    argmax = np.array(sidecar["argmax_doa"], dtype=float)
+    try:
+        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+        grid = SphericalGrid(**sidecar["grid"])
+        cfg = FramingConfig(**sidecar["framing"])
+        vad = np.array(sidecar["vad"], dtype=bool)
+        argmax = np.array(sidecar["argmax_doa"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad feature sidecar: {exc!r}") from exc
+    if c != 3 or grid.shape != (nt, npx) or vad.shape != (t,) or argmax.shape != (t, 2):
+        raise FormatError(f"sidecar grid {grid.shape}, vad {vad.shape} and argmax {argmax.shape}"
+                          f" do not match the dump's {c} channels of {t} frames on {nt}x{npx}")
     return InputTensor(data=data, vad=vad, argmax_doa=argmax), grid, cfg

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from srptrack.cli import main as cli_main
-from srptrack.evaluate import doa_to_unit_from_pair, rmsae
-from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table
+from srptrack.evaluate import rmsae
+from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table, sphere_to_unit
 from srptrack.models import (
     TrainConfig,
     build_cross3d,
@@ -140,7 +140,7 @@ class TestCriterion5SrpOracle:
             )
             pmap = srp_map(gcc_set(frames, 32), table, fs)
             direct = srp_direct_pairwise(frames, pos, grid.unit_vectors(), fs) / 1024.0
-            err = float(np.max(np.abs(direct - pmap.values)) / np.max(np.abs(direct)))
+            err = float(np.max(np.abs(direct - pmap)) / np.max(np.abs(direct)))
             worst = max(worst, err)
         ok = worst < 0.02
         with capsys.disabled():
@@ -180,9 +180,7 @@ def _static_scene_cell(t60, t_max, seeds, duration=2.5):
         tensor = compute_input_tensor(sig.channels.astype(float), table, framing, vad_mask=mask)
         gt = src - origin
         gt /= np.linalg.norm(gt)
-        errors.append(
-            np.array([angular_error(doa_to_unit_from_pair(th, ph), gt) for th, ph in tensor.argmax_doa])
-        )
+        errors.append(angular_error(sphere_to_unit(*tensor.argmax_doa.T), gt))
         voiced.append(EnergyVad().mask(dry[None, :], framing))
     return np.concatenate(errors), np.concatenate(voiced)
 

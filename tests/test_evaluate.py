@@ -12,6 +12,7 @@ from srptrack.evaluate import (
     EvalResult,
     PLOT_CSV_HEADER,
     emit_plot_data,
+    evaluate_models_on_scene,
     rmsae,
     run_grid,
     track_file,
@@ -19,8 +20,16 @@ from srptrack.evaluate import (
 )
 from srptrack.geometry import SphericalGrid, default_array, delay_table
 from srptrack.roomsim import MicSignals, Room, render_moving_source
-from srptrack.scenegen import SceneConfig, clean_dry_signal, sample_rng, synthetic_source
+from srptrack.scenegen import (
+    SceneConfig,
+    clean_dry_signal,
+    sample_rng,
+    synthesize_trajectory_sample,
+    synthetic_source,
+)
 from srptrack.srpfeat import FramingConfig, compute_input_tensor
+
+from oracles import angular_errors_per_frame, doa_to_unit_from_pair
 
 
 class TestRmsae:
@@ -91,6 +100,27 @@ class TestRunGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ExperimentGrid(t60s=(), snrs=(30.0,), resolutions=((4, 8),))
+
+
+class TestSceneErrors:
+    def test_errors_match_per_frame_loop(self):
+        from srptrack.models import build_cross3d, forward_track
+
+        framing = FramingConfig()
+        signals, scene = synthesize_trajectory_sample(
+            _toy_scene_cfg(), synthetic_source, sample_rng(6, 0), framing=framing
+        )
+        model = build_cross3d(4, 8, seed=1)
+        errors, tensor = evaluate_models_on_scene(
+            signals, scene, SphericalGrid(4, 8), framing, {"cross3d": model}
+        )
+        gt = scene.gt_units()
+        srp_units = np.array([doa_to_unit_from_pair(t, p) for t, p in tensor.argmax_doa])
+        np.testing.assert_allclose(errors["srp-argmax"], angular_errors_per_frame(srp_units, gt),
+                                   rtol=0, atol=1e-12)
+        _, units, _ = forward_track(model, tensor.data)
+        np.testing.assert_allclose(errors["cross3d"], angular_errors_per_frame(units.T, gt),
+                                   rtol=0, atol=1e-12)
 
 
 class TestEmitPlotData:

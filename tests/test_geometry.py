@@ -16,7 +16,15 @@ from srptrack.geometry import (
     delay_table,
     doa_to_unit,
     grid_argmax,
+    sphere_to_unit,
     unit_to_doa,
+)
+
+from oracles import (
+    angular_errors_per_frame,
+    delay_table_from_units,
+    doa_to_unit_from_pair,
+    grid_unit_vectors_broadcast,
 )
 
 
@@ -42,6 +50,22 @@ class TestDoaToUnit:
             Doa(-0.1, 0.0)
         with pytest.raises(ValueError):
             Doa(0.1, 4.0)
+
+
+class TestSphereToUnit:
+    def test_broadcasts_angle_arrays(self):
+        thetas = np.linspace(0.0, math.pi, 5)
+        phis = np.linspace(-math.pi, 3.0, 7)
+        u = sphere_to_unit(thetas[:, None], phis[None, :])
+        assert u.shape == (5, 7, 3)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(u[2, 3], doa_to_unit(Doa(thetas[2], phis[3])), atol=1e-15)
+
+    def test_rows_match_scalar_formula(self):
+        rng = np.random.default_rng(3)
+        angles = np.stack([rng.uniform(0, math.pi, 500), rng.uniform(-math.pi, math.pi, 500)], axis=1)
+        expected = np.array([doa_to_unit_from_pair(t, p) for t, p in angles])
+        np.testing.assert_allclose(sphere_to_unit(angles[:, 0], angles[:, 1]), expected, rtol=0, atol=1e-15)
 
 
 class TestUnitToDoa:
@@ -97,6 +121,36 @@ class TestAngularError:
         with pytest.raises(DegenerateDirection):
             angular_error([0, 0, 0], [1, 0, 0])
 
+    def test_stacked_rows_match_per_frame_loop(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(300, 3)) * rng.uniform(0.01, 10.0, size=(300, 1))
+        b = rng.normal(size=(300, 3))
+        np.testing.assert_allclose(angular_error(a, b), angular_errors_per_frame(a, b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(angular_error(a, b[0]), angular_errors_per_frame(a, np.tile(b[0], (300, 1))),
+                                   rtol=0, atol=1e-12)
+
+    def test_parallel_and_antipodal_rows_exact(self):
+        b = np.random.default_rng(5).normal(size=(50, 3))
+        np.testing.assert_allclose(angular_error(3.0 * b, b), 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(angular_error(-0.5 * b, b), math.pi, rtol=0, atol=1e-12)
+
+    def test_stacked_zero_row_rejected(self):
+        a = np.ones((4, 3))
+        a[2] = 0.0
+        with pytest.raises(DegenerateDirection):
+            angular_error(a, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [1.0, np.inf, 0.0]])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            angular_error(bad, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            angular_error(np.array([[1.0, 0.0, 0.0], bad]), np.ones((2, 3)))
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            angular_error(np.ones((4, 2)), np.ones((4, 2)))
+
 
 class TestSphericalGrid:
     def test_4x8_spacings(self):
@@ -122,6 +176,14 @@ class TestSphericalGrid:
         g = SphericalGrid(16, 32)
         norms = np.linalg.norm(g.unit_vectors(), axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("resolution", [(4, 8), (8, 16), (16, 32), (32, 64), (64, 128)])
+    def test_unit_vectors_and_delay_table_match_broadcast_formula_bitwise(self, resolution):
+        g = SphericalGrid(*resolution)
+        u = grid_unit_vectors_broadcast(g.thetas, g.phis)
+        np.testing.assert_array_equal(g.unit_vectors(), u)
+        arr = default_array()
+        np.testing.assert_array_equal(delay_table(arr, g).delays, delay_table_from_units(arr.positions, u))
 
 
 class TestMicArray:

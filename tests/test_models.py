@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from srptrack.errors import FormatError, ShapeError
-from srptrack.geometry import SphericalGrid, default_array
+from srptrack.geometry import MicArray, SphericalGrid, default_array
 from srptrack.models import (
+    Checkpoint,
     TrainConfig,
     baseline_gcc_features,
     baseline_max_features,
@@ -29,7 +30,7 @@ from srptrack.models import (
     training_phase,
 )
 from srptrack.scenegen import SceneConfig
-from srptrack.srpfeat import FramingConfig, assemble_input
+from srptrack.srpfeat import FramingConfig, assemble_input, default_lag_range
 from srptrack.tensornet import euclidean_distance_loss
 
 TABLE_COUNTS = {
@@ -277,6 +278,35 @@ class TestCheckpoints:
         path.write_bytes(b"SSTC" + struct.pack("<2I", 1, len(text)) + text)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("cross3d", {}),
+            ("cross3d", {"n_theta": 4}),
+            ("cross3d", {"n_theta": 4.0, "n_phi": 8}),
+            ("cross3d", {"n_theta": "4", "n_phi": 8}),
+            ("cross3d", {"n_theta": True, "n_phi": 8}),
+            ("baseline-gcc", {}),
+            ("baseline-gcc", {"in_channels": 0}),
+            ("baseline-gcc", {"in_channels": [858]}),
+        ],
+    )
+    def test_bad_spec_rejected(self, kind, spec):
+        with pytest.raises(FormatError):
+            model_from_checkpoint(Checkpoint(kind=kind, spec=spec, tensors={}, step=0))
+
+    def test_gcc_checkpoint_must_fit_the_array(self):
+        array = default_array()
+        ckpt = make_checkpoint(build_baseline_gcc(array, 16000))
+        assert model_from_checkpoint(ckpt, array=array, fs=16000).in_channels == 858
+        toy = MicArray(positions=array.positions[:4])
+        width = 6 * (2 * default_lag_range(toy, 16000) + 1)
+        with pytest.raises(FormatError, match=f"858 input channels.* gives {width}"):
+            model_from_checkpoint(ckpt, array=toy, fs=16000)
+        width = 66 * (2 * default_lag_range(array, 48000) + 1)
+        with pytest.raises(FormatError, match=f"858 input channels.* gives {width}"):
+            model_from_checkpoint(ckpt, array=array, fs=48000)
 
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline_gcc(default_array(), 16000, seed=11)

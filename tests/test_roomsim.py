@@ -275,7 +275,7 @@ class TestRenderMovingSource:
         )
         table = delay_table(array, grid)
         maps = compute_power_maps(out.channels.astype(float), table, framing)
-        observed = [grid_argmax(m.values, grid)[1] for m in maps]
+        observed = [grid_argmax(m, grid)[1] for m in maps]
         for i, idx in enumerate(observed):
             if i <= 2:
                 assert idx == ij_a, f"frame {i}: {idx}"

@@ -18,6 +18,8 @@ from srptrack.scenegen import (
 )
 from srptrack.srpfeat import EnergyVad, FramingConfig, compute_power_maps
 
+from oracles import clean_dry_signal_per_frame, gt_units_from_angles
+
 
 class TestSampleScene:
     def test_degenerate_ranges_deterministic(self):
@@ -110,6 +112,18 @@ class TestSyntheticSource:
         stopband = spectrum[freqs > 7000].mean()
         assert 10 * math.log10(passband / stopband) > 60.0
 
+    def test_clean_dry_signal_matches_per_frame_loop(self):
+        from srptrack.scenegen import clean_dry_signal
+
+        framing = FramingConfig(K=64, hop=48, fs=1000)
+        rng = np.random.default_rng(8)
+        sig = rng.normal(size=64 + 48 * 9 + 20)  # a tail no frame covers
+        for mask in (rng.random(10) < 0.5, np.zeros(10, dtype=bool), np.ones(10, dtype=bool)):
+            np.testing.assert_array_equal(clean_dry_signal(sig, mask, framing),
+                                          clean_dry_signal_per_frame(sig, mask, framing))
+        with pytest.raises(ValueError):
+            clean_dry_signal(sig, np.ones(11, dtype=bool), framing)
+
     def test_energy_vad_agrees_95_percent(self):
         framing = FramingConfig()
         agreements = []
@@ -172,6 +186,10 @@ class TestSynthesizeTrajectorySample:
         for i in range(scene.trajectory.n_points):
             assert angular_error(rel[i], units[i]) < 1e-9
 
+    def test_gt_units_match_broadcast_formula_bitwise(self):
+        _, scene = synthesize_trajectory_sample(self._toy_cfg(), synthetic_source, sample_rng(10, 1))
+        np.testing.assert_array_equal(scene.gt_units(), gt_units_from_angles(scene.gt_doa))
+
     def test_gt_doa_continuity(self):
         cfg = self._toy_cfg(duration=5.0)
         _, scene = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(11, 0))
@@ -209,7 +227,7 @@ class TestSynthesizeTrajectorySample:
         maps = compute_power_maps(signals.channels.astype(float), table, framing)
         for i in range(t):
             if mask[i]:
-                _, idx = grid_argmax(maps[i].values, grid)
+                _, idx = grid_argmax(maps[i], grid)
                 assert idx == doa_ij
 
 

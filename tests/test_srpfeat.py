@@ -1,7 +1,12 @@
 """Tests for srptrack.srpfeat."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srptrack.errors import FormatError, LagRangeTooSmall, TooShort
 from srptrack.geometry import MicArray, SphericalGrid, delay_table, grid_argmax
@@ -9,10 +14,11 @@ from srptrack.srpfeat import (
     EnergyVad,
     FramingConfig,
     assemble_input,
+    compute_input_tensor,
     compute_power_maps,
     default_lag_range,
+    frame_indices,
     frame_signal,
-    gcc_phat,
     gcc_set,
     load_features,
     normalize_map,
@@ -20,7 +26,15 @@ from srptrack.srpfeat import (
     srp_map,
 )
 
-from oracles import plane_wave_frames, srp_direct_pairwise, srp_direct_two_mic
+from oracles import (
+    gcc_phat,
+    gcc_set_per_pair,
+    input_tensor_per_frame,
+    normalize_map_single,
+    plane_wave_frames,
+    srp_direct_pairwise,
+    srp_direct_two_mic,
+)
 
 
 class TestFraming:
@@ -53,38 +67,47 @@ class TestFraming:
         window = np.hanning(8)
         np.testing.assert_allclose(frames[0, 2], sig[0, 8:16] * window)
 
+    def test_frame_indices(self):
+        idx = frame_indices(3, 4, 2)
+        np.testing.assert_array_equal(idx, [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
+
+
+def _pair_gcc(frame_n, frame_m, lag_range):
+    """GCC of the single pair (0, 1) through gcc_set."""
+    return gcc_set(np.stack([frame_n, frame_m]), lag_range).pair_lags[0]
+
 
 class TestGccPhat:
     def test_self_correlation_peaks_at_zero(self):
         rng = np.random.default_rng(3)
         frame = rng.normal(size=512)
-        r = gcc_phat(frame, frame, 10)
+        r = _pair_gcc(frame, frame, 10)
         assert np.argmax(r) == 10  # lag 0
 
     def test_delayed_peak_at_plus_d(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=512)
         delayed = np.roll(base, 5)  # x_n(t) = x_m(t - 5)
-        r = gcc_phat(delayed, base, 10)
+        r = _pair_gcc(delayed, base, 10)
         assert np.argmax(r) - 10 == 5
 
     def test_zero_frames_give_zero(self):
-        r = gcc_phat(np.zeros(256), np.zeros(256), 8)
+        r = _pair_gcc(np.zeros(256), np.zeros(256), 8)
         np.testing.assert_array_equal(r, 0.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=512)
         b = rng.normal(size=512)
-        r1 = gcc_phat(a, b, 6)
-        r2 = gcc_phat(123.4 * a, 0.002 * b, 6)
+        r1 = _pair_gcc(a, b, 6)
+        r2 = _pair_gcc(123.4 * a, 0.002 * b, 6)
         np.testing.assert_allclose(r1, r2, atol=1e-6)
 
     def test_unit_magnitude_cross_power(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=256)
         b = rng.normal(size=256)
-        r = gcc_phat(a, b, 128)
+        r = _pair_gcc(a, b, 128)
         # lags 0..127 then -128..-1 rebuild the circular sequence, whose
         # spectrum is the whitened cross power
         full = np.concatenate([r[128:256], r[:128]])
@@ -94,18 +117,38 @@ class TestGccPhat:
     def test_symmetry_r_nm_vs_r_mn(self):
         rng = np.random.default_rng(7)
         frames = rng.normal(size=(4, 512))
-        gset = gcc_set(frames, 8)
-        for n in range(4):
-            for m in range(4):
-                for lag in (-8, -3, 0, 2, 8):
-                    assert gset.r(n, m, lag) == pytest.approx(gset.r(m, n, -lag), abs=1e-12)
+        for n, m in itertools.permutations(range(4), 2):
+            r_nm = _pair_gcc(frames[n], frames[m], 8)
+            r_mn = _pair_gcc(frames[m], frames[n], 8)
+            np.testing.assert_allclose(r_nm, r_mn[::-1], atol=1e-12)
 
     def test_gcc_set_matches_pairwise_calls(self):
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(3, 256))
         gset = gcc_set(frames, 5)
-        for p, (n, m) in enumerate(gset.pairs):
+        for p, (n, m) in enumerate(itertools.combinations(range(3), 2)):
             np.testing.assert_allclose(gset.pair_lags[p], gcc_phat(frames[n], frames[m], 5), atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_mics=st.integers(2, 12), data=st.data(), d=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
+    def test_pair_peak_sits_at_the_delay(self, n_mics, data, d, seed):
+        # channel a is channel b delayed by d (circularly): pair (n, m) = (a, b)
+        # peaks at lag +d, and at -d when a is the later sensor of the pair
+        a, b = data.draw(st.lists(st.integers(0, n_mics - 1), min_size=2, max_size=2, unique=True))
+        frames = np.random.default_rng(seed).normal(size=(n_mics, 256))
+        frames[a] = np.roll(frames[b], d)
+        n, m = min(a, b), max(a, b)
+        lag = d if (n, m) == (a, b) else -d
+        p = list(itertools.combinations(range(n_mics), 2)).index((n, m))
+        gset = gcc_set(frames, 6)
+        assert np.argmax(gset.pair_lags[p]) - 6 == lag
+
+    def test_gcc_set_matches_per_pair_path_bitwise(self):
+        frames = np.random.default_rng(9).normal(size=(12, 4096))
+        pair_lags, auto_zero, _ = gcc_set_per_pair(frames, 6)
+        gset = gcc_set(frames, 6)
+        np.testing.assert_array_equal(gset.pair_lags, pair_lags)
+        np.testing.assert_array_equal(gset.auto_zero, auto_zero)
 
 
 def _toy_array(n_mics: int) -> MicArray:
@@ -121,7 +164,7 @@ class TestSrpMap:
         table = delay_table(arr, grid)
         frames = np.zeros((3, 512))
         pmap = srp_map(gcc_set(frames, 16), table, 16000)
-        np.testing.assert_array_equal(pmap.values, 0.0)
+        np.testing.assert_array_equal(pmap, 0.0)
 
     @pytest.mark.parametrize("n_mics", [2, 3, 4])
     def test_matches_direct_beamformer(self, n_mics):
@@ -136,7 +179,7 @@ class TestSrpMap:
         pmap = srp_map(gcc_set(frames, 32), table, fs)
         direct = srp_direct_pairwise(frames, arr.positions, grid.unit_vectors(), fs)
         scaled = direct / 1024.0  # the DFT sum carries a factor of K
-        err = np.max(np.abs(scaled - pmap.values)) / np.max(np.abs(scaled))
+        err = np.max(np.abs(scaled - pmap)) / np.max(np.abs(scaled))
         assert err < 0.02
 
     def test_two_mic_matches_squared_beamformer(self):
@@ -148,7 +191,7 @@ class TestSrpMap:
         frames = plane_wave_frames(rng.normal(size=1024), arr.positions, grid.unit_vectors()[2, 4], fs)
         pmap = srp_map(gcc_set(frames, 32), table, fs)
         direct = srp_direct_two_mic(frames, arr.positions, grid.unit_vectors(), fs) / 1024.0
-        err = np.max(np.abs(direct - pmap.values)) / np.max(np.abs(direct))
+        err = np.max(np.abs(direct - pmap)) / np.max(np.abs(direct))
         assert err < 0.02
 
     def test_plane_wave_argmax_hits_grid_point(self):
@@ -161,7 +204,7 @@ class TestSrpMap:
             u = grid.unit_vectors()[i, j]
             frames = plane_wave_frames(rng.normal(size=4096), arr.positions, u, fs)
             pmap = srp_map(gcc_set(frames, 16), table, fs)
-            _, idx = grid_argmax(pmap.values, grid)
+            _, idx = grid_argmax(pmap, grid)
             assert idx == (i, j)
 
     def test_argmax_scale_invariant(self):
@@ -173,8 +216,8 @@ class TestSrpMap:
         frames = rng.normal(size=(3, 1024))
         m1 = srp_map(gcc_set(frames, 16), table, fs)
         m2 = srp_map(gcc_set(frames * 57.0, 16), table, fs)
-        assert grid_argmax(m1.values, grid)[1] == grid_argmax(m2.values, grid)[1]
-        np.testing.assert_allclose(m1.values, m2.values, atol=1e-6)
+        assert grid_argmax(m1, grid)[1] == grid_argmax(m2, grid)[1]
+        np.testing.assert_allclose(m1, m2, atol=1e-6)
 
     def test_lag_range_too_small(self):
         arr = MicArray(positions=np.array([[0.5, 0, 0], [-0.5, 0, 0]]), name="wide")
@@ -192,26 +235,25 @@ class TestSrpMap:
 
 class TestNormalizeMap:
     def test_simple_values(self):
-        from srptrack.srpfeat import PowerMap
-
-        out = normalize_map(PowerMap(values=np.array([[1.0, 2.0, 3.0]])))
-        np.testing.assert_allclose(out.values, [[-1.0, 0.0, 1.0]])
-        assert out.normalized
+        out = normalize_map(np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_allclose(out, [[-1.0, 0.0, 1.0]])
 
     def test_constant_map_all_zero(self):
-        from srptrack.srpfeat import PowerMap
-
-        out = normalize_map(PowerMap(values=np.full((4, 8), 2.5)))
-        np.testing.assert_array_equal(out.values, 0.0)
+        out = normalize_map(np.full((4, 8), 2.5))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_peak_is_one_and_mean_zero(self):
-        from srptrack.srpfeat import PowerMap
-
         rng = np.random.default_rng(10)
         for _ in range(50):
-            out = normalize_map(PowerMap(values=rng.normal(size=(4, 8))))
-            assert np.max(np.abs(out.values)) == pytest.approx(1.0)
-            assert abs(out.values.mean()) < 1e-6 * np.max(np.abs(out.values))
+            out = normalize_map(rng.normal(size=(4, 8)))
+            assert np.max(np.abs(out)) == pytest.approx(1.0)
+            assert abs(out.mean()) < 1e-6 * np.max(np.abs(out))
+
+    def test_stack_matches_map_by_map_bitwise(self):
+        maps = np.random.default_rng(15).normal(size=(7, 16, 32)) * np.arange(1, 8)[:, None, None]
+        maps[3] = 2.5  # a constant map stays all zero inside a stack too
+        expected = np.stack([normalize_map_single(m) for m in maps])
+        np.testing.assert_array_equal(normalize_map(maps), expected)
 
 
 class TestEnergyVad:
@@ -309,6 +351,51 @@ class TestFeatureDump:
         with pytest.raises(FormatError):
             load_features(path)
 
+    @staticmethod
+    def _dump(path, n_frames=1):
+        grid = SphericalGrid(2, 2)
+        tensor = assemble_input(np.zeros((n_frames,) + grid.shape), np.ones(n_frames, dtype=bool), grid)
+        save_features(path, tensor, grid, FramingConfig())
+        return path, path.with_suffix(path.suffix + ".json")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda blob, side: (blob[:20], side), id="blob-shorter-than-header"),
+            pytest.param(lambda blob, side: (blob, {k: v for k, v in side.items() if k != "grid"}),
+                         id="sidecar-without-grid"),
+            pytest.param(lambda blob, side: (blob, dict(side, vad=[1, 1, 1])), id="vad-too-long"),
+            pytest.param(lambda blob, side: (blob, dict(side, argmax_doa=[])), id="argmax-too-short"),
+            pytest.param(lambda blob, side: (blob, dict(side, grid={"n_theta": 4, "n_phi": 8})),
+                         id="grid-shape-differs"),
+            pytest.param(lambda blob, side: (blob, dict(side, framing={"K": 0})), id="bad-framing"),
+            pytest.param(lambda blob, side: (blob, [side]), id="sidecar-not-an-object"),
+        ],
+    )
+    def test_malformed_dump_rejected(self, tmp_path, corrupt):
+        path, sidecar = self._dump(tmp_path / "feat.srpm")
+        blob, side = corrupt(path.read_bytes(), json.loads(sidecar.read_text()))
+        path.write_bytes(blob)
+        sidecar.write_text(json.dumps(side))
+        with pytest.raises(FormatError):
+            load_features(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_dump_raises_only_format_error(self, tmp_path_factory, data):
+        path, _ = self._dump(tmp_path_factory.mktemp("dump") / "feat.srpm", n_frames=2)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            load_features(path)
+        except FormatError:
+            pass  # a flip inside the float payload loads as other values, which is fine
+
 
 class TestComputePowerMaps:
     def test_frame_count_and_argmax_stability(self):
@@ -322,7 +409,36 @@ class TestComputePowerMaps:
         dry = rng.normal(size=4096)
         channels = plane_wave_frames(dry, arr.positions, u, fs)
         maps = compute_power_maps(channels, table, cfg)
-        assert len(maps) == cfg.n_frames(4096)
+        assert maps.shape == (cfg.n_frames(4096),) + grid.shape
         for pmap in maps:
-            _, idx = grid_argmax(pmap.values, grid)
+            _, idx = grid_argmax(pmap, grid)
             assert idx == (3, 5)
+
+
+class TestMatchesPerFramePath:
+    """compute_input_tensor against the per-pair, per-frame path it replaced."""
+
+    def _assert_same(self, channels, table, cfg, vad_mask=None):
+        tensor = compute_input_tensor(channels, table, cfg, vad_mask=vad_mask)
+        data, vad, argmax = input_tensor_per_frame(channels, table, cfg, vad_mask=vad_mask)
+        np.testing.assert_array_equal(tensor.data, data)
+        np.testing.assert_array_equal(tensor.vad, vad)
+        np.testing.assert_array_equal(tensor.argmax_doa, argmax)
+
+    @pytest.mark.parametrize("resolution", [(16, 32), (64, 128)])
+    def test_twelve_channels_bitwise(self, resolution):
+        from srptrack.geometry import default_array
+
+        cfg = FramingConfig()
+        rng = np.random.default_rng(resolution[0])
+        channels = rng.normal(size=(12, cfg.K + 9 * cfg.hop))
+        channels[:, : 2 * cfg.hop] *= 1e-4  # quiet opening frames, for the energy VAD
+        self._assert_same(channels, delay_table(default_array(), SphericalGrid(*resolution)), cfg)
+
+    @pytest.mark.parametrize("n_mics", [2, 3, 4])
+    def test_toy_arrays_bitwise(self, n_mics):
+        cfg = FramingConfig(K=1024, hop=768)
+        rng = np.random.default_rng(40 + n_mics)
+        channels = rng.normal(size=(n_mics, 1024 + 5 * 768))
+        vad_mask = rng.random(6) < 0.6
+        self._assert_same(channels, delay_table(_toy_array(n_mics), SphericalGrid(6, 8)), cfg, vad_mask)
