@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptySelection, FormatError
 from .geometry import MicArray, SphericalGrid, angular_error, delay_table, sphere_to_unit, unit_to_doa
-from .models import baseline_gcc_features, forward_track, load_checkpoint, model_from_checkpoint
+from .models import forward_track, load_checkpoint, model_features, model_from_checkpoint
 from .roomsim import MicSignals
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
 from .srpfeat import EnergyVad, FramingConfig, compute_input_tensor
@@ -63,26 +63,16 @@ class ExperimentGrid:
             raise ValueError("grid axes must be nonempty")
 
 
-def _model_errors(model, tensor, signals, scene, array, framing) -> np.ndarray:
-    if getattr(model, "kind", None) == "baseline-gcc":
-        feats = baseline_gcc_features(
-            signals.channels.astype(float), array, framing, vad_mask=scene.vad_mask
-        )
-    else:
-        feats = model.features_from(tensor)
-    _, units, _ = forward_track(model, feats)
-    return angular_error(units.T, scene.gt_units())
-
-
 def evaluate_models_on_scene(signals, scene, grid, framing, models: dict):
     """Per-frame angular errors for the SRP argmax and each named model."""
     delays = delay_table(scene.array, grid)
-    tensor = compute_input_tensor(
-        signals.channels.astype(float), delays, framing, vad_mask=scene.vad_mask
-    )
-    out = {"srp-argmax": angular_error(sphere_to_unit(*tensor.argmax_doa.T), scene.gt_units())}
+    channels = signals.channels.astype(float)
+    tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
+    gt = scene.gt_units()
+    out = {"srp-argmax": angular_error(sphere_to_unit(*tensor.argmax_doa.T), gt)}
     for name, model in models.items():
-        out[name] = _model_errors(model, tensor, signals, scene, scene.array, framing)
+        _, units, _ = forward_track(model, model_features(model, tensor, channels, scene.array, framing))
+        out[name] = angular_error(units.T, gt)
     return out, tensor
 
 
@@ -209,11 +199,7 @@ def track_file(
         units = sphere_to_unit(*tensor.argmax_doa.T).T
         degenerate = np.zeros(tensor.n_frames, dtype=bool)
     else:
-        if model.kind == "baseline-gcc":
-            feats = baseline_gcc_features(channels, array, framing, vad_mask=vad_mask)
-        else:
-            feats = model.features_from(tensor)
-        _, units, degenerate = forward_track(model, feats)
+        _, units, degenerate = forward_track(model, model_features(model, tensor, channels, array, framing))
 
     times = framing.frame_times(tensor.n_frames)
     rows = []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDirection
+from .errors import DegenerateDirection, FormatError
 
 SPEED_OF_SOUND = 343.0  # m/s, room temperature
 
@@ -142,9 +142,12 @@ class MicArray:
     @classmethod
     def from_json(cls, path) -> "MicArray":
         """Load from a geometry file ``{"name": ..., "positions_m": [[x,y,z], ...]}``."""
-        with open(path) as f:
-            obj = json.load(f)
-        return cls(positions=np.array(obj["positions_m"], dtype=float), name=obj.get("name", "array"))
+        try:
+            with open(path) as f:
+                obj = json.load(f)
+            return cls(positions=np.array(obj["positions_m"], dtype=float), name=obj.get("name", "array"))
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or text, no key, wrong layout or shape
+            raise FormatError(f"{path} is not an array geometry file: {exc!r}") from exc
 
     def to_json(self, path) -> None:
         obj = {"name": self.name, "positions_m": self.positions.tolist()}

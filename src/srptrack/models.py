@@ -74,8 +74,7 @@ class Cross3D:
         self.stem = CausalConv3d(3, STEM_CHANNELS, (5, 5, 5), rng, dtype, "stem")
         self.stem_act = PReLU(STEM_CHANNELS, dtype, "stem_act")
         # branch a pools azimuth, branch b pools elevation
-        self.branch_a = self._branch(rng, axis=3, tag="a")
-        self.branch_b = self._branch(rng, axis=2, tag="b")
+        self.branches = (self._branch(rng, axis=3, tag="a"), self._branch(rng, axis=2, tag="b"))
         pooled = (n_theta * n_phi) >> depth
         self.feature_width = 2 * STEM_CHANNELS * pooled
         self._split = STEM_CHANNELS * pooled
@@ -101,19 +100,19 @@ class Cross3D:
 
     def _validate_shapes(self) -> None:
         shape = self.stem.out_shape((3, 8, self.n_theta, self.n_phi))
-        sa = sb = shape
-        for conv, act, pool in self.branch_a:
-            sa = pool.out_shape(act.out_shape(conv.out_shape(sa)))
-        for conv, act, pool in self.branch_b:
-            sb = pool.out_shape(act.out_shape(conv.out_shape(sb)))
-        width = sa[0] * sa[2] * sa[3] + sb[0] * sb[2] * sb[3]
+        width = 0
+        for branch in self.branches:
+            s = shape
+            for conv, act, pool in branch:
+                s = pool.out_shape(act.out_shape(conv.out_shape(s)))
+            width += s[0] * s[2] * s[3]
         if width != self.feature_width:
             raise ShapeError(f"feature width {width} != expected {self.feature_width}")
         self.head.out_shape(self.mix.out_shape((self.feature_width, 8)))
 
     def parameters(self):
         out = self.stem.params() + self.stem_act.params()
-        for branch in (self.branch_a, self.branch_b):
+        for branch in self.branches:
             for conv, act, _ in branch:
                 out += conv.params() + act.params()
         out += self.mix.params() + self.mix_act.params() + self.head.params()
@@ -136,33 +135,27 @@ class Cross3D:
             raise ShapeError(f"expected (3, T, {self.n_theta}, {self.n_phi}), got {x.shape}")
         x = np.ascontiguousarray(x, dtype=self.dtype)
         h = self.stem_act.forward(self.stem.forward(x))
-        a = h
-        for conv, act, pool in self.branch_a:
-            a = pool.forward(act.forward(conv.forward(a)))
-        b = h
-        for conv, act, pool in self.branch_b:
-            b = pool.forward(act.forward(conv.forward(b)))
-        self._a_shape = a.shape
-        self._b_shape = b.shape
-        feats = np.concatenate([self._flatten(a), self._flatten(b)], axis=0)
-        m = self.mix_act.forward(self.mix.forward(feats))
+        self._shapes = []
+        feats = []
+        for branch in self.branches:
+            y = h
+            for conv, act, pool in branch:
+                y = pool.forward(act.forward(conv.forward(y)))
+            self._shapes.append(y.shape)
+            feats.append(self._flatten(y))
+        m = self.mix_act.forward(self.mix.forward(np.concatenate(feats, axis=0)))
         return self.head_act.forward(self.head.forward(m))
 
-    def backward(self, grad_out: np.ndarray) -> None:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.head.backward(self.head_act.backward(grad_out))
         g = self.mix.backward(self.mix_act.backward(g))
-        ga, gb = g[: self._split], g[self._split :]
-
-        def unflatten(gf, shape):
-            c, t, h, w = shape
-            return gf.reshape(c, h, w, t).transpose(0, 3, 1, 2)
-
-        ga = unflatten(ga, self._a_shape)
-        for conv, act, pool in reversed(self.branch_a):
-            ga = conv.backward(act.backward(pool.backward(ga)))
-        gb = unflatten(gb, self._b_shape)
-        for conv, act, pool in reversed(self.branch_b):
-            gb = conv.backward(act.backward(pool.backward(gb)))
+        grads = []
+        for branch, gf, (c, t, h, w) in zip(self.branches, np.split(g, [self._split]), self._shapes):
+            gy = gf.reshape(c, h, w, t).transpose(0, 3, 1, 2)
+            for conv, act, pool in reversed(branch):
+                gy = conv.backward(act.backward(pool.backward(gy)))
+            grads.append(gy)
+        ga, gb = grads
         return self.stem.backward(self.stem_act.backward(ga + gb))
 
     def features_from(self, tensor: InputTensor) -> np.ndarray:
@@ -268,6 +261,16 @@ def baseline_gcc_features(
     return feats
 
 
+def model_features(model, tensor: InputTensor, channels: np.ndarray, array: MicArray,
+                   cfg: FramingConfig) -> np.ndarray:
+    """The features ``model`` tracks from: its view of ``tensor``, or for the
+    GCC baseline the stacked GCCs of ``channels``. Frames silent in
+    ``tensor.vad`` are zero either way."""
+    if model.kind == "baseline-gcc":
+        return baseline_gcc_features(channels, array, cfg, vad_mask=tensor.vad)
+    return model.features_from(tensor)
+
+
 def forward_track(model, features: np.ndarray):
     """Per-frame raw outputs plus unit-vector estimates.
 
@@ -321,15 +324,9 @@ def _sample_training_pair(
     signals, scene = synthesize_trajectory_sample(
         scene_cfg, source_provider, rng, array=array, framing=framing
     )
-    tensor = compute_input_tensor(
-        signals.channels.astype(float), delays, framing, vad_mask=scene.vad_mask
-    )
-    if getattr(model, "kind", None) == "baseline-gcc":
-        feats = baseline_gcc_features(
-            signals.channels.astype(float), array, framing, vad_mask=scene.vad_mask
-        )
-    else:
-        feats = model.features_from(tensor)
+    channels = signals.channels.astype(float)
+    tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
+    feats = model_features(model, tensor, channels, array, framing)
     target = scene.gt_units().T  # (3, T), silent frames keep the true DOA
     return feats, target
 

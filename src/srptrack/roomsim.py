@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from scipy import fft as sp_fft
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
-from .errors import AllSilent, NonPhysicalT60Warning, OutOfRoom
+from .errors import AllSilent, FormatError, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
 from .srpfeat import frame_indices
 
@@ -97,13 +98,21 @@ class MicSignals:
 
     @classmethod
     def from_wav(cls, path) -> "MicSignals":
-        fs, data = wavfile.read(path)
+        """Read a WAV file; PCM samples are scaled to [-1, 1)."""
+        try:
+            fs, data = wavfile.read(path)
+        except (ValueError, struct.error) as exc:
+            raise FormatError(f"{path} is not a readable WAV file: {exc}") from exc
         if data.ndim == 1:
             data = data[:, None]
-        if data.dtype == np.int16:
+        if data.dtype == np.uint8:
+            data = (data.astype(np.float32) - 128.0) / 128.0
+        elif data.dtype == np.int16:
             data = data.astype(np.float32) / 32768.0
         elif data.dtype == np.int32:
             data = data.astype(np.float32) / 2147483648.0
+        elif data.dtype.kind != "f":
+            raise FormatError(f"{path} holds {data.dtype} samples; expected uint8, int16, int32 or float")
         return cls(channels=data.T.astype(np.float32), fs=int(fs))
 
 

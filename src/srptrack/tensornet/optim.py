@@ -36,15 +36,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.array(m) for m in state["m"]]
-        self.v = [np.array(v) for v in state["v"]]

@@ -8,6 +8,7 @@ under test.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from srptrack.roomsim import _KERNEL_UP, OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
@@ -299,3 +300,71 @@ def clean_dry_signal_per_frame(sig: np.ndarray, vad_mask: np.ndarray, framing) -
     out = sig.copy()
     out[~keep] = 0.0
     return out
+
+
+# The causal convolutions as they stood before the shared tap loop: the 3D
+# layer as one im2col matrix product plus a col2im loop, the 1D layer as its
+# own loop over taps. Bodies are verbatim apart from taking the weights, bias
+# and input as arguments instead of layer state; each backward returns
+# (input gradient, weight gradient, bias gradient).
+def _conv3d_pad(x, kernel):
+    kt, kh, kw = kernel
+    return np.pad(x, ((0, 0), (kt - 1, 0), ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2))
+
+
+def _conv3d_cols(xp, kernel, t, h, w):
+    win = sliding_window_view(xp, kernel, axis=(1, 2, 3))  # (C, T, H, W, kt, kh, kw)
+    return win.transpose(0, 4, 5, 6, 1, 2, 3).reshape(xp.shape[0] * np.prod(kernel), t * h * w)
+
+
+def conv3d_im2col_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out_ch, kernel = weight.shape[0], weight.shape[2:]
+    _, t, h, w = x.shape
+    xp = _conv3d_pad(x, kernel)
+    w2 = weight.reshape(out_ch, -1)
+    out = w2 @ _conv3d_cols(xp, kernel, t, h, w) + bias[:, None]
+    return out.reshape(out_ch, t, h, w)
+
+
+def conv3d_im2col_backward(weight: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
+    out_ch, in_ch, kt, kh, kw = weight.shape
+    _, t, h, w = x.shape
+    xp = _conv3d_pad(x, (kt, kh, kw))
+    d = grad_out.reshape(out_ch, -1)
+    gb = d.sum(axis=1)
+    cols = _conv3d_cols(xp, (kt, kh, kw), t, h, w)
+    gw = (d @ cols.T).reshape(weight.shape)
+    gcols = (weight.reshape(out_ch, -1).T @ d).reshape(in_ch, kt, kh, kw, t, h, w)
+    gxp = np.zeros_like(xp)
+    for a in range(kt):
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, a : a + t, i : i + h, j : j + w] += gcols[:, a, i, j]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    return gxp[:, kt - 1 :, ph : ph + h, pw : pw + w], gw, gb
+
+
+def conv1d_loop_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, dilation: int) -> np.ndarray:
+    out_ch, kernel = weight.shape[0], weight.shape[2]
+    t = x.shape[1]
+    pad = (kernel - 1) * dilation
+    xp = np.pad(x, ((0, 0), (pad, 0)))
+    out = np.broadcast_to(bias[:, None], (out_ch, t)).copy()
+    for j in range(kernel):
+        out += weight[:, :, j] @ xp[:, j * dilation : j * dilation + t]
+    return out
+
+
+def conv1d_loop_backward(weight: np.ndarray, x: np.ndarray, grad_out: np.ndarray, dilation: int):
+    kernel = weight.shape[2]
+    t = x.shape[1]
+    pad = (kernel - 1) * dilation
+    xp = np.pad(x, ((0, 0), (pad, 0)))
+    gb = grad_out.sum(axis=1)
+    gw = np.zeros_like(weight)
+    gxp = np.zeros_like(xp)
+    for j in range(kernel):
+        seg = slice(j * dilation, j * dilation + t)
+        gw[:, :, j] += grad_out @ xp[:, seg].T
+        gxp[:, seg] += weight[:, :, j].T @ grad_out
+    return gxp[:, pad:], gw, gb

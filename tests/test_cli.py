@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from srptrack.cli import main
+from srptrack.errors import FormatError
 from srptrack.roomsim import MicSignals
 
 TOY_CONFIG = {
@@ -92,6 +94,20 @@ class TestSynthFeaturesTrack:
         lines = track.read_text().strip().splitlines()
         assert lines[0] == "time_s,azimuth_deg,elevation_deg,vad,degenerate"
         assert len(lines) == 1 + tensor.data.shape[1]
+
+
+    def test_track_rejects_bad_inputs(self, tmp_path):
+        wav = tmp_path / "scene.wav"
+        MicSignals(channels=np.zeros((12, 16000), dtype=np.float32), fs=16000).to_wav(wav)
+        array = tmp_path / "array.json"
+        array.write_text('{"name": "no positions"}')
+        out = str(tmp_path / "track.csv")
+        with pytest.raises(FormatError):
+            main(["track", "--wav", str(wav), "--array", str(array), "--out", out])
+        not_wav = tmp_path / "notes.wav"
+        not_wav.write_text("not audio")
+        with pytest.raises(FormatError):
+            main(["track", "--wav", str(not_wav), "--out", out])
 
 
 class TestTrainEval:

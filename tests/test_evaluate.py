@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from srptrack.errors import EmptySelection, FormatError
 from srptrack.evaluate import (
@@ -244,6 +245,19 @@ class TestTrackFile:
         sig = MicSignals(channels=np.zeros((3, 32000), dtype=np.float32), fs=16000)
         path = tmp_path / "three.wav"
         sig.to_wav(path)
+        with pytest.raises(FormatError):
+            track_file(path, default_array())
+
+    def test_uint8_digital_silence_is_silent(self, tmp_path):
+        path = tmp_path / "silent_u8.wav"
+        wavfile.write(path, 16000, np.full((32000, 12), 128, dtype=np.uint8))
+        rows = track_file(path, default_array(), grid=SphericalGrid(4, 8))
+        assert all(not r["vad"] for r in rows)
+        assert all(r["elevation_deg"] == 0.0 for r in rows)
+
+    def test_non_wav_file_rejected(self, tmp_path):
+        path = tmp_path / "notes.wav"
+        path.write_text("not audio")
         with pytest.raises(FormatError):
             track_file(path, default_array())
 

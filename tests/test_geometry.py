@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srptrack.errors import DegenerateDirection
+from srptrack.errors import DegenerateDirection, FormatError
 from srptrack.geometry import (
     SPEED_OF_SOUND,
     Doa,
@@ -208,6 +208,22 @@ class TestMicArray:
         back = MicArray.from_json(path)
         np.testing.assert_array_equal(back.positions, arr.positions)
         assert back.name == arr.name
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"positions_m": [[0, 0, 0], ',
+            '{"name": "no positions"}',
+            "[[0, 0, 0], [0.1, 0, 0]]",
+            '{"positions_m": [[0, 0], [0.1, 0]]}',
+        ],
+        ids=["bad-json", "missing-positions", "top-level-list", "2d-positions"],
+    )
+    def test_bad_file_rejected(self, tmp_path, text):
+        path = tmp_path / "arr.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            MicArray.from_json(path)
 
     def test_pair_count(self):
         assert len(default_array().pairs()) == 66

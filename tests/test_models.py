@@ -21,6 +21,7 @@ from srptrack.models import (
     load_checkpoint,
     load_into,
     make_checkpoint,
+    model_features,
     model_from_checkpoint,
     receptive_field_frames,
     receptive_field_seconds,
@@ -31,7 +32,9 @@ from srptrack.models import (
 )
 from srptrack.scenegen import SceneConfig
 from srptrack.srpfeat import FramingConfig, assemble_input, default_lag_range
-from srptrack.tensornet import euclidean_distance_loss
+from srptrack.tensornet import CausalConv1d, CausalConv3d, euclidean_distance_loss
+
+from oracles import conv1d_loop_forward, conv3d_im2col_forward
 
 TABLE_COUNTS = {
     (4, 8): 526_372,
@@ -142,6 +145,22 @@ class TestForward:
         np.testing.assert_allclose(units[:, 1], [0.6, 0.0, 0.8])
         np.testing.assert_array_equal(units[:, 0], [0.0, 0.0, 1.0])
 
+    def test_float32_matches_old_conv_layers(self, monkeypatch):
+        model = build_cross3d(16, 32, seed=9)
+        rng = np.random.default_rng(10)
+        for p in model.parameters():
+            if p.name.endswith(".b"):
+                p.value[:] = rng.normal(scale=0.1, size=p.value.shape)
+        x = rng.normal(size=(3, 20, 16, 32)).astype(np.float32)
+        out = model.forward(x).copy()
+        monkeypatch.setattr(CausalConv3d, "forward",
+                            lambda layer, x: conv3d_im2col_forward(layer.w.value, layer.b.value, x))
+        monkeypatch.setattr(CausalConv1d, "forward", lambda layer, x: conv1d_loop_forward(
+            layer.w.value, layer.b.value, x, layer.dilation))
+        ref = model.forward(x)
+        assert ref.dtype == out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-4)
+
     def test_bad_input_shape(self):
         model = build_cross3d(4, 8)
         with pytest.raises(ShapeError):
@@ -204,6 +223,22 @@ class TestBaselineFeatures:
         assert feats.shape == (858, 5)
         np.testing.assert_array_equal(feats[:, 2], 0.0)
         assert np.any(feats[:, 0] != 0.0)
+
+    def test_model_features_picks_each_kinds_input(self):
+        array = default_array()
+        cfg = FramingConfig(K=1024, hop=768)
+        grid = SphericalGrid(4, 8)
+        rng = np.random.default_rng(8)
+        channels = rng.normal(size=(12, 4096))
+        vad = np.array([True, False, True, True, False])
+        tensor = assemble_input(rng.random((5,) + grid.shape), vad, grid)
+        np.testing.assert_array_equal(
+            model_features(build_baseline_gcc(array, cfg.fs), tensor, channels, array, cfg),
+            baseline_gcc_features(channels, array, cfg, vad_mask=vad))
+        np.testing.assert_array_equal(
+            model_features(build_baseline_max(), tensor, channels, array, cfg),
+            baseline_max_features(tensor))
+        assert model_features(build_cross3d(4, 8), tensor, channels, array, cfg) is tensor.data
 
 
 class TestCheckpoints:

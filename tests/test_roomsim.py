@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from srptrack import roomsim
-from srptrack.errors import AllSilent, NonPhysicalT60Warning, OutOfRoom
+from srptrack.errors import AllSilent, FormatError, NonPhysicalT60Warning, OutOfRoom
 from srptrack.geometry import default_array
 from srptrack.roomsim import (
     MicSignals,
@@ -328,3 +329,31 @@ class TestWavRoundTrip:
         back = MicSignals.from_wav(path)
         assert back.fs == FS
         np.testing.assert_array_equal(back.channels, sig.channels)
+
+    def test_uint8_centred_on_128(self, tmp_path):
+        path = tmp_path / "u8.wav"
+        wavfile.write(path, FS, np.array([[0, 128], [255, 64]], dtype=np.uint8))
+        back = MicSignals.from_wav(path)
+        np.testing.assert_array_equal(back.channels, [[-1.0, 127 / 128], [0.0, -0.5]])
+
+    def test_int16_full_scale(self, tmp_path):
+        path = tmp_path / "i16.wav"
+        wavfile.write(path, FS, np.array([-32768, 0, 16384], dtype=np.int16))
+        np.testing.assert_array_equal(MicSignals.from_wav(path).channels, [[-1.0, 0.0, 0.5]])
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"", b"hello, this is not a wav file", b"RIFF\x24\x00\x00\x00WAVEfmt \x10\x00"],
+        ids=["empty", "text", "truncated-header"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            MicSignals.from_wav(path)
+
+    def test_int64_samples_rejected(self, tmp_path):
+        path = tmp_path / "i64.wav"
+        wavfile.write(path, FS, np.zeros((100, 2), dtype=np.int64))
+        with pytest.raises(FormatError, match="int64"):
+            MicSignals.from_wav(path)

@@ -1,5 +1,7 @@
 """Tests for srptrack.tensornet: shape algebra, causality, gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from srptrack.tensornet import (
     Tanh,
     euclidean_distance_loss,
 )
+
+from oracles import conv1d_loop_backward, conv1d_loop_forward, conv3d_im2col_backward, conv3d_im2col_forward
 
 
 def fd_check(layer, x, rng, rtol=1e-4, h=1e-6):
@@ -308,13 +312,65 @@ class TestAdam:
             opt.step()
         assert np.all(np.abs(p.value) < 1e-2)
 
-    def test_state_round_trip(self):
-        p = Parameter(np.array([1.0]), "p")
-        opt = Adam([p], lr=0.1)
-        p.grad[:] = 0.5
-        opt.step()
-        state = opt.state_dict()
-        opt2 = Adam([p], lr=0.1)
-        opt2.load_state_dict(state)
-        assert opt2.t == 1
-        np.testing.assert_array_equal(opt2.m[0], opt.m[0])
+
+def _forward_backward(layer, x, probe):
+    """(output, input gradient, weight gradient, bias gradient) of one pass."""
+    for p in layer.params():
+        p.zero_grad()
+    out = layer.forward(x)
+    gx = layer.backward(probe)
+    return out, gx, layer.w.grad, layer.b.grad
+
+
+def _assert_all_close(got, want, atol):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+
+
+class TestTapLoopMatchesOldLayers:
+    """The shared tap loop against the im2col / per-layer loops it replaced
+    (kept in tests/oracles.py), float64."""
+
+    @pytest.mark.parametrize("kernel", [(1, 1, 1), (2, 3, 3), (3, 1, 5), (5, 3, 3), (5, 5, 5)])
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    def test_conv3d(self, kernel, t):
+        rng = np.random.default_rng(sum(kernel) * 10 + t)
+        layer = CausalConv3d(3, 4, kernel, rng, dtype=np.float64)
+        layer.b.value[:] = rng.normal(size=4)
+        x = rng.normal(size=(3, t, 4, 6))
+        probe = rng.normal(size=(4, t, 4, 6))
+        got = _forward_backward(layer, x, probe)
+        want = (conv3d_im2col_forward(layer.w.value, layer.b.value, x),
+                *conv3d_im2col_backward(layer.w.value, x, probe))
+        _assert_all_close(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 3, 16])
+    def test_conv1d(self, kernel, dilation, t):
+        rng = np.random.default_rng(kernel * 100 + dilation * 10 + t)
+        layer = CausalConv1d(5, 3, kernel, rng, dilation=dilation, dtype=np.float64)
+        layer.b.value[:] = rng.normal(size=3)
+        x = rng.normal(size=(5, t))
+        probe = rng.normal(size=(3, t))
+        got = _forward_backward(layer, x, probe)
+        want = (conv1d_loop_forward(layer.w.value, layer.b.value, x, dilation),
+                *conv1d_loop_backward(layer.w.value, x, probe, dilation))
+        _assert_all_close(got, want, atol=1e-12)
+
+
+def test_conv3d_peak_memory_stays_a_few_inputs():
+    """A branch-sized layer's forward plus backward allocates a few copies of
+    its input, not a (in_ch * 45) x (T * H * W) im2col matrix."""
+    rng = np.random.default_rng(0)
+    layer = CausalConv3d(32, 32, (5, 3, 3), rng)
+    x = rng.normal(size=(32, 20, 16, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = layer.forward(x)
+        layer.backward(np.ones_like(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * x.nbytes, f"peak {peak / x.nbytes:.1f} x the input"
