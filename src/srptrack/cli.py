@@ -3,17 +3,20 @@
 Subcommands: synth, features, train, eval, track, paramcount. Every command
 takes --seed and --config; the config is a JSON file with optional "scene",
 "framing" and "train" sections whose keys match the corresponding config
-dataclasses.
+dataclasses. The sample rate is the "framing" section's "fs"; any other
+section or key is rejected.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .evaluate import ExperimentGrid, emit_plot_data, run_grid, track_file, write_track_csv
+from .errors import FormatError
+from .evaluate import ExperimentGrid, emit_plot_data, read_recording, run_grid, track_file, write_track_csv
 from .geometry import MicArray, SphericalGrid, default_array, delay_table
 from .models import (
     TrainConfig,
@@ -33,13 +36,31 @@ from .scenegen import (
     wav_corpus_provider,
     write_scene_metadata,
 )
-from .srpfeat import EnergyVad, FramingConfig, compute_input_tensor, save_features
+from .srpfeat import FramingConfig, compute_input_tensor, save_features
+
+_SECTIONS = {"scene": SceneConfig, "framing": FramingConfig, "train": TrainConfig}
 
 
-def _load_config(path):
+def _load_config(path) -> dict:
+    """The config file's sections; FormatError for bad JSON or an unknown section or key."""
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise FormatError(f"{path}: the top level must be an object")
+    for name, section in cfg.items():
+        if name not in _SECTIONS:
+            raise FormatError(f"{path}: unknown section {name!r}")
+        if not isinstance(section, dict):
+            raise FormatError(f"{path}: section {name!r} must be an object")
+        known = {f.name for f in dataclasses.fields(_SECTIONS[name])}
+        for key in section:
+            if key not in known:
+                raise FormatError(f"{path}: unknown key {key!r} in section {name!r}")
+    return cfg
 
 
 def _scene_config(cfg: dict) -> SceneConfig:
@@ -48,6 +69,12 @@ def _scene_config(cfg: dict) -> SceneConfig:
 
 def _framing_config(cfg: dict) -> FramingConfig:
     return FramingConfig(**cfg.get("framing", {}))
+
+
+def _file_framing(cfg: dict) -> FramingConfig | None:
+    """The config's framing; None without a framing section, so that a
+    recording is framed at its own rate."""
+    return _framing_config(cfg) if cfg.get("framing") else None
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -95,16 +122,10 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _load_config(args.config)
-    framing = _framing_config(cfg)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
-    from .roomsim import MicSignals
-
-    signals = MicSignals.from_wav(args.wav)
-    delays = delay_table(array, grid)
-    tensor = compute_input_tensor(
-        signals.channels.astype(float), delays, framing, vad=EnergyVad()
-    )
+    signals, framing = read_recording(args.wav, array, _file_framing(cfg))
+    tensor = compute_input_tensor(signals.channels.astype(float), delay_table(array, grid), framing)
     save_features(args.out, tensor, grid, framing)
     print(f"wrote {tensor.data.shape} features to {args.out}")
     return 0
@@ -122,7 +143,7 @@ def cmd_train(args) -> int:
     elif args.model == "baseline-max":
         model = build_baseline_max(seed=args.seed)
     else:
-        model = build_baseline_gcc(array, scene_cfg.fs, seed=args.seed)
+        model = build_baseline_gcc(array, framing.fs, seed=args.seed)
 
     def log(epoch, batch, loss):
         print(f"epoch {epoch} batch {batch}: loss {loss:.6f}", flush=True)
@@ -144,7 +165,7 @@ def cmd_eval(args) -> int:
     checkpoints: dict = {}
     for path in args.checkpoint or []:
         ckpt = load_checkpoint(path)
-        model = model_from_checkpoint(ckpt, array=array, fs=scene_cfg.fs)
+        model = model_from_checkpoint(ckpt, array=array, fs=framing.fs)
         if model.kind == "cross3d":
             res = (model.spec["n_theta"], model.spec["n_phi"])
         else:
@@ -167,13 +188,11 @@ def cmd_eval(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_config(args.config)
-    framing_kwargs = cfg.get("framing", {})
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution) if args.resolution else None
-    framing = FramingConfig(**framing_kwargs) if framing_kwargs else None
     rows = track_file(
         args.wav, array, checkpoint_path=args.checkpoint, grid=grid,
-        framing=framing, vad_mode=args.vad,
+        framing=_file_framing(cfg), vad_mode=args.vad,
     )
     write_track_csv(rows, args.out)
     print(f"wrote {len(rows)} frames to {args.out}")

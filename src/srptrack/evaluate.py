@@ -35,21 +35,6 @@ def rmsae(errors_rad: np.ndarray, mask: np.ndarray, include_silent: bool) -> flo
     return float(np.degrees(math.sqrt(float(np.mean(selected**2)))))
 
 
-@dataclass(frozen=True, eq=False)
-class EvalResult:
-    errors_rad: np.ndarray
-    vad: np.ndarray
-    metadata: dict
-
-    @property
-    def rmsae_voiced(self) -> float:
-        return rmsae(self.errors_rad, self.vad, include_silent=False)
-
-    @property
-    def rmsae_all(self) -> float:
-        return rmsae(self.errors_rad, self.vad, include_silent=True)
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     t60s: tuple
@@ -90,7 +75,7 @@ def run_grid(
     row per (model, resolution, t60, snr) with frame errors pooled across the
     cell's trajectories.
     """
-    framing = framing or FramingConfig(fs=scene_cfg.fs)
+    framing = framing or FramingConfig()
     checkpoints = checkpoints or {}
     rows = []
     cell_index = 0
@@ -152,6 +137,29 @@ def emit_plot_data(rows: list[dict], path) -> None:
             )
 
 
+def read_recording(wav_path, array: MicArray, framing: FramingConfig | None = None):
+    """Read a multichannel WAV recorded with ``array``. Returns the signals
+    and ``framing``, or without one the default framing at the file's rate.
+
+    Raises FormatError for a channel count other than the array's, a
+    non-finite sample, or a file rate other than ``framing.fs``.
+    """
+    signals = MicSignals.from_wav(wav_path)
+    if signals.channels.shape[0] != array.n_mics:
+        raise FormatError(
+            f"{wav_path} has {signals.channels.shape[0]} channels, array has {array.n_mics}"
+        )
+    bad = np.argwhere(~np.isfinite(signals.channels))
+    if len(bad):
+        channel, sample = bad[0]
+        raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
+    if framing is None:
+        framing = FramingConfig(fs=signals.fs)
+    elif framing.fs != signals.fs:
+        raise FormatError(f"{wav_path} is sampled at {signals.fs} Hz, the framing expects {framing.fs} Hz")
+    return signals, framing
+
+
 def track_file(
     wav_path,
     array: MicArray,
@@ -165,21 +173,12 @@ def track_file(
     With a checkpoint the model tracks; without one the SRP argmax is
     reported. Every frame only uses past context (causal convolutions, causal
     VAD), so rows for early frames never change when the file is truncated
-    later.
+    later. Without ``framing`` the default framing runs at the file's rate.
     """
-    signals = MicSignals.from_wav(wav_path)
-    if signals.channels.shape[0] != array.n_mics:
-        raise FormatError(
-            f"{wav_path} has {signals.channels.shape[0]} channels, array has {array.n_mics}"
-        )
-    bad = np.argwhere(~np.isfinite(signals.channels))
-    if len(bad):
-        channel, sample = bad[0]
-        raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
-    framing = framing or FramingConfig(fs=signals.fs)
+    signals, framing = read_recording(wav_path, array, framing)
     model = None
     if checkpoint_path is not None:
-        model = model_from_checkpoint(load_checkpoint(checkpoint_path), array=array, fs=signals.fs)
+        model = model_from_checkpoint(load_checkpoint(checkpoint_path), array=array, fs=framing.fs)
         if model.kind == "cross3d":
             grid = SphericalGrid(model.spec["n_theta"], model.spec["n_phi"])
     if grid is None:

@@ -203,19 +203,18 @@ class DelayTable:
     delays: np.ndarray  # (n_mics, n_mics, n_theta, n_phi)
     array: MicArray
     grid: SphericalGrid
-    c: float
 
     def max_abs_lag(self, fs: float) -> int:
         """Largest delay magnitude in (rounded) samples at rate ``fs``."""
         return int(np.max(np.abs(np.rint(self.delays * fs))))
 
 
-def delay_table(array: MicArray, grid: SphericalGrid, c: float = SPEED_OF_SOUND) -> DelayTable:
+def delay_table(array: MicArray, grid: SphericalGrid) -> DelayTable:
     """Far-field delay table over the grid: ``tau_n = -(r_n . u) / c``."""
     u = grid.unit_vectors()  # (nt, np, 3)
-    tau = -np.tensordot(array.positions, u, axes=([1], [2])) / c  # (n_mics, nt, np)
+    tau = -np.tensordot(array.positions, u, axes=([1], [2])) / SPEED_OF_SOUND  # (n_mics, nt, np)
     delays = tau[:, None, :, :] - tau[None, :, :, :]
-    return DelayTable(delays=delays, array=array, grid=grid, c=c)
+    return DelayTable(delays=delays, array=array, grid=grid)
 
 
 def grid_argmax(values: np.ndarray, grid: SphericalGrid) -> tuple[Doa, tuple[int, int]]:

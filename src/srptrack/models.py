@@ -317,10 +317,8 @@ def training_phase(cfg: TrainConfig, epoch: int) -> tuple[int, float, float | No
     return cfg.phase2_batch, cfg.phase2_lr, None
 
 
-def _sample_training_pair(
-    model, scene_cfg: SceneConfig, framing: FramingConfig, array: MicArray,
-    grid: SphericalGrid, delays, rng, source_provider,
-):
+def _sample_training_pair(model, scene_cfg: SceneConfig, framing: FramingConfig, array: MicArray,
+                          delays, rng, source_provider):
     signals, scene = synthesize_trajectory_sample(
         scene_cfg, source_provider, rng, array=array, framing=framing
     )
@@ -342,7 +340,7 @@ def train(
     log=None,
 ):
     """Two-phase curriculum training; returns (checkpoint, per-batch losses)."""
-    framing = framing or FramingConfig(fs=scene_cfg.fs)
+    framing = framing or FramingConfig()
     delays = delay_table(array, grid)
     optimizer = Adam(model.parameters(), lr=cfg.phase1_lr)
     losses = []
@@ -363,7 +361,7 @@ def train(
                 rng = sample_rng(cfg.seed, sample_index)
                 sample_index += 1
                 feats, target = _sample_training_pair(
-                    model, epoch_cfg, framing, array, grid, delays, rng, source_provider
+                    model, epoch_cfg, framing, array, delays, rng, source_provider
                 )
                 out = model.forward(feats)
                 loss, gout = euclidean_distance_loss(out, target.astype(out.dtype))
@@ -374,39 +372,6 @@ def train(
             if log is not None:
                 log(epoch, len(losses), batch_loss)
     return make_checkpoint(model, step=len(losses)), losses
-
-
-def train_on_fixed_batch(model, batch, steps: int, lr: float, stop_below: float | None = None):
-    """Repeatedly fit one fixed batch of (features, target) pairs.
-
-    Returns the per-step mean losses; stops early once the loss drops below
-    ``stop_below``.
-    """
-    optimizer = Adam(model.parameters(), lr=lr)
-    losses = []
-    for _ in range(steps):
-        optimizer.zero_grad()
-        total = 0.0
-        for feats, target in batch:
-            out = model.forward(feats)
-            loss, gout = euclidean_distance_loss(out, target.astype(out.dtype))
-            model.backward(gout / len(batch))
-            total += loss / len(batch)
-        optimizer.step()
-        losses.append(total)
-        if stop_below is not None and total < stop_below:
-            break
-    return losses
-
-
-def evaluate_loss(model, batch) -> float:
-    """Mean loss over (features, target) pairs without touching gradients."""
-    total = 0.0
-    for feats, target in batch:
-        out = model.forward(feats)
-        loss, _ = euclidean_distance_loss(out, target.astype(out.dtype))
-        total += loss / len(batch)
-    return total
 
 
 @dataclass(frozen=True, eq=False)

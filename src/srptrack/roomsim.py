@@ -33,7 +33,7 @@ from scipy.signal import fftconvolve
 
 from .errors import AllSilent, FormatError, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
-from .srpfeat import frame_indices
+from .srpfeat import FramingConfig, frame_indices
 
 SINC_HALF_WIDTH = 40  # taps each side at the output rate (81-tap kernel)
 OVERSAMPLE = 16
@@ -98,10 +98,13 @@ class MicSignals:
 
     @classmethod
     def from_wav(cls, path) -> "MicSignals":
-        """Read a WAV file; PCM samples are scaled to [-1, 1)."""
+        """Read a WAV file; PCM samples are scaled to [-1, 1). A data chunk
+        shorter than its header says is an error, not a shorter signal."""
         try:
-            fs, data = wavfile.read(path)
-        except (ValueError, struct.error) as exc:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+                fs, data = wavfile.read(path)
+        except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
             raise FormatError(f"{path} is not a readable WAV file: {exc}") from exc
         if data.ndim == 1:
             data = data[:, None]
@@ -133,10 +136,10 @@ def beta_from_t60(dims, t60: float) -> float:
     return min(math.sqrt(1.0 - alpha), _MAX_BETA)
 
 
-def image_counts(dims, t_max: float, c: float = SPEED_OF_SOUND) -> np.ndarray:
+def image_counts(dims, t_max: float) -> np.ndarray:
     """Mirrored-room repetitions per axis needed to cover ``t_max``."""
     dims = as_vec3(dims)
-    return np.ceil(c * t_max / (2.0 * dims)).astype(int)
+    return np.ceil(SPEED_OF_SOUND * t_max / (2.0 * dims)).astype(int)
 
 
 def _sinc_kernel_up() -> np.ndarray:
@@ -241,7 +244,6 @@ def _rirs_for_point(
     mic_positions: np.ndarray,
     fs: float,
     t_max: float,
-    c: float,
     groups: _MicGroups,
 ) -> np.ndarray:
     """Image-source RIRs from one source point to every microphone."""
@@ -252,17 +254,17 @@ def _rirs_for_point(
     # half a sample past tap n_taps: every slot it reaches is a column here.
     # Slots from n_up on are past the last tap and are cleared after deposits.
     hist = np.zeros((n_mics, (n_taps + 1) * OVERSAMPLE))
-    max_dist = c * t_max
+    max_dist = SPEED_OF_SOUND * t_max
 
     if room.beta == 0.0:
         # fully absorbing walls: only the direct path survives
         d = np.linalg.norm(mic_positions - src, axis=1)
-        q = np.rint(d / c * fs * OVERSAMPLE).astype(int)
+        q = np.rint(d / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
         keep = q < n_up
         np.add.at(hist, (np.arange(n_mics)[keep], q[keep]), 1.0 / (4.0 * np.pi * d[keep]))
         return _deposit_to_rirs(hist, n_taps)
 
-    counts = image_counts(room.dims, t_max, c)
+    counts = image_counts(room.dims, t_max)
     grids = [np.arange(-n, n + 1) for n in counts]
     # per axis and wall-parity: image coordinate and reflection count
     coords = [[(1 - 2 * p) * src[a] + 2 * grids[a] * room.dims[a] for p in (0, 1)] for a in range(3)]
@@ -296,7 +298,7 @@ def _rirs_for_point(
                         keep = d <= max_dist
                         dk = d[keep]
                         amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
-                        q = np.rint(dk / c * fs * OVERSAMPLE).astype(int)
+                        q = np.rint(dk / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
                         hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
 
                 groups.run(deposit, len(xs))
@@ -304,9 +306,7 @@ def _rirs_for_point(
     return _deposit_to_rirs(hist, n_taps)
 
 
-def simulate_rir(
-    room: Room, src, mic, fs: float, t_max: float, c: float = SPEED_OF_SOUND
-) -> Rir:
+def simulate_rir(room: Room, src, mic, fs: float, t_max: float) -> Rir:
     """Image-source impulse response between one source and one microphone."""
     src = as_vec3(src)
     mic = as_vec3(mic)
@@ -314,7 +314,7 @@ def simulate_rir(
         raise OutOfRoom(f"source {src} outside room {room.dims}")
     if not room.contains(mic):
         raise OutOfRoom(f"microphone {mic} outside room {room.dims}")
-    taps = _rirs_for_point(room, src, mic[None, :], fs, t_max, c, _MicGroups(1))[0]
+    taps = _rirs_for_point(room, src, mic[None, :], fs, t_max, _MicGroups(1))[0]
     return Rir(taps=taps, fs=fs, source_pos=src, mic_pos=mic)
 
 
@@ -326,7 +326,6 @@ def render_moving_source(
     fs: int,
     t_max: float | None = None,
     hop: int | None = None,
-    c: float = SPEED_OF_SOUND,
     dtype=np.float32,
 ) -> MicSignals:
     """Propagate a dry signal along a trajectory to every microphone.
@@ -346,7 +345,7 @@ def render_moving_source(
         if not room.contains(m):
             raise OutOfRoom(f"microphone {m} outside room {room.dims}")
     if t_max is None:
-        t_max = _default_t_max(room, fs, c)
+        t_max = _default_t_max(room, fs)
     if hop is None:
         hop = int(math.ceil(len(dry) / n_points))
     if hop * (n_points - 1) >= len(dry):
@@ -365,7 +364,7 @@ def render_moving_source(
             seg_hi = stop * hop if stop < n_points else len(dry)
             segment = dry[seg_lo:seg_hi]
             if segment.size:
-                rirs = _rirs_for_point(room, traj_points[start], mic_positions, fs, t_max, c, groups)
+                rirs = _rirs_for_point(room, traj_points[start], mic_positions, fs, t_max, groups)
                 wet = fftconvolve(segment[None, :], rirs, axes=1)
                 hi = min(seg_lo + wet.shape[1], len(dry))
                 out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
@@ -373,11 +372,11 @@ def render_moving_source(
     return MicSignals(channels=out.astype(dtype), fs=fs)
 
 
-def _default_t_max(room: Room, fs: float, c: float) -> float:
+def _default_t_max(room: Room, fs: float) -> float:
     if room.t60 > 0:
         return room.t60
     # anechoic: cover the longest direct path plus the kernel tail
-    return float(np.linalg.norm(room.dims) / c + 2.0 * SINC_HALF_WIDTH / fs)
+    return float(np.linalg.norm(room.dims) / SPEED_OF_SOUND + 2.0 * SINC_HALF_WIDTH / fs)
 
 
 def add_noise(
@@ -385,16 +384,16 @@ def add_noise(
     snr_db: float,
     vad_mask: np.ndarray,
     rng: np.random.Generator,
-    window_len: int = 4096,
-    hop: int = 3072,
+    framing: FramingConfig,
 ) -> MicSignals:
-    """Add white Gaussian noise at an SNR measured over the non-silent frames."""
+    """Add white Gaussian noise at an SNR measured over the non-silent
+    analysis frames of ``framing`` (unwindowed)."""
     if math.isinf(snr_db):
         return MicSignals(channels=sig.channels.copy(), fs=sig.fs)
     vad_mask = np.asarray(vad_mask, dtype=bool)
     if not vad_mask.any():
         raise AllSilent("cannot set an SNR with every frame silent")
-    frames = sig.channels[:, frame_indices(len(vad_mask), window_len, hop)]  # (n_ch, T, K)
+    frames = sig.channels[:, frame_indices(len(vad_mask), framing.K, framing.hop)]  # (n_ch, T, K)
     p_sig = float(np.mean(frames[:, vad_mask] ** 2))
     sigma = math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0))
     noise = rng.normal(0.0, sigma, size=sig.channels.shape)

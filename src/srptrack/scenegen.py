@@ -21,6 +21,7 @@ from .roomsim import MicSignals, Room, add_noise, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig, frame_indices
 
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
+_WALL_MARGIN_FRACTION = 0.1  # of each room dimension, kept clear around the array
 _AMP_SAFETY = 0.999
 
 
@@ -32,9 +33,7 @@ class SceneConfig:
     room_max: np.ndarray = field(default_factory=lambda: np.array([10.0, 8.0, 6.0]))
     snr_range: tuple[float, float] = (5.0, 30.0)
     t60_range: tuple[float, float] = (0.2, 1.3)
-    fs: int = 16000
     duration: float = 20.0
-    wall_margin_fraction: float = 0.1
     rir_t_max: float | None = None  # None: full T60
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> tuple[Room, np.n
     dims = rng.uniform(cfg.room_min, cfg.room_max)
     t60 = float(rng.uniform(*cfg.t60_range))
     snr = float(rng.uniform(*cfg.snr_range))
-    m = cfg.wall_margin_fraction
+    m = _WALL_MARGIN_FRACTION
     lo = m * dims
     hi = np.array([(1.0 - m) * dims[0], (1.0 - m) * dims[1], 0.5 * dims[2]])
     origin = rng.uniform(lo, hi)
@@ -154,9 +153,10 @@ def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> 
 
 
 def synthetic_source(
-    duration: float, fs: int, rng: np.random.Generator, framing: FramingConfig | None = None
+    duration: float, framing: FramingConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Speech-like dry signal: amplitude-modulated band-limited noise bursts.
+    """Speech-like dry signal at ``framing.fs``: amplitude-modulated
+    band-limited noise bursts.
 
     On segments last 0.3-2 s, pauses 0.1-1 s. Returns the signal and the
     per-analysis-frame activity mask actually realized (frames whose RMS is
@@ -164,7 +164,7 @@ def synthetic_source(
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    framing = framing or FramingConfig(fs=fs)
+    fs = framing.fs
     n = int(round(duration * fs))
     gate = np.zeros(n)
     pos = 0
@@ -207,12 +207,17 @@ def clean_dry_signal(sig: np.ndarray, vad_mask: np.ndarray, framing: FramingConf
 
 def wav_corpus_provider(directory):
     """Source provider reading mono WAVs from a directory, concatenated and
-    trimmed to the requested duration; activity comes from the energy VAD."""
+    trimmed to the requested duration; activity comes from the energy VAD.
+
+    A source provider is called as ``provider(duration, framing, rng)`` and
+    returns the dry signal at ``framing.fs`` with its per-frame activity mask.
+    """
     paths = sorted(Path(directory).glob("*.wav"))
     if not paths:
         raise FileNotFoundError(f"no .wav files under {directory}")
 
-    def provider(duration: float, fs: int, rng: np.random.Generator):
+    def provider(duration: float, framing: FramingConfig, rng: np.random.Generator):
+        fs = framing.fs
         n = int(round(duration * fs))
         order = rng.permutation(len(paths))
         chunks = []
@@ -226,7 +231,6 @@ def wav_corpus_provider(directory):
             total += sig.channels.shape[1]
             k += 1
         dry = np.concatenate(chunks)[:n]
-        framing = FramingConfig(fs=fs)
         mask = EnergyVad().mask(dry[None, :], framing)
         return dry, mask
 
@@ -241,10 +245,11 @@ def synthesize_trajectory_sample(
     framing: FramingConfig | None = None,
 ) -> tuple[MicSignals, AcousticScene]:
     """Full scene synthesis: sample a scene, clean the dry source, render the
-    moving source through the room and add noise at the sampled SNR."""
+    moving source through the room and add noise at the sampled SNR. The
+    sample rate and the analysis frames come from ``framing``."""
     array = array or default_array()
-    framing = framing or FramingConfig(fs=cfg.fs)
-    dry, vad_mask = source_provider(cfg.duration, cfg.fs, rng)
+    framing = framing or FramingConfig()
+    dry, vad_mask = source_provider(cfg.duration, framing, rng)
     dry = np.asarray(dry, dtype=float)
     vad_mask = np.asarray(vad_mask, dtype=bool)
     dry = clean_dry_signal(dry, vad_mask, framing)
@@ -254,9 +259,9 @@ def synthesize_trajectory_sample(
 
     mic_positions = origin + array.positions
     signals = render_moving_source(
-        dry, traj.points, mic_positions, room, cfg.fs, t_max=cfg.rir_t_max, hop=framing.hop
+        dry, traj.points, mic_positions, room, framing.fs, t_max=cfg.rir_t_max, hop=framing.hop
     )
-    signals = add_noise(signals, snr, vad_mask, rng, window_len=framing.K, hop=framing.hop)
+    signals = add_noise(signals, snr, vad_mask, rng, framing)
 
     rel = traj.points - origin
     gt = np.array([[d.theta, d.phi] for d in map(unit_to_doa, rel)])

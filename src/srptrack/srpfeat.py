@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, LagRangeTooSmall, TooShort
-from .geometry import DelayTable, MicArray, SphericalGrid
+from .geometry import SPEED_OF_SOUND, DelayTable, MicArray, SphericalGrid
 
 _FEATURE_MAGIC = b"SRPM"
 _FEATURE_VERSION = 1
@@ -77,13 +77,12 @@ class EnergyVad:
     maximum only looks backwards, so the mask is causal.
     """
 
-    def __init__(self, abs_floor: float = 1e-6, rel_threshold: float = 0.05):
-        self.abs_floor = abs_floor
-        self.rel_threshold = rel_threshold
+    ABS_FLOOR = 1e-6
+    REL_THRESHOLD = 0.05
 
     def mask_from_rms(self, rms: np.ndarray) -> np.ndarray:
         running_max = np.maximum.accumulate(rms)
-        return rms > np.maximum(self.abs_floor, self.rel_threshold * running_max)
+        return rms > np.maximum(self.ABS_FLOOR, self.REL_THRESHOLD * running_max)
 
     def mask(self, channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
         """Per-frame speech mask for a (n_ch, n_samples) signal."""
@@ -103,9 +102,9 @@ class GccSet:
     lag_range: int
 
 
-def default_lag_range(array: MicArray, fs: float, c: float = 343.0) -> int:
+def default_lag_range(array: MicArray, fs: float) -> int:
     """Lags needed to cover the array aperture at sample rate ``fs``."""
-    return int(np.ceil(array.aperture * fs / c))
+    return int(np.ceil(array.aperture * fs / SPEED_OF_SOUND))
 
 
 def gcc_set(frames: np.ndarray, lag_range: int) -> GccSet:
@@ -187,16 +186,10 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     return InputTensor(data=data, vad=vad, argmax_doa=argmax)
 
 
-def compute_power_maps(
-    channels: np.ndarray,
-    delays: DelayTable,
-    cfg: FramingConfig,
-    lag_range: int | None = None,
-) -> np.ndarray:
+def compute_power_maps(channels: np.ndarray, delays: DelayTable, cfg: FramingConfig) -> np.ndarray:
     """Raw SRP-PHAT maps (T, n_theta, n_phi) of every analysis frame of a
     multichannel signal."""
-    if lag_range is None:
-        lag_range = max(default_lag_range(delays.array, cfg.fs, delays.c), delays.max_abs_lag(cfg.fs))
+    lag_range = max(default_lag_range(delays.array, cfg.fs), delays.max_abs_lag(cfg.fs))
     frames = frame_signal(channels, cfg)  # (n_ch, T, K)
     return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, cfg.fs)
                      for i in range(frames.shape[1])])
@@ -207,7 +200,6 @@ def compute_input_tensor(
     delays: DelayTable,
     cfg: FramingConfig,
     vad_mask: np.ndarray | None = None,
-    vad: EnergyVad | None = None,
 ) -> InputTensor:
     """Full feature pipeline: frames -> GCC -> maps -> normalize -> tensor.
 
@@ -216,7 +208,7 @@ def compute_input_tensor(
     """
     maps = normalize_map(compute_power_maps(channels, delays, cfg))
     if vad_mask is None:
-        vad_mask = (vad or EnergyVad()).mask(channels, cfg)
+        vad_mask = EnergyVad().mask(channels, cfg)
     return assemble_input(maps, vad_mask, delays.grid)
 
 

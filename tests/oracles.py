@@ -123,7 +123,7 @@ def rirs_for_point_oversampled(
         np.add.at(hist, (np.arange(n_mics)[keep], q[keep]), 1.0 / (4.0 * np.pi * d[keep]))
         return deposit_to_rirs_oversampled(hist, n_taps)
 
-    counts = image_counts(room.dims, t_max, c)
+    counts = image_counts(room.dims, t_max)
     grids = [np.arange(-n, n + 1) for n in counts]
     # per axis and wall-parity: image coordinate and reflection count
     coords = [[(1 - 2 * p) * src[a] + 2 * grids[a] * room.dims[a] for p in (0, 1)] for a in range(3)]
@@ -236,7 +236,7 @@ def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
 
     grid = delays.grid
     lag_range = max(
-        int(np.ceil(delays.array.aperture * cfg.fs / delays.c)),
+        int(np.ceil(delays.array.aperture * cfg.fs / 343.0)),
         int(np.max(np.abs(np.rint(delays.delays * cfg.fs)))),
     )
     frames = frame_signal_per_frame(channels, cfg)

@@ -108,6 +108,97 @@ class TestSynthFeaturesTrack:
         not_wav.write_text("not audio")
         with pytest.raises(FormatError):
             main(["track", "--wav", str(not_wav), "--out", out])
+        three = tmp_path / "three.wav"
+        MicSignals(channels=np.zeros((3, 16000), dtype=np.float32), fs=16000).to_wav(three)
+        with pytest.raises(FormatError, match="3 channels, array has 12"):
+            main(["features", "--wav", str(three), "--out", str(tmp_path / "f.srpm")])
+
+    def test_48khz_wav_framed_at_its_own_rate(self, tmp_path):
+        from srptrack.srpfeat import FramingConfig, load_features
+
+        wav = tmp_path / "48k.wav"
+        noise = np.random.default_rng(48).normal(scale=0.1, size=(12, 48000)).astype(np.float32)
+        MicSignals(channels=noise, fs=48000).to_wav(wav)
+        feat = tmp_path / "feat.srpm"
+        assert main(["features", "--wav", str(wav), "--resolution", "4x8", "--out", str(feat)]) == 0
+        tensor, _, cfg = load_features(feat)
+        assert cfg == FramingConfig(fs=48000)
+        assert tensor.n_frames == cfg.n_frames(48000)
+
+    @pytest.mark.parametrize("command", ["features", "track"])
+    def test_48khz_wav_against_a_16khz_framing(self, tmp_path, config_path, command):
+        wav = tmp_path / "48k.wav"
+        MicSignals(channels=np.zeros((12, 48000), dtype=np.float32), fs=48000).to_wav(wav)
+        with pytest.raises(FormatError, match="48000 Hz, the framing expects 16000 Hz"):
+            main([command, "--config", config_path, "--wav", str(wav), "--out", str(tmp_path / "out")])
+
+
+NON_DEFAULT_FRAMING = {**TOY_CONFIG, "framing": {"K": 2048, "hop": 1024}}
+
+
+class TestNonDefaultFraming:
+    @pytest.fixture
+    def framing_config(self, tmp_path):
+        path = tmp_path / "framing.json"
+        path.write_text(json.dumps(NON_DEFAULT_FRAMING))
+        return str(path)
+
+    def test_synth(self, tmp_path, framing_config):
+        out = tmp_path / "scenes"
+        assert main(["synth", "--config", framing_config, "--out", str(out)]) == 0
+        meta = json.loads((out / "scene_0000.json").read_text())
+        assert len(meta["vad_mask"]) == (24000 - 2048) // 1024 + 1
+        assert meta["frame_timestamps_s"][1] == pytest.approx((1024 + 1024) / 16000)
+
+    def test_train_and_eval(self, tmp_path, framing_config):
+        ckpt = tmp_path / "model.sstc"
+        assert main(["train", "--config", framing_config, "--model", "baseline-gcc", "--out", str(ckpt)]) == 0
+        csv_out = tmp_path / "eval.csv"
+        assert main([
+            "eval", "--config", framing_config, "--t60", "0.2", "--snr", "30", "--resolution", "4x8",
+            "--trajectories", "1", "--checkpoint", str(ckpt), "--out", str(csv_out),
+        ]) == 0
+        assert len(csv_out.read_text().strip().splitlines()) == 3
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("{not json", "not valid JSON"),
+            ("[1, 2]", "top level must be an object"),
+            ('{"scene": {"fs": 16000}}', "unknown key 'fs' in section 'scene'"),
+            ('{"scene": {"wall_margin_fraction": 0.2}}', "unknown key 'wall_margin_fraction' in section 'scene'"),
+            ('{"framing": {"K": 2048, "hop_ms": 64}}', "unknown key 'hop_ms' in section 'framing'"),
+            ('{"train": {"epoch": 1}}', "unknown key 'epoch' in section 'train'"),
+            ('{"sceen": {}}', "unknown section 'sceen'"),
+            ('{"scene": [4.0, 3.5, 2.8]}', "section 'scene' must be an object"),
+        ],
+        ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
+             "unknown-section", "section-list"],
+    )
+    def test_bad_config_rejected(self, tmp_path, text, match):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match):
+            main(["synth", "--config", str(path), "--out", str(tmp_path / "scenes")])
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth"],
+            ["features", "--wav", "missing.wav"],
+            ["train"],
+            ["eval", "--t60", "0.2", "--snr", "30"],
+            ["track", "--wav", "missing.wav"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_every_command_checks_its_config(self, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY_CONFIG, "scene": {**TOY_CONFIG["scene"], "fs": 48000}}))
+        with pytest.raises(FormatError, match="'fs' in section 'scene'"):
+            main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 class TestTrainEval:

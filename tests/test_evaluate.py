@@ -10,7 +10,6 @@ from scipy.io import wavfile
 from srptrack.errors import EmptySelection, FormatError
 from srptrack.evaluate import (
     ExperimentGrid,
-    EvalResult,
     PLOT_CSV_HEADER,
     emit_plot_data,
     evaluate_models_on_scene,
@@ -52,14 +51,6 @@ class TestRmsae:
         mask = np.array([True, False])
         assert rmsae(err, mask, include_silent=False) == pytest.approx(10.0)
         assert rmsae(err, mask, include_silent=True) > 10.0
-
-    def test_eval_result_properties(self):
-        res = EvalResult(
-            errors_rad=np.array([0.1, 0.2, 0.3]),
-            vad=np.array([True, True, False]),
-            metadata={},
-        )
-        assert res.rmsae_all >= res.rmsae_voiced > 0
 
 
 def _toy_scene_cfg():
@@ -176,7 +167,7 @@ def _write_static_scene_wav(tmp_path, grid_res=(64, 128), duration=3.0, t60=0.0,
     ij = (grid.n_theta // 3, grid.n_phi // 3)
     u = grid.unit_vectors()[ij]
     src = origin + 1.6 * u
-    dry, mask = synthetic_source(duration, 16000, sample_rng(seed, 0), framing)
+    dry, mask = synthetic_source(duration, framing, sample_rng(seed, 0))
     dry = clean_dry_signal(dry, mask, framing)
     t = framing.n_frames(len(dry))
     points = np.tile(src, (t, 1))
@@ -269,6 +260,17 @@ class TestTrackFile:
         MicSignals(channels=channels, fs=16000).to_wav(path)
         with pytest.raises(FormatError, match="channel 5, sample 20000"):
             track_file(path, default_array())
+
+    def test_sample_rate_must_match_the_framing(self, tmp_path):
+        path = tmp_path / "48k.wav"
+        noise = np.random.default_rng(48).normal(scale=0.1, size=(12, 48000)).astype(np.float32)
+        MicSignals(channels=noise, fs=48000).to_wav(path)
+        with pytest.raises(FormatError, match="48000 Hz, the framing expects 16000 Hz"):
+            track_file(path, default_array(), grid=SphericalGrid(4, 8), framing=FramingConfig())
+        # without a framing, the default framing runs at the file's rate
+        rows = track_file(path, default_array(), grid=SphericalGrid(4, 8))
+        assert len(rows) == FramingConfig(fs=48000).n_frames(48000)
+        assert rows[0]["time_s"] == pytest.approx(2048 / 48000)
 
     def test_with_untrained_checkpoint(self, tmp_path):
         from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint

@@ -16,7 +16,6 @@ from srptrack.models import (
     build_baseline_gcc,
     build_baseline_max,
     build_cross3d,
-    evaluate_loss,
     forward_track,
     load_checkpoint,
     load_into,
@@ -27,14 +26,47 @@ from srptrack.models import (
     receptive_field_seconds,
     save_checkpoint,
     train,
-    train_on_fixed_batch,
     training_phase,
 )
 from srptrack.scenegen import SceneConfig
 from srptrack.srpfeat import FramingConfig, assemble_input, default_lag_range
-from srptrack.tensornet import CausalConv1d, CausalConv3d, euclidean_distance_loss
+from srptrack.tensornet import Adam, CausalConv1d, CausalConv3d, euclidean_distance_loss
 
 from oracles import conv1d_loop_forward, conv3d_im2col_forward
+
+
+def train_on_fixed_batch(model, batch, steps: int, lr: float, stop_below: float | None = None):
+    """Repeatedly fit one fixed batch of (features, target) pairs.
+
+    Returns the per-step mean losses; stops early once the loss drops below
+    ``stop_below``.
+    """
+    optimizer = Adam(model.parameters(), lr=lr)
+    losses = []
+    for _ in range(steps):
+        optimizer.zero_grad()
+        total = 0.0
+        for feats, target in batch:
+            out = model.forward(feats)
+            loss, gout = euclidean_distance_loss(out, target.astype(out.dtype))
+            model.backward(gout / len(batch))
+            total += loss / len(batch)
+        optimizer.step()
+        losses.append(total)
+        if stop_below is not None and total < stop_below:
+            break
+    return losses
+
+
+def evaluate_loss(model, batch) -> float:
+    """Mean loss over (features, target) pairs without touching gradients."""
+    total = 0.0
+    for feats, target in batch:
+        out = model.forward(feats)
+        loss, _ = euclidean_distance_loss(out, target.astype(out.dtype))
+        total += loss / len(batch)
+    return total
+
 
 TABLE_COUNTS = {
     (4, 8): 526_372,

@@ -19,6 +19,7 @@ from srptrack.roomsim import (
     render_moving_source,
     simulate_rir,
 )
+from srptrack.srpfeat import FramingConfig
 
 from oracles import rirs_for_point_oversampled, schroeder_t60
 
@@ -117,7 +118,7 @@ class TestRirsMatchOversampledOracle:
     @staticmethod
     def _rirs(room, src, mics, t_max):
         with roomsim._MicGroups(len(mics)) as groups:
-            return roomsim._rirs_for_point(room, src, mics, FS, t_max, C, groups)
+            return roomsim._rirs_for_point(room, src, mics, FS, t_max, groups)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rooms(self, seed):
@@ -292,7 +293,7 @@ class TestAddNoise:
     def test_infinite_snr_identity(self):
         sig = self._sig()
         mask = np.ones(10, dtype=bool)
-        out = add_noise(sig, math.inf, mask, np.random.default_rng(0))
+        out = add_noise(sig, math.inf, mask, np.random.default_rng(0), FramingConfig())
         np.testing.assert_array_equal(out.channels, sig.channels)
 
     def test_measured_snr_close(self):
@@ -300,7 +301,7 @@ class TestAddNoise:
         t = (FS * 20 - 4096) // 3072 + 1
         mask = np.ones(t, dtype=bool)
         rng = np.random.default_rng(1)
-        out = add_noise(sig, 10.0, mask, rng)
+        out = add_noise(sig, 10.0, mask, rng, FramingConfig())
         noise = out.channels - sig.channels
         idx = np.arange(4096)[None, :] + 3072 * np.arange(t)[:, None]
         p_sig = np.mean(sig.channels[:, idx][:, mask] ** 2)
@@ -311,13 +312,13 @@ class TestAddNoise:
     def test_deterministic_given_seed(self):
         sig = self._sig()
         mask = np.ones(10, dtype=bool)
-        out1 = add_noise(sig, 5.0, mask, np.random.default_rng(7))
-        out2 = add_noise(sig, 5.0, mask, np.random.default_rng(7))
+        out1 = add_noise(sig, 5.0, mask, np.random.default_rng(7), FramingConfig())
+        out2 = add_noise(sig, 5.0, mask, np.random.default_rng(7), FramingConfig())
         np.testing.assert_array_equal(out1.channels, out2.channels)
 
     def test_all_silent_rejected(self):
         with pytest.raises(AllSilent):
-            add_noise(self._sig(), 10.0, np.zeros(10, dtype=bool), np.random.default_rng(0))
+            add_noise(self._sig(), 10.0, np.zeros(10, dtype=bool), np.random.default_rng(0), FramingConfig())
 
 
 class TestWavRoundTrip:
@@ -351,6 +352,29 @@ class TestWavRoundTrip:
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             MicSignals.from_wav(path)
+
+    def test_cut_on_a_frame_boundary_rejected(self, tmp_path):
+        path = tmp_path / "full.wav"
+        MicSignals(channels=np.zeros((12, 2 * FS), dtype=np.float32), fs=FS).to_wav(path)
+        blob = path.read_bytes()
+        header = len(blob) - 12 * 4 * 2 * FS
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(blob[: header + 12 * 4 * FS])  # one second of whole sample frames
+        with pytest.raises(FormatError, match="Reached EOF prematurely"):
+            MicSignals.from_wav(cut)
+
+    def test_unknown_chunk_skipped_with_a_warning(self, tmp_path):
+        rng = np.random.default_rng(47)
+        sig = MicSignals(channels=rng.normal(size=(2, 500)).astype(np.float32), fs=FS)
+        path = tmp_path / "extra.wav"
+        sig.to_wav(path)
+        blob = bytearray(path.read_bytes())
+        blob += b"zzzz" + (4).to_bytes(4, "little") + b"\0\1\2\3"
+        blob[4:8] = (len(blob) - 8).to_bytes(4, "little")  # RIFF size covers the new chunk
+        path.write_bytes(bytes(blob))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            back = MicSignals.from_wav(path)
+        np.testing.assert_array_equal(back.channels, sig.channels)
 
     def test_int64_samples_rejected(self, tmp_path):
         path = tmp_path / "i64.wav"

@@ -94,18 +94,18 @@ class TestGenerateTrajectory:
 class TestSyntheticSource:
     def test_mask_matches_nonzero_rms(self):
         framing = FramingConfig()
-        sig, mask = synthetic_source(10.0, 16000, np.random.default_rng(5), framing)
+        sig, mask = synthetic_source(10.0, framing, np.random.default_rng(5))
         t = framing.n_frames(len(sig))
         idx = np.arange(framing.K)[None, :] + framing.hop * np.arange(t)[:, None]
         rms = np.sqrt(np.mean(sig[idx] ** 2, axis=1))
         np.testing.assert_array_equal(mask, rms > 0)
 
     def test_has_on_and_off_segments(self):
-        sig, mask = synthetic_source(5.0, 16000, np.random.default_rng(6))
+        sig, mask = synthetic_source(5.0, FramingConfig(), np.random.default_rng(6))
         assert mask.any() and not mask.all()
 
     def test_band_limited_above_7khz(self):
-        sig, _ = synthetic_source(10.0, 16000, np.random.default_rng(7))
+        sig, _ = synthetic_source(10.0, FramingConfig(), np.random.default_rng(7))
         spectrum = np.abs(np.fft.rfft(sig)) ** 2
         freqs = np.fft.rfftfreq(len(sig), 1 / 16000)
         passband = spectrum[(freqs > 200) & (freqs < 3000)].mean()
@@ -128,7 +128,7 @@ class TestSyntheticSource:
         framing = FramingConfig()
         agreements = []
         for seed in range(5):
-            sig, mask = synthetic_source(20.0, 16000, np.random.default_rng(100 + seed), framing)
+            sig, mask = synthetic_source(20.0, framing, np.random.default_rng(100 + seed))
             est = EnergyVad().mask(sig[None, :], framing)
             agreements.append(np.mean(est == mask))
         assert np.mean(agreements) >= 0.95
@@ -164,13 +164,27 @@ class TestSynthesizeTrajectorySample:
         sig1, scene1 = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(9, 0))
         sig2, scene2 = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(9, 0))
         framing = FramingConfig()
-        t = framing.n_frames(int(cfg.duration * cfg.fs))
+        t = framing.n_frames(int(cfg.duration * framing.fs))
         assert scene1.trajectory.n_points == t
         assert scene1.gt_doa.shape == (t, 2)
-        assert sig1.channels.shape == (12, int(cfg.duration * cfg.fs))
+        assert sig1.channels.shape == (12, int(cfg.duration * framing.fs))
         np.testing.assert_array_equal(sig1.channels, sig2.channels)
         np.testing.assert_array_equal(scene1.trajectory.points, scene2.trajectory.points)
         assert scene1.snr == scene2.snr
+
+    @pytest.mark.parametrize(
+        "framing",
+        [FramingConfig(K=2048, hop=1024), FramingConfig(K=2048, hop=1536, fs=8000)],
+        ids=["K2048-hop1024", "8kHz"],
+    )
+    def test_follows_the_framing(self, framing):
+        cfg = self._toy_cfg(duration=2.0)
+        sig, scene = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(13, 0), framing=framing)
+        n = int(cfg.duration * framing.fs)
+        t = framing.n_frames(n)
+        assert sig.fs == framing.fs and sig.n_samples == n
+        assert scene.vad_mask.shape == scene.vad_energy_mask.shape == (t,)
+        assert scene.trajectory.n_points == t
 
     def test_different_seeds_differ(self):
         cfg = self._toy_cfg()
@@ -218,11 +232,11 @@ class TestSynthesizeTrajectorySample:
         u = grid.unit_vectors()[doa_ij]
         src = origin + 1.5 * u
         assert room.contains(src)
-        dry, mask = synthetic_source(cfg.duration, cfg.fs, sample_rng(12, 1), framing)
+        dry, mask = synthetic_source(cfg.duration, framing, sample_rng(12, 1))
         dry = clean_dry_signal(dry, mask, framing)
         t = framing.n_frames(len(dry))
         points = np.tile(src, (t, 1))
-        signals = render_moving_source(dry, points, origin + array.positions, room, cfg.fs, hop=framing.hop)
+        signals = render_moving_source(dry, points, origin + array.positions, room, framing.fs, hop=framing.hop)
         table = delay_table(array, grid)
         maps = compute_power_maps(signals.channels.astype(float), table, framing)
         for i in range(t):
@@ -240,9 +254,21 @@ class TestWavCorpusProvider:
             sig = MicSignals(channels=rng.normal(size=(1, 16000)).astype(np.float32) * 0.1, fs=16000)
             sig.to_wav(tmp_path / f"s{k}.wav")
         provider = wav_corpus_provider(tmp_path)
-        dry, mask = provider(1.5, 16000, np.random.default_rng(0))
+        dry, mask = provider(1.5, FramingConfig(), np.random.default_rng(0))
         assert len(dry) == 24000
         assert mask.shape == (FramingConfig().n_frames(24000),)
+
+    def test_mask_uses_the_framing(self, tmp_path):
+        from srptrack.roomsim import MicSignals
+
+        framing = FramingConfig(K=1024, hop=512, fs=8000)
+        noise = np.random.default_rng(14).normal(size=(1, 8000)).astype(np.float32) * 0.1
+        MicSignals(channels=noise, fs=8000).to_wav(tmp_path / "s.wav")
+        dry, mask = wav_corpus_provider(tmp_path)(1.5, framing, np.random.default_rng(0))
+        assert len(dry) == 12000
+        assert mask.shape == (framing.n_frames(12000),)
+        with pytest.raises(ValueError, match="8000 Hz, expected 16000"):
+            wav_corpus_provider(tmp_path)(1.5, FramingConfig(), np.random.default_rng(0))
 
     def test_missing_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -272,10 +272,11 @@ class TestEnergyVad:
         assert not mask[0] and not mask[1] and not mask[3]
 
     def test_causal_running_max(self):
-        vad = EnergyVad(abs_floor=0.0, rel_threshold=0.5)
-        rms = np.array([1.0, 0.4, 0.6, 2.0, 0.9])
-        mask = vad.mask_from_rms(rms)
-        np.testing.assert_array_equal(mask, [True, False, True, True, False])
+        # the first frame is below the 1e-6 floor; later thresholds are
+        # 0.05 x the running max so far (1, 1, 1, 2, 2)
+        rms = np.array([5e-7, 1.0, 0.04, 0.06, 2.0, 0.09])
+        mask = EnergyVad().mask_from_rms(rms)
+        np.testing.assert_array_equal(mask, [False, True, False, True, True, False])
 
 
 class TestAssembleInput:

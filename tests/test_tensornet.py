@@ -20,8 +20,15 @@ from srptrack.tensornet import (
 from oracles import conv1d_loop_backward, conv1d_loop_forward, conv3d_im2col_backward, conv3d_im2col_forward
 
 
+# Finite-difference step for objectives linear in each single element (conv
+# weights, biases and inputs): exact up to rounding, with far less rounding
+# error than a small step.
+LINEAR_STEP = 1.0
+
+
 def fd_check(layer, x, rng, rtol=1e-4, h=1e-6):
-    """Central finite differences against the layer's backward pass (64-bit)."""
+    """Central finite differences with step ``h`` against the layer's
+    backward pass (64-bit)."""
     out = layer.forward(x)
     probe = rng.normal(size=out.shape)
 
@@ -192,7 +199,7 @@ class TestGradients:
             kt = int(rng.integers(1, 3))
             layer = CausalConv3d(int(cin), int(cout), (kt, 3, 3), rng, dtype=np.float64)
             x = rng.normal(size=(int(cin), int(rng.integers(1, 4)), 3, 4))
-            fd_check(layer, x, rng)
+            fd_check(layer, x, rng, h=LINEAR_STEP)
 
     def test_conv1d_gradients(self):
         rng = np.random.default_rng(11)
@@ -202,7 +209,7 @@ class TestGradients:
             dilation = int(rng.integers(1, 3))
             layer = CausalConv1d(int(cin), int(cout), k, rng, dilation=dilation, dtype=np.float64)
             x = rng.normal(size=(int(cin), int(rng.integers(2, 7))))
-            fd_check(layer, x, rng)
+            fd_check(layer, x, rng, h=LINEAR_STEP)
 
     def test_prelu_gradients(self):
         rng = np.random.default_rng(12)
