@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FormatError
 from .evaluate import ExperimentGrid, emit_plot_data, read_recording, run_grid, track_file, write_track_csv
@@ -41,16 +42,26 @@ from .srpfeat import FramingConfig, compute_input_tensor, save_features
 _SECTIONS = {"scene": SceneConfig, "framing": FramingConfig, "train": TrainConfig}
 
 
-def _load_config(path) -> dict:
-    """The config file's sections; FormatError for bad JSON or an unknown section or key."""
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise FormatError(f"{path}: the top level must be an object")
+class _Config(NamedTuple):
+    scene: SceneConfig
+    framing: FramingConfig
+    train: TrainConfig
+    # None without a framing section, so that a recording is framed at its own rate
+    file_framing: FramingConfig | None
+
+
+def _load_config(path, seed: int) -> _Config:
+    """Every section's config, from the file or the defaults; the training
+    seed defaults to ``seed``. FormatError for bad JSON, an unknown section or
+    key, or a value the section's config rejects."""
+    cfg = {}
+    if path is not None:
+        try:
+            cfg = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise FormatError(f"{path}: the top level must be an object")
     for name, section in cfg.items():
         if name not in _SECTIONS:
             raise FormatError(f"{path}: unknown section {name!r}")
@@ -60,27 +71,15 @@ def _load_config(path) -> dict:
         for key in section:
             if key not in known:
                 raise FormatError(f"{path}: unknown key {key!r} in section {name!r}")
-    return cfg
-
-
-def _scene_config(cfg: dict) -> SceneConfig:
-    return SceneConfig.from_dict(cfg.get("scene", {}))
-
-
-def _framing_config(cfg: dict) -> FramingConfig:
-    return FramingConfig(**cfg.get("framing", {}))
-
-
-def _file_framing(cfg: dict) -> FramingConfig | None:
-    """The config's framing; None without a framing section, so that a
-    recording is framed at its own rate."""
-    return _framing_config(cfg) if cfg.get("framing") else None
-
-
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
-    section.setdefault("seed", seed)
-    return TrainConfig.from_dict(section)
+    built = {}
+    for name, config in _SECTIONS.items():
+        section = {"seed": seed} if name == "train" else {}
+        section.update(cfg.get(name, {}))
+        try:
+            built[name] = config(**section)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad value in section {name!r}: {exc}") from exc
+    return _Config(**built, file_framing=built["framing"] if cfg.get("framing") else None)
 
 
 def _resolution(text: str) -> tuple[int, int]:
@@ -102,9 +101,7 @@ def _source_provider(args):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    scene_cfg = _scene_config(cfg)
-    framing = _framing_config(cfg)
+    cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     provider = _source_provider(args)
     out = Path(args.out)
@@ -112,19 +109,19 @@ def cmd_synth(args) -> int:
     for k in range(args.count):
         rng = sample_rng(args.seed, k)
         signals, scene = synthesize_trajectory_sample(
-            scene_cfg, provider, rng, array=array, framing=framing
+            cfg.scene, provider, rng, array=array, framing=cfg.framing
         )
         signals.to_wav(out / f"scene_{k:04d}.wav")
-        write_scene_metadata(out / f"scene_{k:04d}.json", scene, framing)
+        write_scene_metadata(out / f"scene_{k:04d}.json", scene, cfg.framing)
     print(f"wrote {args.count} scene(s) to {out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
-    signals, framing = read_recording(args.wav, array, _file_framing(cfg))
+    signals, framing = read_recording(args.wav, array, cfg.file_framing)
     tensor = compute_input_tensor(signals.channels.astype(float), delay_table(array, grid), framing)
     save_features(args.out, tensor, grid, framing)
     print(f"wrote {tensor.data.shape} features to {args.out}")
@@ -132,10 +129,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    scene_cfg = _scene_config(cfg)
-    framing = _framing_config(cfg)
-    train_cfg = _train_config(cfg, args.seed)
+    cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
     if args.model == "cross3d":
@@ -143,14 +137,14 @@ def cmd_train(args) -> int:
     elif args.model == "baseline-max":
         model = build_baseline_max(seed=args.seed)
     else:
-        model = build_baseline_gcc(array, framing.fs, seed=args.seed)
+        model = build_baseline_gcc(array, cfg.framing.fs, seed=args.seed)
 
     def log(epoch, batch, loss):
         print(f"epoch {epoch} batch {batch}: loss {loss:.6f}", flush=True)
 
     ckpt, losses = train(
-        model, train_cfg, scene_cfg, array, grid,
-        framing=framing, source_provider=_source_provider(args), log=log,
+        model, cfg.train, cfg.scene, array, grid,
+        framing=cfg.framing, source_provider=_source_provider(args), log=log,
     )
     save_checkpoint(args.out, ckpt)
     print(f"saved checkpoint ({len(losses)} batches) to {args.out}")
@@ -158,14 +152,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    scene_cfg = _scene_config(cfg)
-    framing = _framing_config(cfg)
+    cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     checkpoints: dict = {}
     for path in args.checkpoint or []:
         ckpt = load_checkpoint(path)
-        model = model_from_checkpoint(ckpt, array=array, fs=framing.fs)
+        model = model_from_checkpoint(ckpt, array=array, fs=cfg.framing.fs)
         if model.kind == "cross3d":
             res = (model.spec["n_theta"], model.spec["n_phi"])
         else:
@@ -179,7 +171,7 @@ def cmd_eval(args) -> int:
         trajectories_per_cell=args.trajectories,
         master_seed=args.seed,
     )
-    rows = run_grid(grid, scene_cfg, array, checkpoints, framing=framing,
+    rows = run_grid(grid, cfg.scene, array, checkpoints, framing=cfg.framing,
                     source_provider=_source_provider(args))
     emit_plot_data(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -187,12 +179,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution) if args.resolution else None
     rows = track_file(
         args.wav, array, checkpoint_path=args.checkpoint, grid=grid,
-        framing=_file_framing(cfg), vad_mode=args.vad,
+        framing=cfg.file_framing, vad_mode=args.vad,
     )
     write_track_csv(rows, args.out)
     print(f"wrote {len(rows)} frames to {args.out}")
@@ -200,12 +192,13 @@ def cmd_track(args) -> int:
 
 
 def cmd_paramcount(args) -> int:
+    cfg = _load_config(args.config, args.seed)
     if args.model == "cross3d":
         model = build_cross3d(*args.resolution)
     elif args.model == "baseline-max":
         model = build_baseline_max()
     else:
-        model = build_baseline_gcc(_array(args.array), args.fs)
+        model = build_baseline_gcc(_array(args.array), cfg.framing.fs)
     print(model.parameter_count())
     return 0
 
@@ -265,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--resolution", type=_resolution, default=(16, 32))
     p.add_argument("--model", choices=["cross3d", "baseline-max", "baseline-gcc"], required=True)
-    p.add_argument("--fs", type=int, default=16000)
     p.set_defaults(func=cmd_paramcount)
     return parser
 

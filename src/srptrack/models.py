@@ -305,10 +305,6 @@ class TrainConfig:
         if min(self.epochs, self.trajectories_per_epoch, self.phase1_batch, self.phase2_batch) < 1:
             raise ValueError("counts must be positive")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
-
 
 def training_phase(cfg: TrainConfig, epoch: int) -> tuple[int, float, float | None]:
     """(batch size, learning rate, forced SNR or None) for a 1-based epoch."""
@@ -472,9 +468,12 @@ def _spec_count(ckpt: Checkpoint, key: str) -> int:
     return value
 
 
-def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: int = 16000):
+def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: int | None = None):
     """Rebuild the model a checkpoint describes and load its parameters; with
-    ``array`` given, a GCC baseline must fit that array's features at ``fs``."""
+    ``array`` given, a GCC baseline must fit that array's features at ``fs``,
+    which is then required."""
+    if array is not None and fs is None:
+        raise TypeError("model_from_checkpoint needs fs when an array is given")
     if ckpt.kind == "cross3d":
         model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
     elif ckpt.kind == "baseline-max":

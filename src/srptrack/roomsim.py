@@ -10,10 +10,11 @@ the oversampled convolution's output samples without computing the others.
 
 Image coordinates and gains are computed once per wall parity, and images
 too far from the array centre to reach any microphone within ``t_max`` are
-dropped before the per-microphone pass. Within one parity block the
-microphones are split into contiguous groups, one per usable core; every
-group writes only its own microphones' rows, so the result is the same for
-any number of threads.
+dropped before the per-microphone pass. A moving source needs one RIR set per
+trajectory point, and these sets are independent: they are computed on all
+usable cores, while the calling thread convolves the segments and
+overlap-adds them in trajectory order, so the result is the same for any
+number of threads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,51 +165,11 @@ def _polyphase_kernel() -> np.ndarray:
 
 _KERNEL_PHASES = _polyphase_kernel()
 
-# Images per parity block below which the block runs on the calling thread
-# alone. On 2 cores (6x5x3 m room, default array), splitting a block lost
-# time up to 15k images, was mixed at 17k, and saved 13-25 % from 20k on.
-_MIN_SPLIT_WORK = 20_000
-
-
 def _worker_count() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _MicGroups:
-    """Contiguous microphone groups, one per usable core.
-
-    ``run(fn, work)`` calls ``fn(lo, hi)`` for every group: pool threads take
-    all groups but the last, which the calling thread runs. Each call must
-    write only the rows of its own microphones, so the result does not depend
-    on how the microphones are split.
-    """
-
-    def __init__(self, n_mics: int):
-        n_groups = max(1, min(_worker_count(), n_mics))
-        self._bounds = np.linspace(0, n_mics, n_groups + 1).round().astype(int)
-        self._pool = ThreadPoolExecutor(n_groups - 1) if n_groups > 1 else None
-
-    def run(self, fn, work: int) -> None:
-        if self._pool is None or work < _MIN_SPLIT_WORK:
-            fn(self._bounds[0], self._bounds[-1])
-            return
-        futures = [self._pool.submit(fn, lo, hi) for lo, hi in zip(self._bounds[:-2], self._bounds[1:-1])]
-        try:
-            fn(self._bounds[-2], self._bounds[-1])
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
-
-    def __enter__(self) -> "_MicGroups":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 @lru_cache(maxsize=8)
@@ -244,7 +205,6 @@ def _rirs_for_point(
     mic_positions: np.ndarray,
     fs: float,
     t_max: float,
-    groups: _MicGroups,
 ) -> np.ndarray:
     """Image-source RIRs from one source point to every microphone."""
     n_mics = mic_positions.shape[0]
@@ -287,21 +247,17 @@ def _rirs_for_point(
                 ix, iy, iz = np.nonzero(near)
                 xs, ys, zs = x[ix], y[iy], z[iz]
                 gain = np.exp(log_beta * (expos[0][px][ix] + expos[1][py][iy] + expos[2][pz][iz]))
-
-                def deposit(lo, hi):
-                    for m in range(lo, hi):
-                        d = np.sqrt(
-                            (xs - mic_positions[m, 0]) ** 2
-                            + (ys - mic_positions[m, 1]) ** 2
-                            + (zs - mic_positions[m, 2]) ** 2
-                        )
-                        keep = d <= max_dist
-                        dk = d[keep]
-                        amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
-                        q = np.rint(dk / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
-                        hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
-
-                groups.run(deposit, len(xs))
+                for m in range(n_mics):
+                    d = np.sqrt(
+                        (xs - mic_positions[m, 0]) ** 2
+                        + (ys - mic_positions[m, 1]) ** 2
+                        + (zs - mic_positions[m, 2]) ** 2
+                    )
+                    keep = d <= max_dist
+                    dk = d[keep]
+                    amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
+                    q = np.rint(dk / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
+                    hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
     hist[:, n_up:] = 0.0
     return _deposit_to_rirs(hist, n_taps)
 
@@ -314,7 +270,7 @@ def simulate_rir(room: Room, src, mic, fs: float, t_max: float) -> Rir:
         raise OutOfRoom(f"source {src} outside room {room.dims}")
     if not room.contains(mic):
         raise OutOfRoom(f"microphone {mic} outside room {room.dims}")
-    taps = _rirs_for_point(room, src, mic[None, :], fs, t_max, _MicGroups(1))[0]
+    taps = _rirs_for_point(room, src, mic[None, :], fs, t_max)[0]
     return Rir(taps=taps, fs=fs, source_pos=src, mic_pos=mic)
 
 
@@ -351,24 +307,34 @@ def render_moving_source(
     if hop * (n_points - 1) >= len(dry):
         raise ValueError(f"dry signal too short for {n_points} segments of hop {hop}")
 
-    n_mics = mic_positions.shape[0]
-    out = np.zeros((n_mics, len(dry)), dtype=float)
-    with _MicGroups(n_mics) as groups:
-        # group identical consecutive points (static sources collapse to one RIR set)
-        start = 0
-        while start < n_points:
-            stop = start + 1
-            while stop < n_points and np.array_equal(traj_points[stop], traj_points[start]):
-                stop += 1
+    # identical consecutive points share one RIR set (a static source has one)
+    runs = []
+    for i in range(n_points):
+        if runs and np.array_equal(traj_points[i], traj_points[runs[-1][0]]):
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+
+    def rirs(i):
+        return _rirs_for_point(room, traj_points[runs[i][0]], mic_positions, fs, t_max)
+
+    # the calling thread computes every n-th RIR set and a pool the others;
+    # segments are overlap-added here in trajectory order, whatever n is
+    n = min(_worker_count(), len(runs))
+    pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+    try:
+        pending = {i: pool.submit(rirs, i) for i in range(len(runs)) if i % n}
+        out = np.zeros((mic_positions.shape[0], len(dry)))
+        for i, (start, stop) in enumerate(runs):
+            rir_set = pending.pop(i).result() if i % n else rirs(i)
             seg_lo = start * hop
             seg_hi = stop * hop if stop < n_points else len(dry)
-            segment = dry[seg_lo:seg_hi]
-            if segment.size:
-                rirs = _rirs_for_point(room, traj_points[start], mic_positions, fs, t_max, groups)
-                wet = fftconvolve(segment[None, :], rirs, axes=1)
-                hi = min(seg_lo + wet.shape[1], len(dry))
-                out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
-            start = stop
+            wet = fftconvolve(dry[None, seg_lo:seg_hi], rir_set, axes=1)
+            hi = min(seg_lo + wet.shape[1], len(dry))
+            out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return MicSignals(channels=out.astype(dtype), fs=fs)
 
 

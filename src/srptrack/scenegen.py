@@ -47,17 +47,8 @@ class SceneConfig:
             raise ValueError("duration must be positive")
         object.__setattr__(self, "room_min", rmin)
         object.__setattr__(self, "room_max", rmax)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SceneConfig":
-        kwargs = dict(obj)
-        for key in ("room_min", "room_max"):
-            if key in kwargs:
-                kwargs[key] = np.asarray(kwargs[key], dtype=float)
-        for key in ("snr_range", "t60_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        object.__setattr__(self, "snr_range", tuple(self.snr_range))
+        object.__setattr__(self, "t60_range", tuple(self.t60_range))
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,6 +52,12 @@ class TestParamcount:
         assert main(["paramcount", *args]) == 0
         assert capsys.readouterr().out.strip() == expected
 
+    def test_gcc_baseline_sized_at_the_config_rate(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"framing": {"fs": 48000}}))
+        assert main(["paramcount", "--model", "baseline-gcc", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "18716676"
+
 
 class TestSynthFeaturesTrack:
     def test_synth_writes_wav_and_metadata(self, tmp_path, config_path):
@@ -95,6 +101,10 @@ class TestSynthFeaturesTrack:
         assert lines[0] == "time_s,azimuth_deg,elevation_deg,vad,degenerate"
         assert len(lines) == 1 + tensor.data.shape[1]
 
+        assert main(["track", "--wav", wav, "--resolution", "4x8", "--vad", "all", "--out", str(track)]) == 0
+        rows = track.read_text().strip().splitlines()[1:]
+        assert len(rows) == tensor.data.shape[1]
+        assert all(row.split(",")[3] == "1" for row in rows)
 
     def test_track_rejects_bad_inputs(self, tmp_path):
         wav = tmp_path / "scene.wav"
@@ -173,9 +183,12 @@ class TestConfigFiles:
             ('{"train": {"epoch": 1}}', "unknown key 'epoch' in section 'train'"),
             ('{"sceen": {}}', "unknown section 'sceen'"),
             ('{"scene": [4.0, 3.5, 2.8]}', "section 'scene' must be an object"),
+            ('{"framing": {"K": "big"}}', "bad value in section 'framing'"),
+            ('{"scene": {"room_min": [1, 2]}}', "bad value in section 'scene': expected a 3-vector"),
+            ('{"train": {"epochs": 0}}', "bad value in section 'train'"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
-             "unknown-section", "section-list"],
+             "unknown-section", "section-list", "framing-type", "scene-vector", "train-epochs"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -191,14 +204,16 @@ class TestConfigFiles:
             ["train"],
             ["eval", "--t60", "0.2", "--snr", "30"],
             ["track", "--wav", "missing.wav"],
+            ["paramcount", "--model", "cross3d"],
         ],
         ids=lambda c: c[0],
     )
     def test_every_command_checks_its_config(self, tmp_path, command):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**TOY_CONFIG, "scene": {**TOY_CONFIG["scene"], "fs": 48000}}))
+        out = [] if command[0] == "paramcount" else ["--out", str(tmp_path / "out")]
         with pytest.raises(FormatError, match="'fs' in section 'scene'"):
-            main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+            main([*command, "--config", str(path), *out])
 
 
 class TestTrainEval:

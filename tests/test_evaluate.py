@@ -212,6 +212,20 @@ class TestTrackFile:
             assert row["azimuth_deg"] == math.degrees(phi)
             assert row["vad"] == bool(vad[i])
 
+    def test_vad_all_marks_every_frame_voiced(self, tmp_path):
+        path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(8, 16))
+        energy = track_file(path, array, grid=grid)
+        every = track_file(path, array, grid=grid, vad_mode="all")
+        assert not all(r["vad"] for r in energy)  # the energy VAD finds silent frames here
+        assert len(every) == len(energy) and all(r["vad"] for r in every)
+        for e, a in zip(energy, every):
+            assert (a["azimuth_deg"], a["elevation_deg"]) == (e["azimuth_deg"], e["elevation_deg"])
+
+    def test_unknown_vad_mode_rejected(self, tmp_path):
+        path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8), duration=1.0)
+        with pytest.raises(ValueError, match="unknown vad mode 'none'"):
+            track_file(path, array, grid=grid, vad_mode="none")
+
     def test_all_silent_wav(self, tmp_path):
         sig = MicSignals(channels=np.zeros((12, 32000), dtype=np.float32), fs=16000)
         path = tmp_path / "silent.wav"

@@ -374,6 +374,8 @@ class TestCheckpoints:
         width = 66 * (2 * default_lag_range(array, 48000) + 1)
         with pytest.raises(FormatError, match=f"858 input channels.* gives {width}"):
             model_from_checkpoint(ckpt, array=array, fs=48000)
+        with pytest.raises(TypeError, match="needs fs"):
+            model_from_checkpoint(ckpt, array=array)
 
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline_gcc(default_array(), 16000, seed=11)

@@ -117,8 +117,7 @@ class TestRirsMatchOversampledOracle:
 
     @staticmethod
     def _rirs(room, src, mics, t_max):
-        with roomsim._MicGroups(len(mics)) as groups:
-            return roomsim._rirs_for_point(room, src, mics, FS, t_max, groups)
+        return roomsim._rirs_for_point(room, src, mics, FS, t_max)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rooms(self, seed):
@@ -164,26 +163,24 @@ class TestRirsMatchOversampledOracle:
 
 
 class TestThreadedRendering:
-    """Microphone groups on threads give the serial loop's output bit for bit."""
+    """RIR sets computed on pool threads give the serial loop's output bit for bit."""
 
-    @pytest.mark.parametrize("static", [False, True])
-    def test_pool_equals_serial(self, monkeypatch, static):
+    POINTS = np.array([[1.5, 1.0, 1.4], [2.0, 1.6, 1.5], [2.5, 2.2, 1.6], [3.0, 2.8, 1.7], [3.5, 3.4, 1.8]])
+
+    def _render(self, points):
         room = Room.from_t60([6.0, 5.0, 3.0], 0.3)
         mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
-        points = np.array([[1.5, 1.0, 1.4], [2.0, 1.6, 1.5], [2.5, 2.2, 1.6]])
-        if static:
-            points = np.tile(points[0], (3, 1))
-        dry = np.random.default_rng(45).normal(size=3 * 1600)
-        # split every block, however small
-        monkeypatch.setattr(roomsim, "_MIN_SPLIT_WORK", 0)
-        monkeypatch.setattr(roomsim, "_worker_count", lambda: 1)
-        serial = render_moving_source(dry, points, mics, room, FS, hop=1600).channels
+        dry = np.random.default_rng(45).normal(size=len(points) * 1600)
+        # a t_max past T60 gives about 30k images per parity block, so even a
+        # static source's single RIR set is large
+        return render_moving_source(dry, points, mics, room, FS, t_max=0.5, hop=1600).channels
 
+    def _threaded(self, monkeypatch, points):
         submitted = []
 
         class CountingPool(roomsim.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
-                submitted.append(args[0])
+                submitted.append(args)
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(roomsim, "ThreadPoolExecutor", CountingPool)
@@ -191,12 +188,35 @@ class TestThreadedRendering:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = render_moving_source(dry, points, mics, room, FS, hop=1600).channels
+            return self._render(points), submitted
         finally:
             sys.setswitchinterval(interval)
-        assert submitted
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_pool_equals_serial(self, monkeypatch, static):
+        points = np.tile(self.POINTS[0], (3, 1)) if static else self.POINTS
+        monkeypatch.setattr(roomsim, "_worker_count", lambda: 1)
+        serial = self._render(points)
+        threaded, submitted = self._threaded(monkeypatch, points)
+        # a static source is one RIR set, which the calling thread computes;
+        # of 5 sets and 4 workers, the calling thread takes the 1st and the 5th
+        assert len(submitted) == (0 if static else 3)
         assert threaded.dtype == np.float32
         np.testing.assert_array_equal(threaded, serial)
+
+    def test_error_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
+        rirs_for_point = roomsim._rirs_for_point
+        failure = RuntimeError("second RIR set")
+
+        def failing(room, src, *args):
+            if np.array_equal(src, self.POINTS[1]):
+                raise failure
+            return rirs_for_point(room, src, *args)
+
+        monkeypatch.setattr(roomsim, "_rirs_for_point", failing)
+        with pytest.raises(RuntimeError) as info:
+            self._threaded(monkeypatch, self.POINTS)
+        assert info.value is failure
 
 
 class TestRenderMovingSource:
