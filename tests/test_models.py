@@ -32,7 +32,7 @@ from srptrack.scenegen import SceneConfig
 from srptrack.srpfeat import FramingConfig, assemble_input, default_lag_range
 from srptrack.tensornet import Adam, CausalConv1d, CausalConv3d, euclidean_distance_loss
 
-from oracles import conv1d_loop_forward, conv3d_im2col_forward
+from oracles import conv1d_loop_backward, conv1d_loop_forward, conv3d_im2col_backward, conv3d_im2col_forward
 
 
 def train_on_fixed_batch(model, batch, steps: int, lr: float, stop_below: float | None = None):
@@ -178,20 +178,71 @@ class TestForward:
         np.testing.assert_array_equal(units[:, 0], [0.0, 0.0, 1.0])
 
     def test_float32_matches_old_conv_layers(self, monkeypatch):
+        """One forward and one backward pass of float32 Cross3D against the
+        same model run through the old conv layers: outputs to 1e-4, every
+        parameter gradient to 1e-4 of its own largest magnitude."""
         model = build_cross3d(16, 32, seed=9)
         rng = np.random.default_rng(10)
         for p in model.parameters():
             if p.name.endswith(".b"):
                 p.value[:] = rng.normal(scale=0.1, size=p.value.shape)
         x = rng.normal(size=(3, 20, 16, 32)).astype(np.float32)
-        out = model.forward(x).copy()
-        monkeypatch.setattr(CausalConv3d, "forward",
-                            lambda layer, x: conv3d_im2col_forward(layer.w.value, layer.b.value, x))
-        monkeypatch.setattr(CausalConv1d, "forward", lambda layer, x: conv1d_loop_forward(
-            layer.w.value, layer.b.value, x, layer.dilation))
-        ref = model.forward(x)
+        probe = rng.normal(size=(3, 20)).astype(np.float32)
+
+        def one_pass(before_backward=lambda: None):
+            for p in model.parameters():
+                p.zero_grad()
+            out = model.forward(x).copy()
+            before_backward()
+            model.backward(probe)
+            return out, [p.grad.copy() for p in model.parameters()]
+
+        out, grads = one_pass()
+        # An activation within float32 rounding of 0 can take the other PReLU
+        # slope in one of the two passes (one element of branch_b2 here), and
+        # so can a near-tie pick another pooled element; either changes the
+        # gradient upstream far beyond rounding. The reference backward pass
+        # reuses the first pass's choices.
+        acts = [model.stem_act, model.mix_act] + [act for branch in model.branches for _, act, _ in branch]
+        pools = [pool for branch in model.branches for _, _, pool in branch]
+        signs, picks = [a._neg for a in acts], [p._argmax for p in pools]
+
+        def same_choices():
+            for act, sign in zip(acts, signs):
+                act._neg = sign
+            for pool, pick in zip(pools, picks):
+                pool._argmax = pick
+
+        def old_forward(oracle):
+            def forward(layer, x):
+                layer.old_input = x
+                return oracle(layer, x)
+            return forward
+
+        def old_backward(oracle):
+            def backward(layer, grad_out):
+                gx, gw, gb = oracle(layer, layer.old_input, grad_out)
+                layer.w.grad += gw
+                layer.b.grad += gb
+                return gx
+            return backward
+
+        monkeypatch.setattr(CausalConv3d, "forward", old_forward(
+            lambda layer, x: conv3d_im2col_forward(layer.w.value, layer.b.value, x)))
+        monkeypatch.setattr(CausalConv3d, "backward", old_backward(
+            lambda layer, x, g: conv3d_im2col_backward(layer.w.value, x, g)))
+        monkeypatch.setattr(CausalConv1d, "forward", old_forward(
+            lambda layer, x: conv1d_loop_forward(layer.w.value, layer.b.value, x, layer.dilation)))
+        monkeypatch.setattr(CausalConv1d, "backward", old_backward(
+            lambda layer, x, g: conv1d_loop_backward(layer.w.value, x, g, layer.dilation)))
+        ref, ref_grads = one_pass(same_choices)
         assert ref.dtype == out.dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-4)
+        for p, got, want in zip(model.parameters(), grads, ref_grads):
+            assert want.dtype == got.dtype == np.float32
+            scale = np.abs(want).max()
+            assert scale > 0, p.name
+            assert np.abs(got - want).max() <= 1e-4 * scale, p.name
 
     def test_bad_input_shape(self):
         model = build_cross3d(4, 8)

@@ -335,36 +335,76 @@ def _assert_all_close(got, want, atol):
         np.testing.assert_allclose(g, w, rtol=0, atol=atol)
 
 
-class TestTapLoopMatchesOldLayers:
-    """The shared tap loop against the im2col / per-layer loops it replaced
-    (kept in tests/oracles.py), float64."""
+def _normal(rng, shape, transposed):
+    """Normal samples of ``shape`` (channels, time, *space); if ``transposed``,
+    a view with time last in memory, like the ones Cross3D.backward passes."""
+    if not transposed:
+        return rng.normal(size=shape)
+    c, t, *space = shape
+    return np.moveaxis(rng.normal(size=(c, *space, t)), -1, 1)
 
-    @pytest.mark.parametrize("kernel", [(1, 1, 1), (2, 3, 3), (3, 1, 5), (5, 3, 3), (5, 5, 5)])
-    @pytest.mark.parametrize("t", [1, 2, 7])
-    def test_conv3d(self, kernel, t):
+
+class TestTapLoopMatchesOldLayers:
+    """The flat padded layout against the im2col / per-layer loops it
+    replaced (kept in tests/oracles.py), float64. The edge cases add what
+    Cross3D meets at small grids and in its backward pass: spatial axes
+    shorter than the kernel, more input than output channels, and
+    non-contiguous inputs and probes."""
+
+    KERNELS_3D = [(1, 1, 1), (2, 3, 3), (3, 1, 5), (5, 3, 3), (5, 5, 5)]
+
+    @staticmethod
+    def check_conv3d(kernel, t, in_ch, out_ch, space, transposed):
         rng = np.random.default_rng(sum(kernel) * 10 + t)
-        layer = CausalConv3d(3, 4, kernel, rng, dtype=np.float64)
-        layer.b.value[:] = rng.normal(size=4)
-        x = rng.normal(size=(3, t, 4, 6))
-        probe = rng.normal(size=(4, t, 4, 6))
+        layer = CausalConv3d(in_ch, out_ch, kernel, rng, dtype=np.float64)
+        layer.b.value[:] = rng.normal(size=out_ch)
+        x = _normal(rng, (in_ch, t, *space), transposed)
+        probe = _normal(rng, (out_ch, t, *space), transposed)
         got = _forward_backward(layer, x, probe)
         want = (conv3d_im2col_forward(layer.w.value, layer.b.value, x),
                 *conv3d_im2col_backward(layer.w.value, x, probe))
         _assert_all_close(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("dilation", [1, 2, 3])
-    @pytest.mark.parametrize("t", [1, 3, 16])
-    def test_conv1d(self, kernel, dilation, t):
+    @staticmethod
+    def check_conv1d(kernel, dilation, t, in_ch, out_ch, transposed):
         rng = np.random.default_rng(kernel * 100 + dilation * 10 + t)
-        layer = CausalConv1d(5, 3, kernel, rng, dilation=dilation, dtype=np.float64)
-        layer.b.value[:] = rng.normal(size=3)
-        x = rng.normal(size=(5, t))
-        probe = rng.normal(size=(3, t))
+        layer = CausalConv1d(in_ch, out_ch, kernel, rng, dilation=dilation, dtype=np.float64)
+        layer.b.value[:] = rng.normal(size=out_ch)
+        x = _normal(rng, (in_ch, t), transposed)
+        probe = _normal(rng, (out_ch, t), transposed)
         got = _forward_backward(layer, x, probe)
         want = (conv1d_loop_forward(layer.w.value, layer.b.value, x, dilation),
                 *conv1d_loop_backward(layer.w.value, x, probe, dilation))
         _assert_all_close(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", KERNELS_3D)
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    def test_conv3d(self, kernel, t):
+        self.check_conv3d(kernel, t, 3, 4, (4, 6), False)
+
+    @pytest.mark.parametrize("in_ch, out_ch, space, transposed", [
+        (5, 2, (4, 6), False),  # in_ch > out_ch
+        (3, 4, (1, 5), False),  # elevation shorter than the kernel, as at 4x8
+        (4, 3, (2, 1), False),  # both spatial axes shorter than the kernel
+        (4, 3, (2, 8), True),
+    ])
+    @pytest.mark.parametrize("kernel", KERNELS_3D)
+    @pytest.mark.parametrize("t", [1, 7])
+    def test_conv3d_edge_cases(self, kernel, t, in_ch, out_ch, space, transposed):
+        self.check_conv3d(kernel, t, in_ch, out_ch, space, transposed)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 3, 16])
+    def test_conv1d(self, kernel, dilation, t):
+        self.check_conv1d(kernel, dilation, t, 5, 3, False)
+
+    @pytest.mark.parametrize("in_ch, out_ch, transposed", [(2, 4, False), (4, 3, True)])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("t", [1, 16])
+    def test_conv1d_edge_cases(self, kernel, dilation, t, in_ch, out_ch, transposed):
+        self.check_conv1d(kernel, dilation, t, in_ch, out_ch, transposed)
 
 
 def test_conv3d_peak_memory_stays_a_few_inputs():
