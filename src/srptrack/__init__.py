@@ -21,15 +21,13 @@ from .errors import (
 from .geometry import (
     SPEED_OF_SOUND,
     DelayTable,
-    Doa,
     MicArray,
     SphericalGrid,
     angular_error,
     default_array,
     delay_table,
-    doa_to_unit,
-    grid_argmax,
-    unit_to_doa,
+    sphere_to_unit,
+    unit_to_sphere,
 )
 
 __version__ = "0.1.0"
@@ -39,7 +37,6 @@ __all__ = [
     "AllSilent",
     "DegenerateDirection",
     "DelayTable",
-    "Doa",
     "EmptySelection",
     "FormatError",
     "LagRangeTooSmall",
@@ -53,8 +50,7 @@ __all__ = [
     "angular_error",
     "default_array",
     "delay_table",
-    "doa_to_unit",
-    "grid_argmax",
-    "unit_to_doa",
+    "sphere_to_unit",
+    "unit_to_sphere",
     "__version__",
 ]

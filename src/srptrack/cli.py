@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 from .errors import FormatError
 from .evaluate import ExperimentGrid, emit_plot_data, read_recording, run_grid, track_file, write_track_csv
-from .geometry import MicArray, SphericalGrid, default_array, delay_table
+from .geometry import DEFAULT_GRID, MicArray, SphericalGrid, default_array, delay_table
 from .models import (
+    MODEL_KINDS,
     TrainConfig,
     build_baseline_gcc,
     build_baseline_max,
@@ -100,6 +101,15 @@ def _source_provider(args):
     return synthetic_source
 
 
+def _new_model(args, fs: int):
+    """An untrained model of kind ``--model``, seeded with ``--seed``."""
+    if args.model == "cross3d":
+        return build_cross3d(*args.resolution, seed=args.seed)
+    if args.model == "baseline-max":
+        return build_baseline_max(seed=args.seed)
+    return build_baseline_gcc(_array(args.array), fs, seed=args.seed)
+
+
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
@@ -132,12 +142,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
-    if args.model == "cross3d":
-        model = build_cross3d(*args.resolution, seed=args.seed)
-    elif args.model == "baseline-max":
-        model = build_baseline_max(seed=args.seed)
-    else:
-        model = build_baseline_gcc(array, cfg.framing.fs, seed=args.seed)
+    model = _new_model(args, cfg.framing.fs)
 
     def log(epoch, batch, loss):
         print(f"epoch {epoch} batch {batch}: loss {loss:.6f}", flush=True)
@@ -154,16 +159,21 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
+    requested = tuple(args.resolution) if args.resolution else None
     checkpoints: dict = {}
     for path in args.checkpoint or []:
         ckpt = load_checkpoint(path)
         model = model_from_checkpoint(ckpt, array=array, fs=cfg.framing.fs)
         if model.kind == "cross3d":
             res = (model.spec["n_theta"], model.spec["n_phi"])
+            if requested and res not in requested:
+                wanted = " ".join(f"{t}x{p}" for t, p in requested)
+                raise FormatError(f"{path} is a {res[0]}x{res[1]} cross3d checkpoint,"
+                                  f" not one of --resolution {wanted}")
         else:
-            res = tuple(args.resolution[0]) if args.resolution else (16, 32)
+            res = requested[0] if requested else DEFAULT_GRID
         checkpoints.setdefault(res, {})[f"{model.kind}:{Path(path).stem}"] = model
-    resolutions = tuple(args.resolution) if args.resolution else tuple(checkpoints) or ((16, 32),)
+    resolutions = requested or tuple(checkpoints) or (DEFAULT_GRID,)
     grid = ExperimentGrid(
         t60s=tuple(args.t60),
         snrs=tuple(args.snr),
@@ -193,13 +203,7 @@ def cmd_track(args) -> int:
 
 def cmd_paramcount(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    if args.model == "cross3d":
-        model = build_cross3d(*args.resolution)
-    elif args.model == "baseline-max":
-        model = build_baseline_max()
-    else:
-        model = build_baseline_gcc(_array(args.array), cfg.framing.fs)
-    print(model.parameter_count())
+    print(_new_model(args, cfg.framing.fs).parameter_count())
     return 0
 
 
@@ -222,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="compute the SRP-PHAT input tensor for a WAV")
     common(p)
     p.add_argument("--wav", required=True)
-    p.add_argument("--resolution", type=_resolution, default=(16, 32))
+    p.add_argument("--resolution", type=_resolution, default=DEFAULT_GRID)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train a tracker on synthesized scenes")
     common(p)
-    p.add_argument("--model", choices=["cross3d", "baseline-max", "baseline-gcc"], default="cross3d")
-    p.add_argument("--resolution", type=_resolution, default=(16, 32))
+    p.add_argument("--model", choices=MODEL_KINDS, default="cross3d")
+    p.add_argument("--resolution", type=_resolution, default=DEFAULT_GRID)
     p.add_argument("--corpus", type=str, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -256,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paramcount", help="trainable parameter total for a model")
     common(p)
-    p.add_argument("--resolution", type=_resolution, default=(16, 32))
-    p.add_argument("--model", choices=["cross3d", "baseline-max", "baseline-gcc"], required=True)
+    p.add_argument("--resolution", type=_resolution, default=DEFAULT_GRID)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.set_defaults(func=cmd_paramcount)
     return parser
 

@@ -13,7 +13,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySelection, FormatError
-from .geometry import MicArray, SphericalGrid, angular_error, delay_table, sphere_to_unit, unit_to_doa
+from .geometry import (
+    DEFAULT_GRID,
+    MicArray,
+    SphericalGrid,
+    angular_error,
+    delay_table,
+    sphere_to_unit,
+    unit_to_sphere,
+)
 from .models import forward_track, load_checkpoint, model_features, model_from_checkpoint
 from .roomsim import MicSignals
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
@@ -182,7 +190,7 @@ def track_file(
         if model.kind == "cross3d":
             grid = SphericalGrid(model.spec["n_theta"], model.spec["n_phi"])
     if grid is None:
-        grid = SphericalGrid(16, 32)
+        grid = SphericalGrid(*DEFAULT_GRID)
 
     channels = signals.channels.astype(float)
     if vad_mode == "energy":
@@ -195,25 +203,15 @@ def track_file(
     delays = delay_table(array, grid)
     tensor = compute_input_tensor(channels, delays, framing, vad_mask=vad_mask)
     if model is None:
-        units = sphere_to_unit(*tensor.argmax_doa.T).T
+        theta, phi = tensor.argmax_doa.T
         degenerate = np.zeros(tensor.n_frames, dtype=bool)
     else:
         _, units, degenerate = forward_track(model, model_features(model, tensor, channels, array, framing))
+        theta, phi = unit_to_sphere(units.T)
 
-    times = framing.frame_times(tensor.n_frames)
-    rows = []
-    for i in range(tensor.n_frames):
-        doa = unit_to_doa(units[:, i])
-        rows.append(
-            {
-                "time_s": float(times[i]),
-                "azimuth_deg": math.degrees(doa.phi),
-                "elevation_deg": math.degrees(doa.theta),
-                "vad": bool(vad_mask[i]),
-                "degenerate": bool(degenerate[i]),
-            }
-        )
-    return rows
+    # one row per frame, keyed in CSV column order; tolist() gives Python scalars
+    columns = (framing.frame_times(tensor.n_frames), np.degrees(phi), np.degrees(theta), vad_mask, degenerate)
+    return [dict(zip(TRACK_CSV_HEADER, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def write_track_csv(rows: list[dict], path) -> None:

@@ -3,9 +3,13 @@
 Conventions used throughout the package:
 
 - Cartesian positions are metres, stored as length-3 float arrays.
+- Directions are plain arrays: ``(..., 3)`` vectors, or elevation and
+  azimuth arrays of matching shape. :func:`sphere_to_unit` and
+  :func:`unit_to_sphere` convert between the two over whole stacks.
 - Elevation ``theta`` is measured from the +z axis, ``theta in [0, pi]``.
-- Azimuth ``phi`` is measured from +x towards +y, ``phi in [-pi, pi)``.
-  The azimuth zero reference is the array's +x axis.
+- Azimuth ``phi`` is measured from +x towards +y. Grid azimuths lie in
+  ``[-pi, pi)``; :func:`unit_to_sphere` returns ``arctan2``'s
+  ``[-pi, pi]``. The azimuth zero reference is the array's +x axis.
 - Inter-sensor delays follow a far-field plane-wave model relative to the
   array origin: ``tau_n = -(r_n . u) / c``, so sensors with a positive
   projection onto the source direction receive the wavefront earlier.
@@ -24,6 +28,8 @@ from .errors import DegenerateDirection, FormatError
 
 SPEED_OF_SOUND = 343.0  # m/s, room temperature
 
+DEFAULT_GRID = (16, 32)  # (n_theta, n_phi) wherever no resolution is given
+
 _MIN_DIRECTION_NORM = 1e-8
 
 
@@ -37,24 +43,6 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Doa:
-    """Direction of arrival: elevation from +z and azimuth from +x."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta={self.theta} outside [0, pi]")
-        if not -math.pi <= self.phi <= math.pi:
-            raise ValueError(f"phi={self.phi} outside [-pi, pi]")
-
-    @property
-    def degrees(self) -> tuple[float, float]:
-        return math.degrees(self.theta), math.degrees(self.phi)
-
-
 def sphere_to_unit(theta, phi) -> np.ndarray:
     """Unit vectors ``(..., 3)`` for elevations ``theta`` and azimuths ``phi``;
     the two angle arrays broadcast against each other."""
@@ -62,20 +50,20 @@ def sphere_to_unit(theta, phi) -> np.ndarray:
     return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
 
 
-def doa_to_unit(doa: Doa) -> np.ndarray:
-    """Unit vector pointing towards ``doa``."""
-    return sphere_to_unit(doa.theta, doa.phi)
-
-
-def unit_to_doa(v) -> Doa:
-    """Inverse of :func:`doa_to_unit`; tolerates non-unit input vectors."""
-    v = as_vec3(v)
-    norm = np.linalg.norm(v)
-    if norm <= _MIN_DIRECTION_NORM:
-        raise DegenerateDirection(f"direction norm {norm:.3g} too small")
-    theta = math.acos(min(1.0, max(-1.0, v[2] / norm)))
-    phi = math.atan2(v[1], v[0])
-    return Doa(theta, phi)
+def unit_to_sphere(v) -> tuple[np.ndarray, np.ndarray]:
+    """Elevations and azimuths ``(...)`` of direction vectors ``(..., 3)``:
+    the inverse of :func:`sphere_to_unit`. Vectors need not be unit length;
+    theta lies in [0, pi] and phi in [-pi, pi]."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vectors, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector components must be finite")
+    norm = np.linalg.norm(v, axis=-1)
+    if np.any(norm <= _MIN_DIRECTION_NORM):
+        raise DegenerateDirection(f"direction norm {np.min(norm):.3g} too small")
+    theta = np.arccos(np.clip(v[..., 2] / norm, -1.0, 1.0))
+    return theta, np.arctan2(v[..., 1], v[..., 0])
 
 
 def angular_error(a, b):
@@ -128,17 +116,6 @@ class MicArray:
         dists = np.linalg.norm(self.positions[:, None, :] - self.positions[None, :, :], axis=-1)
         return float(dists.max())
 
-    @property
-    def min_spacing(self) -> float:
-        dists = np.linalg.norm(self.positions[:, None, :] - self.positions[None, :, :], axis=-1)
-        iu = np.triu_indices(self.n_mics, k=1)
-        return float(dists[iu].min())
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All sensor index pairs (n, m) with n < m."""
-        n = self.n_mics
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
     @classmethod
     def from_json(cls, path) -> "MicArray":
         """Load from a geometry file ``{"name": ..., "positions_m": [[x,y,z], ...]}``."""
@@ -188,9 +165,6 @@ class SphericalGrid:
         """Grid points after merging each polar ring into a single direction."""
         return (self.n_theta - 2) * self.n_phi + 2
 
-    def doa_at(self, i: int, j: int) -> Doa:
-        return Doa(float(self.thetas[i]), float(self.phis[j]))
-
     def unit_vectors(self) -> np.ndarray:
         """(n_theta, n_phi, 3) array of direction unit vectors."""
         return sphere_to_unit(self.thetas[:, None], self.phis[None, :])
@@ -215,13 +189,3 @@ def delay_table(array: MicArray, grid: SphericalGrid) -> DelayTable:
     tau = -np.tensordot(array.positions, u, axes=([1], [2])) / SPEED_OF_SOUND  # (n_mics, nt, np)
     delays = tau[:, None, :, :] - tau[None, :, :, :]
     return DelayTable(delays=delays, array=array, grid=grid)
-
-
-def grid_argmax(values: np.ndarray, grid: SphericalGrid) -> tuple[Doa, tuple[int, int]]:
-    """Grid DOA of the map maximum; ties break to the lowest row-major index."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"map shape {values.shape} != grid shape {grid.shape}")
-    flat = int(np.argmax(values))
-    i, j = divmod(flat, grid.n_phi)
-    return grid.doa_at(i, j), (i, j)

@@ -32,6 +32,7 @@ _CKPT_VERSION = 1
 STEM_CHANNELS = 32
 HEAD_CHANNELS = 128
 BASELINE_CHANNELS = (1024, 512, 512, 512, 512, 128, 3)
+MODEL_KINDS = ("cross3d", "baseline-max", "baseline-gcc")
 
 
 def branch_depth(n_theta: int, n_phi: int) -> int:
@@ -474,19 +475,19 @@ def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: i
     which is then required."""
     if array is not None and fs is None:
         raise TypeError("model_from_checkpoint needs fs when an array is given")
+    if ckpt.kind not in MODEL_KINDS:
+        raise FormatError(f"unknown model kind {ckpt.kind!r}")
     if ckpt.kind == "cross3d":
         model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
     elif ckpt.kind == "baseline-max":
         model = build_baseline_max()
-    elif ckpt.kind == "baseline-gcc":
+    else:
         in_channels = _spec_count(ckpt, "in_channels")
         width = in_channels if array is None else _gcc_feature_width(array, fs)
         if in_channels != width:
             raise FormatError(f"baseline-gcc checkpoint takes {in_channels} input channels,"
                               f" the {array.n_mics}-sensor array at {fs} Hz gives {width}")
         model = Baseline1D("baseline-gcc", in_channels)
-    else:
-        raise FormatError(f"unknown model kind {ckpt.kind!r}")
     load_into(model, ckpt)
     return model
 

@@ -72,14 +72,6 @@ class Room:
 
 
 @dataclass(frozen=True, eq=False)
-class Rir:
-    taps: np.ndarray
-    fs: float
-    source_pos: np.ndarray
-    mic_pos: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class MicSignals:
     """Multichannel time series, one row per microphone."""
 
@@ -260,18 +252,6 @@ def _rirs_for_point(
                     hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
     hist[:, n_up:] = 0.0
     return _deposit_to_rirs(hist, n_taps)
-
-
-def simulate_rir(room: Room, src, mic, fs: float, t_max: float) -> Rir:
-    """Image-source impulse response between one source and one microphone."""
-    src = as_vec3(src)
-    mic = as_vec3(mic)
-    if not room.contains(src):
-        raise OutOfRoom(f"source {src} outside room {room.dims}")
-    if not room.contains(mic):
-        raise OutOfRoom(f"microphone {mic} outside room {room.dims}")
-    taps = _rirs_for_point(room, src, mic[None, :], fs, t_max)[0]
-    return Rir(taps=taps, fs=fs, source_pos=src, mic_pos=mic)
 
 
 def render_moving_source(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import firwin, lfilter
 
-from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_doa
+from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig, frame_indices
 
@@ -254,8 +254,7 @@ def synthesize_trajectory_sample(
     )
     signals = add_noise(signals, snr, vad_mask, rng, framing)
 
-    rel = traj.points - origin
-    gt = np.array([[d.theta, d.phi] for d in map(unit_to_doa, rel)])
+    gt = np.stack(unit_to_sphere(traj.points - origin), axis=1)
     scene = AcousticScene(
         room=room,
         array=array,

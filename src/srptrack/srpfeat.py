@@ -176,7 +176,7 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     vad = np.asarray(vad, dtype=bool)
     if vad.shape != (t,):
         raise ValueError("vad mask length must match the number of maps")
-    # ties break to the lowest row-major index, as in grid_argmax
+    # ties break to the lowest row-major index: argmax takes the first maximum
     i, j = np.divmod(maps.reshape(t, grid.n_theta * grid.n_phi).argmax(axis=1), grid.n_phi)
     argmax = np.stack([grid.thetas[i], grid.phis[j]], axis=1)
     data = np.zeros((3, t) + grid.shape)

@@ -11,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
+from srptrack.errors import DegenerateDirection
 from srptrack.roomsim import _KERNEL_UP, OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
 from srptrack.srpfeat import _PHAT_EPS_REL
 
@@ -158,7 +159,7 @@ def rirs_for_point_oversampled(
 # The feature path as it stood before maps became plain arrays: sensor pairs
 # as a Python list, one pair and one frame at a time. Bodies are verbatim
 # apart from returning arrays where the old code wrapped them; only
-# FramingConfig, grid_argmax and the PHAT floor come from the package.
+# FramingConfig and the PHAT floor come from the package.
 def gcc_phat(frame_n: np.ndarray, frame_m: np.ndarray, lag_range: int) -> np.ndarray:
     """PHAT-weighted cross-correlation of two equal-length frames.
 
@@ -232,8 +233,6 @@ def normalize_map_single(values: np.ndarray) -> np.ndarray:
 
 def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
     """(data, vad, argmax_doa) of the old per-frame compute_input_tensor."""
-    from srptrack.geometry import grid_argmax
-
     grid = delays.grid
     lag_range = max(
         int(np.ceil(delays.array.aperture * cfg.fs / 343.0)),
@@ -250,12 +249,12 @@ def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
     data = np.zeros((3, t) + grid.shape)
     argmax = np.zeros((t, 2))
     for i in range(t):
-        doa, _ = grid_argmax(maps[i], grid)
-        argmax[i] = (doa.theta, doa.phi)
+        (theta, phi), _ = grid_argmax(maps[i], grid)
+        argmax[i] = (theta, phi)
         if vad[i]:
             data[0, i] = maps[i]
-            data[1, i] = doa.theta / np.pi
-            data[2, i] = (doa.phi + np.pi) / (2.0 * np.pi)
+            data[1, i] = theta / np.pi
+            data[2, i] = (phi + np.pi) / (2.0 * np.pi)
     return data, vad, argmax
 
 
@@ -282,6 +281,31 @@ def gt_units_from_angles(gt_doa: np.ndarray) -> np.ndarray:
 def doa_to_unit_from_pair(theta: float, phi: float) -> np.ndarray:
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+# The scalar direction layer that plain arrays replaced: one vector, one
+# grid map at a time. Bodies are verbatim apart from returning (theta, phi)
+# tuples where the old code built a Doa object.
+def unit_to_doa(v) -> tuple[float, float]:
+    """(theta, phi) of one direction vector; tolerates non-unit input."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm <= 1e-8:
+        raise DegenerateDirection(f"direction norm {norm:.3g} too small")
+    theta = math.acos(min(1.0, max(-1.0, v[2] / norm)))
+    phi = math.atan2(v[1], v[0])
+    return theta, phi
+
+
+def grid_argmax(values: np.ndarray, grid) -> tuple[tuple[float, float], tuple[int, int]]:
+    """Grid (theta, phi) of the map maximum and its (i, j) index; ties break
+    to the lowest row-major index."""
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"map shape {values.shape} != grid shape {grid.shape}")
+    flat = int(np.argmax(values))
+    i, j = divmod(flat, grid.n_phi)
+    return (float(grid.thetas[i]), float(grid.phis[j])), (i, j)
 
 
 def angular_errors_per_frame(est: np.ndarray, gt: np.ndarray) -> np.ndarray:

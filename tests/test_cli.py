@@ -243,6 +243,20 @@ class TestTrainEval:
         ]) == 0
         assert len(track.read_text().strip().splitlines()) > 1
 
+    def test_eval_rejects_cross3d_checkpoint_off_the_requested_grids(self, tmp_path, config_path):
+        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "small.sstc"
+        save_checkpoint(ckpt, make_checkpoint(build_cross3d(4, 8)))
+        args = ["eval", "--config", config_path, "--t60", "0.2", "--snr", "30", "--trajectories", "1",
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval.csv")]
+        message = r"small\.sstc is a 4x8 cross3d checkpoint, not one of --resolution 8x16 2x4"
+        with pytest.raises(FormatError, match=message):
+            main([*args, "--resolution", "8x16", "2x4"])
+        assert not (tmp_path / "eval.csv").exists()
+        assert main([*args, "--resolution", "4x8"]) == 0
+        assert len((tmp_path / "eval.csv").read_text().strip().splitlines()) == 3
+
     def test_eval_deterministic(self, tmp_path, config_path):
         outs = []
         for name in ("e1.csv", "e2.csv"):

@@ -1,0 +1,34 @@
+"""The package imports only numpy, scipy and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srptrack"
+ALLOWED = {"numpy", "scipy"} | set(sys.stdlib_module_names)
+
+
+def absolute_imports(path: Path) -> list[str]:
+    """Top-level module names of every absolute import in one source file."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def test_sources_found():
+    assert PACKAGE / "__init__.py" in SOURCES and PACKAGE / "tensornet" / "layers.py" in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_imports_are_numpy_scipy_or_stdlib(path):
+    outside = sorted(set(absolute_imports(path)) - ALLOWED)
+    assert not outside, f"{path.name} imports {outside}"

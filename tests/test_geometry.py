@@ -8,48 +8,43 @@ import pytest
 from srptrack.errors import DegenerateDirection, FormatError
 from srptrack.geometry import (
     SPEED_OF_SOUND,
-    Doa,
     MicArray,
     SphericalGrid,
     angular_error,
     default_array,
     delay_table,
-    doa_to_unit,
-    grid_argmax,
     sphere_to_unit,
-    unit_to_doa,
+    unit_to_sphere,
 )
+from srptrack.srpfeat import assemble_input
 
 from oracles import (
     angular_errors_per_frame,
     delay_table_from_units,
     doa_to_unit_from_pair,
+    grid_argmax,
     grid_unit_vectors_broadcast,
+    unit_to_doa,
 )
 
 
 class TestDoaToUnit:
+    """Angles to unit vectors with sphere_to_unit."""
+
     def test_pole(self):
         for phi in (-math.pi, 0.0, 1.3):
-            np.testing.assert_allclose(doa_to_unit(Doa(0.0, phi)), [0, 0, 1], atol=1e-12)
+            np.testing.assert_allclose(sphere_to_unit(0.0, phi), [0, 0, 1], atol=1e-12)
 
     def test_equator_x(self):
-        np.testing.assert_allclose(doa_to_unit(Doa(math.pi / 2, 0.0)), [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(sphere_to_unit(math.pi / 2, 0.0), [1, 0, 0], atol=1e-12)
 
     def test_equator_y(self):
-        np.testing.assert_allclose(doa_to_unit(Doa(math.pi / 2, math.pi / 2)), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(sphere_to_unit(math.pi / 2, math.pi / 2), [0, 1, 0], atol=1e-12)
 
     def test_unit_norm_everywhere(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            d = Doa(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            assert np.linalg.norm(doa_to_unit(d)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            Doa(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            Doa(0.1, 4.0)
+        u = sphere_to_unit(rng.uniform(0, math.pi, 200), rng.uniform(-math.pi, math.pi, 200))
+        np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSphereToUnit:
@@ -59,7 +54,7 @@ class TestSphereToUnit:
         u = sphere_to_unit(thetas[:, None], phis[None, :])
         assert u.shape == (5, 7, 3)
         np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(u[2, 3], doa_to_unit(Doa(thetas[2], phis[3])), atol=1e-15)
+        np.testing.assert_allclose(u[2, 3], doa_to_unit_from_pair(thetas[2], phis[3]), atol=1e-15)
 
     def test_rows_match_scalar_formula(self):
         rng = np.random.default_rng(3)
@@ -69,32 +64,66 @@ class TestSphereToUnit:
 
 
 class TestUnitToDoa:
+    """Vectors to angles with unit_to_sphere, the inverse of sphere_to_unit."""
+
     def test_z_axis(self):
-        d = unit_to_doa([0.0, 0.0, 2.0])
-        assert d.theta == pytest.approx(0.0)
-        assert d.phi == pytest.approx(0.0)
+        theta, phi = unit_to_sphere([0.0, 0.0, 2.0])
+        assert theta == 0.0 and phi == 0.0
+        theta, phi = unit_to_sphere([0.0, 0.0, -0.5])
+        assert theta == math.pi and phi == 0.0
 
     def test_x_axis(self):
-        d = unit_to_doa([1.0, 0.0, 0.0])
-        assert d.theta == pytest.approx(math.pi / 2)
-        assert d.phi == pytest.approx(0.0)
+        theta, phi = unit_to_sphere([1.0, 0.0, 0.0])
+        assert theta == pytest.approx(math.pi / 2)
+        assert phi == 0.0
 
     def test_minus_y(self):
-        d = unit_to_doa([0.0, -1.0, 0.0])
-        assert d.theta == pytest.approx(math.pi / 2)
-        assert d.phi == pytest.approx(-math.pi / 2)
+        theta, phi = unit_to_sphere([0.0, -1.0, 0.0])
+        assert theta == pytest.approx(math.pi / 2)
+        assert phi == pytest.approx(-math.pi / 2)
 
     def test_round_trip_off_poles(self):
         rng = np.random.default_rng(1)
-        for _ in range(300):
-            d = Doa(rng.uniform(1e-3, math.pi - 1e-3), rng.uniform(-math.pi, math.pi))
-            v = doa_to_unit(d)
-            back = doa_to_unit(unit_to_doa(v * rng.uniform(0.5, 3.0)))
-            np.testing.assert_allclose(back, v, atol=1e-9)
+        thetas = rng.uniform(1e-3, math.pi - 1e-3, 300)
+        phis = rng.uniform(-math.pi, math.pi, 300)
+        v = sphere_to_unit(thetas, phis)
+        back_theta, back_phi = unit_to_sphere(v * rng.uniform(0.5, 3.0, (300, 1)))
+        np.testing.assert_allclose(back_theta, thetas, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back_phi, phis, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sphere_to_unit(back_theta, back_phi), v, rtol=0, atol=1e-12)
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(10_000, 3)) * rng.uniform(0.01, 10.0, size=(10_000, 1))
+        axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
+        v = np.concatenate([v, axes, 3.0 * axes])
+        theta, phi = unit_to_sphere(v)
+        expected = np.array([unit_to_doa(row) for row in v])
+        np.testing.assert_allclose(theta, expected[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi, expected[:, 1], rtol=0, atol=1e-12)
+        assert np.all((theta >= 0.0) & (theta <= math.pi))
+        assert np.all((phi >= -math.pi) & (phi <= math.pi))
+
+    def test_keeps_leading_shape(self):
+        v = np.random.default_rng(8).normal(size=(4, 5, 3))
+        theta, phi = unit_to_sphere(v)
+        assert theta.shape == phi.shape == (4, 5)
+        np.testing.assert_allclose(sphere_to_unit(theta, phi), v / np.linalg.norm(v, axis=-1, keepdims=True),
+                                   rtol=0, atol=1e-12)
 
     def test_near_zero_rejected(self):
         with pytest.raises(DegenerateDirection):
-            unit_to_doa([1e-10, 0.0, 0.0])
+            unit_to_sphere([1e-10, 0.0, 0.0])
+        v = np.ones((4, 3))
+        v[2] = 0.0
+        with pytest.raises(DegenerateDirection):
+            unit_to_sphere(v)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            unit_to_sphere(np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            unit_to_sphere([[1.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
 
 
 class TestAngularError:
@@ -190,7 +219,8 @@ class TestMicArray:
     def test_bundled_geometry(self):
         arr = default_array()
         assert arr.n_mics == 12
-        assert arr.min_spacing * 100 == pytest.approx(1.3, abs=0.05)
+        dists = np.linalg.norm(arr.positions[:, None] - arr.positions[None], axis=-1)
+        assert dists[np.triu_indices(12, k=1)].min() * 100 == pytest.approx(1.3, abs=0.05)
         assert arr.aperture * 100 == pytest.approx(12.1, abs=0.05)
 
     def test_rejects_single_mic(self):
@@ -225,9 +255,6 @@ class TestMicArray:
         with pytest.raises(FormatError):
             MicArray.from_json(path)
 
-    def test_pair_count(self):
-        assert len(default_array().pairs()) == 66
-
 
 class TestDelayTable:
     def test_two_mic_endfire(self):
@@ -236,7 +263,7 @@ class TestDelayTable:
         g = SphericalGrid(3, 4)
         table = delay_table(arr, g)
         # source at theta=pi/2, phi=0 is grid point (1, 2)
-        assert g.doa_at(1, 2).phi == pytest.approx(0.0)
+        assert g.thetas[1] == pytest.approx(math.pi / 2) and g.phis[2] == pytest.approx(0.0)
         assert table.delays[0, 1, 1, 2] == pytest.approx(-d / SPEED_OF_SOUND)
 
     def test_broadside_zero(self):
@@ -262,30 +289,40 @@ class TestDelayTable:
 
 
 class TestGridArgmax:
+    """The tie rule of the grid_argmax oracle, and the package's argmax
+    (assemble_input) agreeing with it."""
+
+    @staticmethod
+    def argmax(m, g):
+        doa, idx = grid_argmax(m, g)
+        assert tuple(assemble_input(m[None], np.ones(1, dtype=bool), g).argmax_doa[0]) == doa
+        return doa, idx
+
     def test_single_peak(self):
         g = SphericalGrid(4, 8)
         m = np.zeros(g.shape)
         m[2, 5] = 1.0
-        doa, idx = grid_argmax(m, g)
+        doa, idx = self.argmax(m, g)
         assert idx == (2, 5)
-        assert doa.theta == pytest.approx(g.thetas[2])
-        assert doa.phi == pytest.approx(g.phis[5])
+        assert doa == (g.thetas[2], g.phis[5])
 
     def test_all_zero_tie_break(self):
         g = SphericalGrid(4, 8)
-        doa, idx = grid_argmax(np.zeros(g.shape), g)
+        doa, idx = self.argmax(np.zeros(g.shape), g)
         assert idx == (0, 0)
-        assert doa.theta == 0.0
-        assert doa.phi == pytest.approx(-math.pi)
+        assert doa[0] == 0.0
+        assert doa[1] == pytest.approx(-math.pi)
 
     def test_tie_breaks_row_major(self):
         g = SphericalGrid(4, 8)
         m = np.zeros(g.shape)
         m[1, 3] = 2.0
         m[2, 1] = 2.0
-        _, idx = grid_argmax(m, g)
+        _, idx = self.argmax(m, g)
         assert idx == (1, 3)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             grid_argmax(np.zeros((3, 3)), SphericalGrid(4, 8))
+        with pytest.raises(ValueError):
+            assemble_input(np.zeros((1, 3, 3)), np.ones(1, dtype=bool), SphericalGrid(4, 8))

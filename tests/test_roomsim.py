@@ -17,14 +17,19 @@ from srptrack.roomsim import (
     beta_from_t60,
     image_counts,
     render_moving_source,
-    simulate_rir,
 )
 from srptrack.srpfeat import FramingConfig
 
-from oracles import rirs_for_point_oversampled, schroeder_t60
+from oracles import grid_argmax, rirs_for_point_oversampled, schroeder_t60
 
 FS = 16000
 C = 343.0
+
+
+def single_rir(room, src, mic, t_max):
+    """Taps of the RIR from ``src`` to the one microphone at ``mic``."""
+    src, mic = np.asarray(src, dtype=float), np.asarray(mic, dtype=float)
+    return roomsim._rirs_for_point(room, src, mic[None], FS, t_max)[0]
 
 
 def assert_matches_oracle(rirs, ref):
@@ -66,30 +71,33 @@ class TestImageCounts:
 
 
 class TestSimulateRir:
+    """One source and one microphone: a one-row RIR set. Rendering rejects
+    either of them outside the room."""
+
     def test_anechoic_single_pulse(self):
         room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0, beta=0.0)
         src = np.array([2.0, 2.5, 1.5])
         mic = np.array([3.0, 2.5, 1.5])  # d = 1 m
-        rir = simulate_rir(room, src, mic, FS, t_max=0.02)
-        assert rir.taps.sum() == pytest.approx(1.0 / (4 * math.pi), rel=1e-2)
-        center = np.sum(np.arange(len(rir.taps)) * rir.taps**2) / np.sum(rir.taps**2)
+        rir = single_rir(room, src, mic, t_max=0.02)
+        assert rir.sum() == pytest.approx(1.0 / (4 * math.pi), rel=1e-2)
+        center = np.sum(np.arange(len(rir)) * rir**2) / np.sum(rir**2)
         assert center == pytest.approx(FS / 343.0, abs=0.1)
 
     def test_direct_path_is_earliest_energy(self):
         room = Room.from_t60([5.0, 4.0, 3.0], 0.4)
-        rir = simulate_rir(room, [1.0, 2.0, 1.2], [3.0, 2.0, 1.5], FS, t_max=0.4)
+        rir = single_rir(room, [1.0, 2.0, 1.2], [3.0, 2.0, 1.5], t_max=0.4)
         direct = np.linalg.norm([2.0, 0.0, 0.3]) / 343.0 * FS
-        nz = np.nonzero(np.abs(rir.taps) > 1e-6 * np.max(np.abs(rir.taps)))[0]
+        nz = np.nonzero(np.abs(rir) > 1e-6 * np.max(np.abs(rir)))[0]
         assert nz[0] >= direct - 41
         assert nz[0] <= direct + 1
-        assert np.all(np.isfinite(rir.taps))
+        assert np.all(np.isfinite(rir))
 
     def test_out_of_room(self):
         room = Room.from_t60([4.0, 4.0, 3.0], 0.3)
         with pytest.raises(OutOfRoom):
-            simulate_rir(room, [5.0, 1.0, 1.0], [1.0, 1.0, 1.0], FS, t_max=0.1)
+            render_moving_source(np.zeros(4000), [[5.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]], room, FS, t_max=0.1)
         with pytest.raises(OutOfRoom):
-            simulate_rir(room, [1.0, 1.0, 1.0], [1.0, -0.5, 1.0], FS, t_max=0.1)
+            render_moving_source(np.zeros(4000), [[1.0, 1.0, 1.0]], [[1.0, -0.5, 1.0]], room, FS, t_max=0.1)
 
     @pytest.mark.parametrize("t60", [0.3, 0.6, 1.0])
     def test_schroeder_t60_tracks_request(self, t60):
@@ -98,8 +106,8 @@ class TestSimulateRir:
         # independent image-method implementation). Assert the validated
         # envelope rather than the Sabine nominal.
         room = Room.from_t60([6.0, 5.0, 3.0], t60)
-        rir = simulate_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], FS, t_max=t60)
-        measured = schroeder_t60(rir.taps, FS)
+        rir = single_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], t_max=t60)
+        measured = schroeder_t60(rir, FS)
         assert 1.0 * t60 < measured < 1.6 * t60
 
     def test_schroeder_t60_monotone_in_request(self):
@@ -107,8 +115,8 @@ class TestSimulateRir:
         measured = []
         for t60 in (0.3, 0.6, 1.0):
             room = Room.from_t60(room_dims, t60)
-            rir = simulate_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], FS, t_max=t60)
-            measured.append(schroeder_t60(rir.taps, FS))
+            rir = single_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], t_max=t60)
+            measured.append(schroeder_t60(rir, FS))
         assert measured[0] < measured[1] < measured[2]
 
 
@@ -146,9 +154,8 @@ class TestRirsMatchOversampledOracle:
     def test_simulate_rir_single_mic(self):
         room = Room.from_t60([5.0, 4.0, 3.0], 0.3)
         src, mic = np.array([1.0, 2.0, 1.2]), np.array([3.0, 2.0, 1.5])
-        rir = simulate_rir(room, src, mic, FS, t_max=0.3)
-        ref = rirs_for_point_oversampled(room, src, mic[None, :], FS, 0.3, C)
-        assert_matches_oracle(rir.taps[None, :], ref)
+        rirs = self._rirs(room, src, mic[None, :], 0.3)
+        assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mic[None, :], FS, 0.3, C))
 
     def test_t_max_rounding_down_drops_late_deposits(self):
         # t_max * fs = 1600.4 gives 1600 taps, while images out to c * t_max
@@ -230,8 +237,8 @@ class TestRenderMovingSource:
         point = np.array([2.0, 2.0, 1.5])
         mics = np.array([[3.0, 2.0, 1.4], [3.0, 2.1, 1.4]])
         out = render_moving_source(dry, np.tile(point, (5, 1)), mics, room, FS, t_max=0.25, dtype=np.float64)
-        rir0 = simulate_rir(room, point, mics[0], FS, t_max=0.25)
-        ref = np.convolve(dry, rir0.taps)[: len(dry)]
+        rir0 = single_rir(room, point, mics[0], t_max=0.25)
+        ref = np.convolve(dry, rir0)[: len(dry)]
         err = np.linalg.norm(out.channels[0] - ref) / np.linalg.norm(ref)
         assert err < 1e-6
 
@@ -243,10 +250,10 @@ class TestRenderMovingSource:
         dry = np.zeros(3 * hop)
         dry[hop] = 1.0  # impulse at the start of segment 1
         out = render_moving_source(dry, points, mic, room, FS, t_max=0.1, hop=hop, dtype=np.float64)
-        rir1 = simulate_rir(room, points[1], mic[0], FS, t_max=0.1)
+        rir1 = single_rir(room, points[1], mic[0], t_max=0.1)
         expected = np.zeros(len(dry))
-        n = min(len(rir1.taps), len(dry) - hop)
-        expected[hop : hop + n] = rir1.taps[:n]
+        n = min(len(rir1), len(dry) - hop)
+        expected[hop : hop + n] = rir1[:n]
         np.testing.assert_allclose(out.channels[0], expected, atol=1e-12)
 
     def test_superposition(self):
@@ -278,7 +285,7 @@ class TestRenderMovingSource:
     def test_srp_argmax_follows_anechoic_motion(self):
         # source jumps between two grid directions: the per-frame map argmax
         # must follow (skipping the single frame straddling the jump)
-        from srptrack.geometry import SphericalGrid, default_array, delay_table, grid_argmax
+        from srptrack.geometry import SphericalGrid, default_array, delay_table
         from srptrack.srpfeat import FramingConfig, compute_power_maps
 
         framing = FramingConfig()

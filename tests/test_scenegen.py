@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srptrack.geometry import SphericalGrid, angular_error, delay_table, grid_argmax
+from srptrack.geometry import SphericalGrid, angular_error, delay_table
 from srptrack.roomsim import Room
 from srptrack.scenegen import (
     SceneConfig,
@@ -18,7 +18,7 @@ from srptrack.scenegen import (
 )
 from srptrack.srpfeat import EnergyVad, FramingConfig, compute_power_maps
 
-from oracles import clean_dry_signal_per_frame, gt_units_from_angles
+from oracles import clean_dry_signal_per_frame, grid_argmax, gt_units_from_angles, unit_to_doa
 
 
 class TestSampleScene:
@@ -199,6 +199,12 @@ class TestSynthesizeTrajectorySample:
         units = scene.gt_units()
         for i in range(scene.trajectory.n_points):
             assert angular_error(rel[i], units[i]) < 1e-9
+
+    def test_gt_doa_matches_per_point_oracle(self):
+        _, scene = synthesize_trajectory_sample(self._toy_cfg(), synthetic_source, sample_rng(10, 2))
+        rel = scene.trajectory.points - scene.array_origin
+        expected = np.array([unit_to_doa(v) for v in rel])
+        np.testing.assert_allclose(scene.gt_doa, expected, rtol=0, atol=1e-12)
 
     def test_gt_units_match_broadcast_formula_bitwise(self):
         _, scene = synthesize_trajectory_sample(self._toy_cfg(), synthetic_source, sample_rng(10, 1))

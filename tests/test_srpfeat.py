@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srptrack.errors import FormatError, LagRangeTooSmall, TooShort
-from srptrack.geometry import MicArray, SphericalGrid, delay_table, grid_argmax
+from srptrack.geometry import MicArray, SphericalGrid, delay_table
 from srptrack.srpfeat import (
     EnergyVad,
     FramingConfig,
@@ -29,6 +29,7 @@ from srptrack.srpfeat import (
 from oracles import (
     gcc_phat,
     gcc_set_per_pair,
+    grid_argmax,
     input_tensor_per_frame,
     normalize_map_single,
     plane_wave_frames,
