@@ -160,20 +160,23 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     requested = tuple(args.resolution) if args.resolution else None
-    checkpoints: dict = {}
+    cross3d: dict = {}
+    baselines: dict = {}
     for path in args.checkpoint or []:
-        ckpt = load_checkpoint(path)
-        model = model_from_checkpoint(ckpt, array=array, fs=cfg.framing.fs)
+        model = model_from_checkpoint(load_checkpoint(path), array=array, fs=cfg.framing.fs)
+        name = f"{model.kind}:{Path(path).stem}"
         if model.kind == "cross3d":
             res = (model.spec["n_theta"], model.spec["n_phi"])
             if requested and res not in requested:
                 wanted = " ".join(f"{t}x{p}" for t, p in requested)
                 raise FormatError(f"{path} is a {res[0]}x{res[1]} cross3d checkpoint,"
                                   f" not one of --resolution {wanted}")
+            cross3d.setdefault(res, {})[name] = model
         else:
-            res = requested[0] if requested else DEFAULT_GRID
-        checkpoints.setdefault(res, {})[f"{model.kind}:{Path(path).stem}"] = model
-    resolutions = requested or tuple(checkpoints) or (DEFAULT_GRID,)
+            baselines[name] = model
+    # baselines run at every resolution of the sweep, since baseline-max reads the map maximum
+    resolutions = requested or tuple(cross3d) or (DEFAULT_GRID,)
+    checkpoints = {res: {**baselines, **cross3d.get(res, {})} for res in resolutions}
     grid = ExperimentGrid(
         t60s=tuple(args.t60),
         snrs=tuple(args.snr),

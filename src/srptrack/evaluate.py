@@ -178,17 +178,21 @@ def track_file(
 ) -> list[dict]:
     """Frame-by-frame DOA estimates for a multichannel recording.
 
-    With a checkpoint the model tracks; without one the SRP argmax is
-    reported. Every frame only uses past context (causal convolutions, causal
-    VAD), so rows for early frames never change when the file is truncated
-    later. Without ``framing`` the default framing runs at the file's rate.
+    With a checkpoint the model tracks, a Cross3D one on its own grid (another
+    ``grid`` raises FormatError); without one the SRP argmax is reported. Every
+    frame uses only past context (causal convolutions, causal VAD), so rows for
+    early frames never change when the file is truncated later. Without
+    ``framing`` the default framing runs at the file's rate.
     """
     signals, framing = read_recording(wav_path, array, framing)
     model = None
     if checkpoint_path is not None:
         model = model_from_checkpoint(load_checkpoint(checkpoint_path), array=array, fs=framing.fs)
         if model.kind == "cross3d":
-            grid = SphericalGrid(model.spec["n_theta"], model.spec["n_phi"])
+            if grid is not None and grid.shape != (model.n_theta, model.n_phi):
+                raise FormatError(f"{checkpoint_path} is a {model.n_theta}x{model.n_phi} cross3d checkpoint,"
+                                  f" the requested grid is {grid.n_theta}x{grid.n_phi}")
+            grid = SphericalGrid(model.n_theta, model.n_phi)
     if grid is None:
         grid = SphericalGrid(*DEFAULT_GRID)
 

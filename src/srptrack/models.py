@@ -12,14 +12,11 @@ the per-frame map-maximum coordinates or the stacked pairwise GCC values.
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .errors import FormatError, ShapeError
 from .geometry import MicArray, SphericalGrid, delay_table
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
@@ -385,86 +382,22 @@ def make_checkpoint(model, step: int = 0) -> Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    names = list(ckpt.tensors)
-    directory = []
-    offset = 0
-    for name in names:
-        arr = ckpt.tensors[name]
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 4
-    header = json.dumps(
-        {"kind": ckpt.kind, "spec": ckpt.spec, "step": ckpt.step, "tensors": directory}
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<2I", _CKPT_VERSION, len(header)))
-        f.write(header)
-        for name in names:
-            f.write(ckpt.tensors[name].astype("<f4").tobytes())
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _check_header(header) -> None:
-    """Raise FormatError unless ``header`` has the layout save_checkpoint writes."""
-    if not isinstance(header, dict):
-        raise FormatError("checkpoint header is not a JSON object")
-    for key, valid in (
-        ("kind", lambda v: isinstance(v, str)),
-        ("spec", lambda v: isinstance(v, dict)),
-        ("step", _is_count),
-        ("tensors", lambda v: isinstance(v, list)),
-    ):
-        if key not in header:
-            raise FormatError(f"checkpoint header has no {key!r}")
-        if not valid(header[key]):
-            raise FormatError(f"checkpoint header has a bad {key!r}: {header[key]!r}")
-    for entry in header["tensors"]:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(_is_count(n) for n in entry["shape"])
-            and _is_count(entry.get("offset"))
-        ):
-            raise FormatError(f"bad checkpoint tensor entry {entry!r}")
+    meta = {"kind": ckpt.kind, "spec": ckpt.spec, "step": ckpt.step}
+    artifact.write(path, _CKPT_MAGIC, _CKPT_VERSION, meta, ckpt.tensors)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if blob[:4] != _CKPT_MAGIC:
-        raise FormatError("not a checkpoint (bad magic)")
-    if len(blob) < 12:
-        raise FormatError("checkpoint truncated")
-    version, header_len = struct.unpack_from("<2I", blob, 4)
-    if version != _CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if len(blob) < 12 + header_len:
-        raise FormatError("checkpoint truncated inside header")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"corrupt checkpoint header: {exc}") from exc
-    _check_header(header)
-    body = blob[12 + header_len :]
-    tensors = {}
-    for entry in header["tensors"]:
-        size = math.prod(entry["shape"])
-        lo = entry["offset"]
-        hi = lo + size * 4
-        if hi > len(body):
-            raise FormatError(f"checkpoint truncated: tensor {entry['name']} out of range")
-        tensors[entry["name"]] = (
-            np.frombuffer(body[lo:hi], dtype="<f4").reshape(entry["shape"]).copy()
-        )
-    return Checkpoint(kind=header["kind"], spec=header["spec"], tensors=tensors, step=header["step"])
+    header, tensors = artifact.read(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
+    kind, spec, step = (header.get(key) for key in ("kind", "spec", "step"))
+    if not (isinstance(kind, str) and isinstance(spec, dict) and artifact.is_count(step)):
+        raise FormatError(f"checkpoint header needs a string 'kind', an object 'spec' and a"
+                          f" non-negative integer 'step', got {kind!r}, {spec!r}, {step!r}")
+    return Checkpoint(kind=kind, spec=spec, tensors=tensors, step=step)
 
 
 def _spec_count(ckpt: Checkpoint, key: str) -> int:
     value = ckpt.spec.get(key)
-    if not _is_count(value) or value == 0:
+    if not artifact.is_count(value) or value == 0:
         raise FormatError(f"{ckpt.kind} checkpoint spec needs a positive integer {key!r}, got {value!r}")
     return value
 
@@ -478,7 +411,10 @@ def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: i
     if ckpt.kind not in MODEL_KINDS:
         raise FormatError(f"unknown model kind {ckpt.kind!r}")
     if ckpt.kind == "cross3d":
-        model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
+        try:
+            model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
+        except ShapeError as exc:
+            raise FormatError(f"cross3d checkpoint spec {ckpt.spec} describes no model: {exc}") from exc
     elif ckpt.kind == "baseline-max":
         model = build_baseline_max()
     else:

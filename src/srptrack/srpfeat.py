@@ -9,18 +9,16 @@ no interpolation is performed. Maps are plain arrays: one frame gives an
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .errors import FormatError, LagRangeTooSmall, TooShort
 from .geometry import SPEED_OF_SOUND, DelayTable, MicArray, SphericalGrid
 
 _FEATURE_MAGIC = b"SRPM"
-_FEATURE_VERSION = 1
+_FEATURE_VERSION = 2
 
 # relative floor for the PHAT denominator, keeps silent frames finite
 _PHAT_EPS_REL = 1e-12
@@ -33,13 +31,10 @@ class FramingConfig:
     K: int = 4096
     hop: int = 3072
     fs: int = 16000
-    window: str = "hann"
 
     def __post_init__(self):
         if not 0 < self.hop <= self.K:
             raise ValueError(f"hop must be in (0, K], got hop={self.hop} K={self.K}")
-        if self.window != "hann":
-            raise ValueError(f"only the hann window is supported, got {self.window!r}")
 
     @property
     def hop_seconds(self) -> float:
@@ -213,45 +208,32 @@ def compute_input_tensor(
 
 
 def save_features(path, tensor: InputTensor, grid: SphericalGrid, cfg: FramingConfig) -> None:
-    """Write the feature dump: SRPM header + row-major float32, JSON sidecar."""
-    path = Path(path)
-    c, t, nt, npx = tensor.data.shape
-    with open(path, "wb") as f:
-        f.write(_FEATURE_MAGIC)
-        f.write(struct.pack("<5I", _FEATURE_VERSION, c, t, nt, npx))
-        f.write(tensor.data.astype("<f4").tobytes())
-    sidecar = {
+    """Write the feature dump, one SRPM file: the grid, framing, VAD mask and
+    argmax DOAs in its header, the input tensor as its float32 tensor ``data``."""
+    meta = {
         "grid": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
-        "framing": {"K": cfg.K, "hop": cfg.hop, "fs": cfg.fs, "window": cfg.window},
+        "framing": {"K": cfg.K, "hop": cfg.hop, "fs": cfg.fs},
         "vad": tensor.vad.astype(int).tolist(),
         "argmax_doa": tensor.argmax_doa.tolist(),
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    artifact.write(path, _FEATURE_MAGIC, _FEATURE_VERSION, meta, {"data": tensor.data})
 
 
 def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _FEATURE_MAGIC:
-        raise FormatError("not a feature dump (bad magic)")
-    if len(blob) < 24:
-        raise FormatError(f"feature dump truncated inside its 24-byte header: {len(blob)} bytes")
-    version, c, t, nt, npx = struct.unpack_from("<5I", blob, 4)
-    if version != _FEATURE_VERSION:
-        raise FormatError(f"unsupported feature dump version {version}")
-    expected = 24 + 4 * c * t * nt * npx
-    if len(blob) != expected:
-        raise FormatError(f"feature dump truncated: {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=24).reshape(c, t, nt, npx).astype(float)
+    meta, tensors = artifact.read(path, _FEATURE_MAGIC, _FEATURE_VERSION, "feature dump")
+    data = tensors.get("data")
+    if list(tensors) != ["data"] or data.ndim != 4 or data.shape[0] != 3:
+        raise FormatError(f"feature dump tensors {list(tensors)} are not one (3, T, n_theta, n_phi) 'data'")
+    _, t, n_theta, n_phi = data.shape
     try:
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        grid = SphericalGrid(**sidecar["grid"])
-        cfg = FramingConfig(**sidecar["framing"])
-        vad = np.array(sidecar["vad"], dtype=bool)
-        argmax = np.array(sidecar["argmax_doa"], dtype=float)
+        same_grid = meta["grid"] == {"n_theta": n_theta, "n_phi": n_phi}
+        grid = SphericalGrid(n_theta, n_phi)
+        cfg = FramingConfig(**meta["framing"])
+        vad = np.array(meta["vad"], dtype=bool)
+        argmax = np.array(meta["argmax_doa"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad feature sidecar: {exc!r}") from exc
-    if c != 3 or grid.shape != (nt, npx) or vad.shape != (t,) or argmax.shape != (t, 2):
-        raise FormatError(f"sidecar grid {grid.shape}, vad {vad.shape} and argmax {argmax.shape}"
-                          f" do not match the dump's {c} channels of {t} frames on {nt}x{npx}")
-    return InputTensor(data=data, vad=vad, argmax_doa=argmax), grid, cfg
+        raise FormatError(f"bad feature dump header: {exc!r}") from exc
+    if not same_grid or vad.shape != (t,) or argmax.shape != (t, 2):
+        raise FormatError(f"header grid {meta['grid']}, vad {vad.shape} and argmax {argmax.shape}"
+                          f" do not match the dump's {t} frames on {n_theta}x{n_phi}")
+    return InputTensor(data=data.astype(float), vad=vad, argmax_doa=argmax), grid, cfg

@@ -260,10 +260,6 @@ class MaxPoolAxis(Layer):
 
     def forward(self, x):
         self.out_shape(x.shape)
-        if self.size == 1:
-            self._identity = True
-            return x
-        self._identity = False
         moved = np.moveaxis(x, self.axis, -1)
         self._moved_shape = moved.shape
         grouped = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // self.size, self.size))
@@ -272,8 +268,6 @@ class MaxPoolAxis(Layer):
         return np.moveaxis(out, -1, self.axis)
 
     def backward(self, grad_out):
-        if self._identity:
-            return grad_out
         gmoved = np.moveaxis(grad_out, self.axis, -1)
         grouped = np.zeros(gmoved.shape[:-1] + (gmoved.shape[-1], self.size), dtype=grad_out.dtype)
         np.put_along_axis(grouped, self._argmax[..., None], gmoved[..., None], axis=-1)

@@ -181,6 +181,7 @@ class TestConfigFiles:
             ('{"scene": {"wall_margin_fraction": 0.2}}', "unknown key 'wall_margin_fraction' in section 'scene'"),
             ('{"framing": {"K": 2048, "hop_ms": 64}}', "unknown key 'hop_ms' in section 'framing'"),
             ('{"train": {"epoch": 1}}', "unknown key 'epoch' in section 'train'"),
+            ('{"framing": {"window": "hann"}}', "unknown key 'window' in section 'framing'"),
             ('{"sceen": {}}', "unknown section 'sceen'"),
             ('{"scene": [4.0, 3.5, 2.8]}', "section 'scene' must be an object"),
             ('{"framing": {"K": "big"}}', "bad value in section 'framing'"),
@@ -188,7 +189,8 @@ class TestConfigFiles:
             ('{"train": {"epochs": 0}}', "bad value in section 'train'"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
-             "unknown-section", "section-list", "framing-type", "scene-vector", "train-epochs"],
+             "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
+             "train-epochs"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -256,6 +258,18 @@ class TestTrainEval:
         assert not (tmp_path / "eval.csv").exists()
         assert main([*args, "--resolution", "4x8"]) == 0
         assert len((tmp_path / "eval.csv").read_text().strip().splitlines()) == 3
+
+    def test_eval_runs_a_baseline_at_every_resolution(self, tmp_path, config_path):
+        from srptrack.models import build_baseline_max, make_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "max.sstc"
+        save_checkpoint(ckpt, make_checkpoint(build_baseline_max()))
+        csv_out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", config_path, "--t60", "0.2", "--snr", "30", "--trajectories", "1",
+                     "--resolution", "4x8", "2x4", "--checkpoint", str(ckpt), "--out", str(csv_out)]) == 0
+        rows = [line.split(",")[:2] for line in csv_out.read_text().strip().splitlines()[1:]]
+        assert sorted(rows) == [["baseline-max:max", "2x4"], ["baseline-max:max", "4x8"],
+                                ["srp-argmax", "2x4"], ["srp-argmax", "4x8"]]
 
     def test_eval_deterministic(self, tmp_path, config_path):
         outs = []

@@ -300,6 +300,18 @@ class TestTrackFile:
         assert len(rows) == FramingConfig().n_frames(MicSignals.from_wav(path).n_samples)
         assert all(-180.0 <= r["azimuth_deg"] <= 180.0 for r in rows)
 
+    def test_cross3d_checkpoint_on_another_grid_rejected(self, tmp_path):
+        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
+
+        path, array, _, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8), duration=1.0)
+        ckpt_path = tmp_path / "m.sstc"
+        save_checkpoint(ckpt_path, make_checkpoint(build_cross3d(4, 8, seed=1)))
+        message = r"m\.sstc is a 4x8 cross3d checkpoint, the requested grid is 8x16"
+        with pytest.raises(FormatError, match=message):
+            track_file(path, array, checkpoint_path=ckpt_path, grid=SphericalGrid(8, 16))
+        same = track_file(path, array, checkpoint_path=ckpt_path, grid=SphericalGrid(4, 8))
+        assert same == track_file(path, array, checkpoint_path=ckpt_path)
+
     def test_model_rows_match_per_frame_oracle(self, tmp_path):
         from srptrack.models import build_cross3d, forward_track, make_checkpoint, save_checkpoint
         from srptrack.srpfeat import EnergyVad

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srptrack.errors import FormatError, ShapeError
 from srptrack.geometry import MicArray, SphericalGrid, default_array
@@ -336,6 +338,20 @@ class TestCheckpoints:
         rebuilt = model_from_checkpoint(ckpt)
         np.testing.assert_array_equal(rebuilt.forward(x), before)
 
+    def test_file_layout(self, tmp_path):
+        """Magic, version 1 and the header length, the JSON header, then float32 tensors in order."""
+        ckpt = make_checkpoint(build_cross3d(2, 2, seed=1), step=3)
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, ckpt)
+        directory, offset = [], 0
+        for name, arr in ckpt.tensors.items():
+            directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
+            offset += 4 * arr.size
+        header = json.dumps({"kind": "cross3d", "spec": {"n_theta": 2, "n_phi": 2}, "step": 3,
+                             "tensors": directory}).encode()
+        payload = b"".join(arr.astype("<f4").tobytes() for arr in ckpt.tensors.values())
+        assert path.read_bytes() == b"SSTC" + struct.pack("<2I", 1, len(header)) + header + payload
+
     def test_mismatched_resolution_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
         save_checkpoint(path, make_checkpoint(build_cross3d(4, 8)))
@@ -376,6 +392,7 @@ class TestCheckpoints:
             lambda h: h["tensors"][0].update(shape=7),
             lambda h: h["tensors"][0].update(offset=-4),
             lambda h: h["tensors"][0].update(offset=2.0),
+            lambda h: h["tensors"][0].update(shape=[0, 10**20]),
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, corrupt):
@@ -408,11 +425,33 @@ class TestCheckpoints:
             ("baseline-gcc", {}),
             ("baseline-gcc", {"in_channels": 0}),
             ("baseline-gcc", {"in_channels": [858]}),
+            ("cross3d", {"n_theta": 2, "n_phi": 3}),
+            ("cross3d", {"n_theta": 1, "n_phi": 8}),
+            ("cross3d", {"n_theta": 8, "n_phi": 12}),
         ],
     )
     def test_bad_spec_rejected(self, kind, spec):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=kind):
             model_from_checkpoint(Checkpoint(kind=kind, spec=spec, tensors={}, step=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_checkpoint_raises_only_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "model.sstc"
+        save_checkpoint(path, make_checkpoint(build_cross3d(2, 2)))
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            # flips in the float payload just load other values
+            (header_len,) = struct.unpack_from("<I", blob, 8)
+            bit = data.draw(st.integers(0, 8 * (12 + header_len) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            model_from_checkpoint(load_checkpoint(path))
+        except FormatError:
+            pass
 
     def test_gcc_checkpoint_must_fit_the_array(self):
         array = default_array()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -321,20 +322,29 @@ class TestAssembleInput:
         assert tensor.data.shape == (3, 103, 16, 32)
 
 
+def _srpm(header, payload=b"", version=2):
+    """A feature dump file with this JSON ``header`` and ``payload``."""
+    text = json.dumps(header).encode()
+    return b"SRPM" + struct.pack("<2I", version, len(text)) + text + payload
+
+
 class TestFeatureDump:
     def test_round_trip(self, tmp_path):
         grid = SphericalGrid(4, 8)
-        cfg = FramingConfig()
+        cfg = FramingConfig(K=1024, hop=320, fs=8000)
         rng = np.random.default_rng(13)
-        maps = rng.normal(size=(5,) + grid.shape).astype(np.float32).astype(float)
+        maps = rng.normal(size=(5,) + grid.shape)
         vad = np.array([True, False, True, True, False])
         tensor = assemble_input(maps, vad, grid)
         path = tmp_path / "feat.srpm"
         save_features(path, tensor, grid, cfg)
+        assert list(tmp_path.iterdir()) == [path]  # one self-describing file
         back, grid2, cfg2 = load_features(path)
-        np.testing.assert_allclose(back.data, tensor.data, atol=1e-7)
+        np.testing.assert_array_equal(back.data, tensor.data.astype(np.float32))
         np.testing.assert_array_equal(back.vad, vad)
-        assert grid2.shape == grid.shape
+        np.testing.assert_array_equal(back.argmax_doa, tensor.argmax_doa)
+        np.testing.assert_array_equal(grid2.thetas, grid.thetas)
+        np.testing.assert_array_equal(grid2.phis, grid.phis)
         assert cfg2 == cfg
 
     def test_truncated_rejected(self, tmp_path):
@@ -353,39 +363,51 @@ class TestFeatureDump:
         with pytest.raises(FormatError):
             load_features(path)
 
+    def test_version_1_dump_rejected(self, tmp_path):
+        path = tmp_path / "feat.srpm"
+        path.write_bytes(b"SRPM" + struct.pack("<5I", 1, 3, 1, 2, 2) + bytes(4 * 12))
+        with pytest.raises(FormatError, match="unsupported feature dump version 1"):
+            load_features(path)
+
     @staticmethod
     def _dump(path, n_frames=1):
         grid = SphericalGrid(2, 2)
         tensor = assemble_input(np.zeros((n_frames,) + grid.shape), np.ones(n_frames, dtype=bool), grid)
         save_features(path, tensor, grid, FramingConfig())
-        return path, path.with_suffix(path.suffix + ".json")
+        return path
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda blob, side: (blob[:20], side), id="blob-shorter-than-header"),
-            pytest.param(lambda blob, side: (blob, {k: v for k, v in side.items() if k != "grid"}),
-                         id="sidecar-without-grid"),
-            pytest.param(lambda blob, side: (blob, dict(side, vad=[1, 1, 1])), id="vad-too-long"),
-            pytest.param(lambda blob, side: (blob, dict(side, argmax_doa=[])), id="argmax-too-short"),
-            pytest.param(lambda blob, side: (blob, dict(side, grid={"n_theta": 4, "n_phi": 8})),
+            pytest.param(lambda h, p: _srpm(h, p)[:20], id="blob-shorter-than-header"),
+            pytest.param(lambda h, p: _srpm({k: v for k, v in h.items() if k != "grid"}, p),
+                         id="header-without-grid"),
+            pytest.param(lambda h, p: _srpm(dict(h, vad=[1, 1, 1]), p), id="vad-too-long"),
+            pytest.param(lambda h, p: _srpm(dict(h, argmax_doa=[]), p), id="argmax-too-short"),
+            pytest.param(lambda h, p: _srpm(dict(h, grid={"n_theta": 4, "n_phi": 8}), p),
                          id="grid-shape-differs"),
-            pytest.param(lambda blob, side: (blob, dict(side, framing={"K": 0})), id="bad-framing"),
-            pytest.param(lambda blob, side: (blob, [side]), id="sidecar-not-an-object"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing={"K": 0}), p), id="bad-framing"),
+            pytest.param(lambda h, p: _srpm([h], p), id="header-not-an-object"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], window="hann")), p),
+                         id="framing-with-window"),
+            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], name="maps")]), p),
+                         id="no-data-tensor"),
+            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], shape=[12])]), p),
+                         id="data-not-4d"),
         ],
     )
     def test_malformed_dump_rejected(self, tmp_path, corrupt):
-        path, sidecar = self._dump(tmp_path / "feat.srpm")
-        blob, side = corrupt(path.read_bytes(), json.loads(sidecar.read_text()))
-        path.write_bytes(blob)
-        sidecar.write_text(json.dumps(side))
+        path = self._dump(tmp_path / "feat.srpm")
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        path.write_bytes(corrupt(json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]))
         with pytest.raises(FormatError):
             load_features(path)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_truncated_or_bit_flipped_dump_raises_only_format_error(self, tmp_path_factory, data):
-        path, _ = self._dump(tmp_path_factory.mktemp("dump") / "feat.srpm", n_frames=2)
+        path = self._dump(tmp_path_factory.mktemp("dump") / "feat.srpm", n_frames=2)
         blob = bytearray(path.read_bytes())
         if data.draw(st.booleans(), label="truncate"):
             blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -396,7 +418,7 @@ class TestFeatureDump:
         try:
             load_features(path)
         except FormatError:
-            pass  # a flip inside the float payload loads as other values, which is fine
+            pass  # a flip inside the float payload or a VAD digit loads as other values, which is fine
 
 
 class TestComputePowerMaps:
