@@ -91,6 +91,13 @@ def _resolution(text: str) -> tuple[int, int]:
     return n_theta, n_phi
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports the ValueError of a non-integer
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _array(path) -> MicArray:
     return MicArray.from_json(path) if path else default_array()
 
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize random scenes to WAV + metadata")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--corpus", type=str, default=None, help="directory of dry source WAVs")
     p.set_defaults(func=cmd_synth)
 
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t60", type=float, nargs="+", required=True)
     p.add_argument("--snr", type=float, nargs="+", required=True)
     p.add_argument("--resolution", type=_resolution, nargs="+", default=None)
-    p.add_argument("--trajectories", type=int, default=50)
+    p.add_argument("--trajectories", type=_positive_int, default=50)
     p.add_argument("--checkpoint", type=str, nargs="*", default=None)
     p.add_argument("--corpus", type=str, default=None)
     p.add_argument("--out", required=True)

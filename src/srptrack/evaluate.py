@@ -1,12 +1,16 @@
 """RMSAE metrics, experiment grids over (T60, SNR, resolution), file tracking.
 
-Angular errors are kept in radians internally and reported in degrees in all
-user-facing output. RMSAE pools frames across every trajectory of a cell.
+``track_signal`` is the one path from a multichannel signal to per-model
+tracks (features, then each model's input, then unit vectors); scene
+evaluation and file tracking both call it. Angular errors are kept in radians
+internally and reported in degrees in all user-facing output. RMSAE pools
+frames across every trajectory of a cell.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +29,7 @@ from .geometry import (
 from .models import forward_track, load_checkpoint, model_features, model_from_checkpoint
 from .roomsim import MicSignals
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
-from .srpfeat import EnergyVad, FramingConfig, compute_input_tensor
+from .srpfeat import FramingConfig, InputTensor, compute_input_tensor
 
 PLOT_CSV_HEADER = ["model", "resolution", "t60_s", "snr_db", "rmsae_voiced_deg", "rmsae_all_deg", "n_traj"]
 TRACK_CSV_HEADER = ["time_s", "azimuth_deg", "elevation_deg", "vad", "degenerate"]
@@ -54,18 +58,31 @@ class ExperimentGrid:
     def __post_init__(self):
         if not (self.t60s and self.snrs and self.resolutions):
             raise ValueError("grid axes must be nonempty")
+        if self.trajectories_per_cell < 1 or min(self.t60s) < 0:
+            raise ValueError(f"need trajectories_per_cell >= 1 and T60s >= 0,"
+                             f" got {self.trajectories_per_cell} and {self.t60s}")
+
+
+def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, framing: FramingConfig,
+                 vad_mask: np.ndarray | None, models: dict) -> tuple[InputTensor, dict]:
+    """Input tensor of a (n_mics, n_samples) signal and each named model's
+    track, ``{name: (units (T, 3), degenerate (T,))}``.
+
+    ``vad_mask`` of None runs the energy VAD on the signal's own frames.
+    """
+    tensor = compute_input_tensor(channels, delay_table(array, grid), framing, vad_mask=vad_mask)
+    tracks = {name: forward_track(model, model_features(model, tensor, channels, array, framing))
+              for name, model in models.items()}
+    return tensor, tracks
 
 
 def evaluate_models_on_scene(signals, scene, grid, framing, models: dict):
     """Per-frame angular errors for the SRP argmax and each named model."""
-    delays = delay_table(scene.array, grid)
-    channels = signals.channels.astype(float)
-    tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
+    tensor, tracks = track_signal(signals.channels.astype(float), scene.array, grid, framing,
+                                  scene.vad_mask, models)
     gt = scene.gt_units()
     out = {"srp-argmax": angular_error(sphere_to_unit(*tensor.argmax_doa.T), gt)}
-    for name, model in models.items():
-        _, units, _ = forward_track(model, model_features(model, tensor, channels, scene.array, framing))
-        out[name] = angular_error(units.T, gt)
+    out.update((name, angular_error(units, gt)) for name, (units, _) in tracks.items())
     return out, tensor
 
 
@@ -86,42 +103,30 @@ def run_grid(
     framing = framing or FramingConfig()
     checkpoints = checkpoints or {}
     rows = []
-    cell_index = 0
-    for resolution in grid.resolutions:
+    cells = itertools.product(grid.resolutions, grid.t60s, grid.snrs)
+    for cell_index, (resolution, t60, snr) in enumerate(cells):
         sph = SphericalGrid(*resolution)
         models = checkpoints.get(tuple(resolution), {})
-        for t60 in grid.t60s:
-            for snr in grid.snrs:
-                cfg = replace(scene_cfg, t60_range=(t60, t60), snr_range=(snr, snr))
-                pooled: dict[str, list] = {}
-                vads: list = []
-                for k in range(grid.trajectories_per_cell):
-                    rng = sample_rng(grid.master_seed, cell_index * grid.trajectories_per_cell + k)
-                    signals, scene = synthesize_trajectory_sample(
-                        cfg, source_provider, rng, array=array, framing=framing
-                    )
-                    errors, _ = evaluate_models_on_scene(signals, scene, sph, framing, models)
-                    for name, err in errors.items():
-                        pooled.setdefault(name, []).append(err)
-                    # voiced gating: the energy detector, not the raw oracle
-                    # mask, so frames with no usable windowed content count
-                    # as silent
-                    vads.append(scene.vad_energy_mask)
-                vad = np.concatenate(vads)
-                for name, errs in sorted(pooled.items()):
-                    err = np.concatenate(errs)
-                    rows.append(
-                        {
-                            "model": name,
-                            "resolution": f"{resolution[0]}x{resolution[1]}",
-                            "t60_s": t60,
-                            "snr_db": snr,
-                            "rmsae_voiced_deg": rmsae(err, vad, include_silent=False),
-                            "rmsae_all_deg": rmsae(err, vad, include_silent=True),
-                            "n_traj": grid.trajectories_per_cell,
-                        }
-                    )
-                cell_index += 1
+        cfg = replace(scene_cfg, t60_range=(t60, t60), snr_range=(snr, snr))
+        pooled: dict[str, list] = {}
+        vads: list = []
+        for k in range(grid.trajectories_per_cell):
+            rng = sample_rng(grid.master_seed, cell_index * grid.trajectories_per_cell + k)
+            signals, scene = synthesize_trajectory_sample(cfg, source_provider, rng, array=array,
+                                                          framing=framing)
+            errors, _ = evaluate_models_on_scene(signals, scene, sph, framing, models)
+            for name, err in errors.items():
+                pooled.setdefault(name, []).append(err)
+            # voiced gating: the energy detector, not the raw oracle mask, so
+            # frames with no usable windowed content count as silent
+            vads.append(scene.vad_energy_mask)
+        vad = np.concatenate(vads)
+        for name, errs in sorted(pooled.items()):
+            err = np.concatenate(errs)
+            rows.append({"model": name, "resolution": f"{resolution[0]}x{resolution[1]}", "t60_s": t60,
+                         "snr_db": snr, "rmsae_voiced_deg": rmsae(err, vad, include_silent=False),
+                         "rmsae_all_deg": rmsae(err, vad, include_silent=True),
+                         "n_traj": grid.trajectories_per_cell})
     return rows
 
 
@@ -131,18 +136,8 @@ def emit_plot_data(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(PLOT_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["model"],
-                    r["resolution"],
-                    f"{r['t60_s']:.6f}",
-                    f"{r['snr_db']:.6f}",
-                    f"{r['rmsae_voiced_deg']:.6f}",
-                    f"{r['rmsae_all_deg']:.6f}",
-                    r["n_traj"],
-                ]
-            )
+        writer.writerows([r["model"], r["resolution"], *(f"{r[key]:.6f}" for key in PLOT_CSV_HEADER[2:6]),
+                          r["n_traj"]] for r in rows)
 
 
 def read_recording(wav_path, array: MicArray, framing: FramingConfig | None = None):
@@ -196,25 +191,23 @@ def track_file(
     if grid is None:
         grid = SphericalGrid(*DEFAULT_GRID)
 
-    channels = signals.channels.astype(float)
-    if vad_mode == "energy":
-        vad_mask = EnergyVad().mask(channels, framing)
-    elif vad_mode == "all":
-        vad_mask = np.ones(framing.n_frames(channels.shape[1]), dtype=bool)
-    else:
+    if vad_mode not in ("energy", "all"):
         raise ValueError(f"unknown vad mode {vad_mode!r}")
-
-    delays = delay_table(array, grid)
-    tensor = compute_input_tensor(channels, delays, framing, vad_mask=vad_mask)
+    channels = signals.channels.astype(float)
+    # None: the energy VAD runs on the frames the maps are computed from
+    vad_mask = None if vad_mode == "energy" else np.ones(framing.n_frames(channels.shape[1]), dtype=bool)
+    tensor, tracks = track_signal(channels, array, grid, framing, vad_mask,
+                                  {} if model is None else {model.kind: model})
     if model is None:
         theta, phi = tensor.argmax_doa.T
         degenerate = np.zeros(tensor.n_frames, dtype=bool)
     else:
-        _, units, degenerate = forward_track(model, model_features(model, tensor, channels, array, framing))
-        theta, phi = unit_to_sphere(units.T)
+        units, degenerate = tracks[model.kind]
+        theta, phi = unit_to_sphere(units)
 
     # one row per frame, keyed in CSV column order; tolist() gives Python scalars
-    columns = (framing.frame_times(tensor.n_frames), np.degrees(phi), np.degrees(theta), vad_mask, degenerate)
+    columns = (framing.frame_times(tensor.n_frames), np.degrees(phi), np.degrees(theta), tensor.vad,
+               degenerate)
     return [dict(zip(TRACK_CSV_HEADER, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -222,13 +215,5 @@ def write_track_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACK_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r['time_s']:.6f}",
-                    f"{r['azimuth_deg']:.6f}",
-                    f"{r['elevation_deg']:.6f}",
-                    int(r["vad"]),
-                    int(r["degenerate"]),
-                ]
-            )
+        writer.writerows([*(f"{r[key]:.6f}" for key in TRACK_CSV_HEADER[:3]), int(r["vad"]),
+                          int(r["degenerate"])] for r in rows)

@@ -157,6 +157,7 @@ class Cross3D:
         return self.stem.backward(self.stem_act.backward(ga + gb))
 
     def features_from(self, tensor: InputTensor) -> np.ndarray:
+        # kept for perfbench's warm-up; the package picks inputs in model_features
         return tensor.data
 
 
@@ -215,11 +216,6 @@ class Baseline1D:
             g = conv.backward(act.backward(g))
         return g
 
-    def features_from(self, tensor: InputTensor) -> np.ndarray:
-        if self.kind != "baseline-max":
-            raise ShapeError("GCC baseline features come from baseline_gcc_features()")
-        return baseline_max_features(tensor)
-
 
 def build_cross3d(n_theta: int, n_phi: int, seed: int = 0, dtype=np.float32) -> Cross3D:
     return Cross3D(n_theta, n_phi, seed=seed, dtype=dtype)
@@ -261,27 +257,28 @@ def baseline_gcc_features(
 
 def model_features(model, tensor: InputTensor, channels: np.ndarray, array: MicArray,
                    cfg: FramingConfig) -> np.ndarray:
-    """The features ``model`` tracks from: its view of ``tensor``, or for the
-    GCC baseline the stacked GCCs of ``channels``. Frames silent in
-    ``tensor.vad`` are zero either way."""
+    """The features ``model`` tracks from, the one place each kind picks its
+    input: the whole tensor for Cross3D, the map-maximum coordinates for the
+    max baseline, the stacked GCCs of ``channels`` for the GCC baseline.
+    Frames silent in ``tensor.vad`` are zero in every case."""
     if model.kind == "baseline-gcc":
         return baseline_gcc_features(channels, array, cfg, vad_mask=tensor.vad)
-    return model.features_from(tensor)
+    if model.kind == "baseline-max":
+        return baseline_max_features(tensor)
+    return tensor.data
 
 
 def forward_track(model, features: np.ndarray):
-    """Per-frame raw outputs plus unit-vector estimates.
+    """Per-frame unit-vector estimates: (units (T, 3), degenerate (T,) bool).
 
-    Returns (raw (3, T), units (3, T), degenerate (T,) bool). Raw vectors
-    shorter than 1e-8 give the +z default and a degenerate flag.
+    Raw outputs shorter than 1e-8 give the +z default and a degenerate flag.
     """
     raw = model.forward(features)
     norms = np.linalg.norm(raw, axis=0)
     degenerate = norms < 1e-8
-    safe = np.where(degenerate, 1.0, norms)
-    units = raw / safe
+    units = raw / np.where(degenerate, 1.0, norms)
     units[:, degenerate] = np.array([0.0, 0.0, 1.0])[:, None]
-    return raw, units, degenerate
+    return units.T, degenerate
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ computed from the pairwise generalized cross-correlations with phase-transform
 weighting. Fractional steering delays are approximated to the nearest sample;
 no interpolation is performed. Maps are plain arrays: one frame gives an
 ``(n_theta, n_phi)`` map, a signal a ``(T, n_theta, n_phi)`` stack.
+``compute_input_tensor`` frames a signal once, and the power maps and the
+energy VAD both read those Hann-windowed frames.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ class FramingConfig:
     fs: int = 16000
 
     def __post_init__(self):
-        if not 0 < self.hop <= self.K:
+        for name in ("K", "hop", "fs"):
+            value = getattr(self, name)
+            if not artifact.is_count(value) or value == 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.hop > self.K:
             raise ValueError(f"hop must be in (0, K], got hop={self.hop} K={self.K}")
 
     @property
@@ -75,14 +81,15 @@ class EnergyVad:
     ABS_FLOOR = 1e-6
     REL_THRESHOLD = 0.05
 
-    def mask_from_rms(self, rms: np.ndarray) -> np.ndarray:
+    def mask_from_frames(self, frames: np.ndarray) -> np.ndarray:
+        """Per-frame speech mask for Hann-windowed frames (n_ch, T, K)."""
+        rms = np.sqrt(np.mean(frames ** 2, axis=(0, 2)))
         running_max = np.maximum.accumulate(rms)
         return rms > np.maximum(self.ABS_FLOOR, self.REL_THRESHOLD * running_max)
 
     def mask(self, channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
         """Per-frame speech mask for a (n_ch, n_samples) signal."""
-        rms = np.sqrt(np.mean(frame_signal(channels, cfg) ** 2, axis=(0, 2)))
-        return self.mask_from_rms(rms)
+        return self.mask_from_frames(frame_signal(channels, cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +188,11 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     return InputTensor(data=data, vad=vad, argmax_doa=argmax)
 
 
-def compute_power_maps(channels: np.ndarray, delays: DelayTable, cfg: FramingConfig) -> np.ndarray:
-    """Raw SRP-PHAT maps (T, n_theta, n_phi) of every analysis frame of a
-    multichannel signal."""
-    lag_range = max(default_lag_range(delays.array, cfg.fs), delays.max_abs_lag(cfg.fs))
-    frames = frame_signal(channels, cfg)  # (n_ch, T, K)
-    return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, cfg.fs)
+def compute_power_maps(frames: np.ndarray, delays: DelayTable, fs: int) -> np.ndarray:
+    """Raw SRP-PHAT maps (T, n_theta, n_phi) of Hann-windowed frames
+    (n_ch, T, K) sampled at ``fs``."""
+    lag_range = max(default_lag_range(delays.array, fs), delays.max_abs_lag(fs))
+    return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, fs)
                      for i in range(frames.shape[1])])
 
 
@@ -199,11 +205,12 @@ def compute_input_tensor(
     """Full feature pipeline: frames -> GCC -> maps -> normalize -> tensor.
 
     ``vad_mask`` takes priority (e.g. the oracle mask of a simulated scene);
-    otherwise the energy detector runs on the signal itself.
+    otherwise the energy detector runs on the same frames as the maps.
     """
-    maps = normalize_map(compute_power_maps(channels, delays, cfg))
+    frames = frame_signal(channels, cfg)  # (n_ch, T, K)
+    maps = normalize_map(compute_power_maps(frames, delays, cfg.fs))
     if vad_mask is None:
-        vad_mask = EnergyVad().mask(channels, cfg)
+        vad_mask = EnergyVad().mask_from_frames(frames)
     return assemble_input(maps, vad_mask, delays.grid)
 
 

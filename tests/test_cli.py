@@ -187,10 +187,18 @@ class TestConfigFiles:
             ('{"framing": {"K": "big"}}', "bad value in section 'framing'"),
             ('{"scene": {"room_min": [1, 2]}}', "bad value in section 'scene': expected a 3-vector"),
             ('{"train": {"epochs": 0}}', "bad value in section 'train'"),
+            ('{"framing": {"K": 4096.5, "hop": 3072}}', "bad value in section 'framing': K must be"),
+            ('{"framing": {"hop": 3072.0}}', "bad value in section 'framing': hop must be"),
+            ('{"framing": {"hop": true}}', "bad value in section 'framing': hop must be"),
+            ('{"framing": {"K": true, "hop": 1}}', "bad value in section 'framing': K must be"),
+            ('{"framing": {"fs": 0}}', "bad value in section 'framing': fs must be"),
+            ('{"framing": {"fs": -16000}}', "bad value in section 'framing': fs must be"),
+            ('{"framing": {"fs": 16000.5}}', "bad value in section 'framing': fs must be"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
-             "train-epochs"],
+             "train-epochs", "framing-float-K", "framing-float-hop", "framing-bool-hop", "framing-bool-K",
+             "framing-zero-fs", "framing-negative-fs", "framing-float-fs"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -216,6 +224,26 @@ class TestConfigFiles:
         out = [] if command[0] == "paramcount" else ["--out", str(tmp_path / "out")]
         with pytest.raises(FormatError, match="'fs' in section 'scene'"):
             main([*command, "--config", str(path), *out])
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--count", "0"],
+            ["synth", "--count", "-1"],
+            ["synth", "--count", "2.5"],
+            ["eval", "--t60", "0.2", "--snr", "30", "--trajectories", "0"],
+            ["eval", "--t60", "0.2", "--snr", "30", "--trajectories", "-3"],
+        ],
+        ids=["count-zero", "count-negative", "count-float", "trajectories-zero", "trajectories-negative"],
+    )
+    def test_counts_must_be_positive(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out)])
+        assert exc.value.code == 2 and command[-2] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEval:

@@ -19,6 +19,19 @@ from srptrack.evaluate import (
     write_track_csv,
 )
 from srptrack.geometry import SphericalGrid, default_array, delay_table
+from srptrack.models import (
+    MODEL_KINDS,
+    baseline_gcc_features,
+    baseline_max_features,
+    build_baseline_gcc,
+    build_baseline_max,
+    build_cross3d,
+    forward_track,
+    load_checkpoint,
+    make_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+)
 from srptrack.roomsim import MicSignals, Room, render_moving_source
 from srptrack.scenegen import (
     SceneConfig,
@@ -27,7 +40,7 @@ from srptrack.scenegen import (
     synthesize_trajectory_sample,
     synthetic_source,
 )
-from srptrack.srpfeat import FramingConfig, compute_input_tensor
+from srptrack.srpfeat import EnergyVad, FramingConfig, compute_input_tensor
 
 from oracles import angular_errors_per_frame, doa_to_unit_from_pair, unit_to_doa
 
@@ -80,8 +93,6 @@ class TestRunGrid:
         assert row["rmsae_all_deg"] >= 0.0
 
     def test_includes_models(self):
-        from srptrack.models import build_cross3d
-
         grid = ExperimentGrid(
             t60s=(0.2,), snrs=(30.0,), resolutions=((4, 8),), trajectories_per_cell=1, master_seed=5
         )
@@ -93,11 +104,21 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentGrid(t60s=(), snrs=(30.0,), resolutions=((4, 8),))
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"trajectories_per_cell": 0}, "got 0 and"),
+            ({"trajectories_per_cell": -2}, "got -2 and"),
+            ({"t60s": (0.2, -0.1)}, r"got 50 and \(0\.2, -0\.1\)"),
+        ],
+    )
+    def test_bad_counts_and_t60s_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentGrid(**{"t60s": (0.2,), "snrs": (30.0,), "resolutions": ((4, 8),), **kwargs})
+
 
 class TestSceneErrors:
     def test_errors_match_per_frame_loop(self):
-        from srptrack.models import build_cross3d, forward_track
-
         framing = FramingConfig()
         signals, scene = synthesize_trajectory_sample(
             _toy_scene_cfg(), synthetic_source, sample_rng(6, 0), framing=framing
@@ -110,8 +131,8 @@ class TestSceneErrors:
         srp_units = np.array([doa_to_unit_from_pair(t, p) for t, p in tensor.argmax_doa])
         np.testing.assert_allclose(errors["srp-argmax"], angular_errors_per_frame(srp_units, gt),
                                    rtol=0, atol=1e-12)
-        _, units, _ = forward_track(model, tensor.data)
-        np.testing.assert_allclose(errors["cross3d"], angular_errors_per_frame(units.T, gt),
+        units, _ = forward_track(model, tensor.data)
+        np.testing.assert_allclose(errors["cross3d"], angular_errors_per_frame(units, gt),
                                    rtol=0, atol=1e-12)
 
 
@@ -182,6 +203,18 @@ def _write_static_scene_wav(tmp_path, grid_res=(64, 128), duration=3.0, t60=0.0,
     return path, array, grid, true_doa, ij
 
 
+def _save_untrained(tmp_path, kind, array, grid):
+    """A seeded, untrained checkpoint of ``kind`` for ``array`` and ``grid``."""
+    model = {
+        "cross3d": lambda: build_cross3d(grid.n_theta, grid.n_phi, seed=2),
+        "baseline-max": lambda: build_baseline_max(seed=3),
+        "baseline-gcc": lambda: build_baseline_gcc(array, FramingConfig().fs, seed=4),
+    }[kind]()
+    path = tmp_path / f"{kind}.sstc"
+    save_checkpoint(path, make_checkpoint(model))
+    return path
+
+
 class TestTrackFile:
     def test_static_anechoic_median_within_one_cell(self, tmp_path):
         path, array, grid, true_doa, ij = _write_static_scene_wav(tmp_path)
@@ -204,8 +237,6 @@ class TestTrackFile:
         # independent recomputation from the same WAV bytes
         signals = MicSignals.from_wav(path)
         framing = FramingConfig()
-        from srptrack.srpfeat import EnergyVad
-
         vad = EnergyVad().mask(signals.channels.astype(float), framing)
         tensor = compute_input_tensor(
             signals.channels.astype(float), delay_table(array, grid), framing, vad_mask=vad
@@ -239,16 +270,18 @@ class TestTrackFile:
         # zero maps argmax at the pole: +z default direction
         assert all(r["elevation_deg"] == 0.0 for r in rows)
 
-    def test_truncation_leaves_early_rows_unchanged(self, tmp_path):
+    @pytest.mark.parametrize("kind", [None, *MODEL_KINDS], ids=lambda kind: kind or "srp")
+    def test_truncation_leaves_early_rows_unchanged(self, tmp_path, kind):
         path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(8, 16), duration=4.0)
-        rows_full = track_file(path, array, grid=grid)
+        ckpt_path = None if kind is None else _save_untrained(tmp_path, kind, array, grid)
+        rows_full = track_file(path, array, checkpoint_path=ckpt_path, grid=grid)
         sig = MicSignals.from_wav(path)
         cut = sig.channels[:, : sig.n_samples // 2]
         path2 = tmp_path / "cut.wav"
         MicSignals(channels=cut, fs=sig.fs).to_wav(path2)
-        rows_cut = track_file(path2, array, grid=grid)
-        for full, part in zip(rows_full, rows_cut):
-            assert full == part
+        rows_cut = track_file(path2, array, checkpoint_path=ckpt_path, grid=grid)
+        assert 0 < len(rows_cut) < len(rows_full)
+        assert rows_full[: len(rows_cut)] == rows_cut
 
     def test_channel_mismatch_rejected(self, tmp_path):
         sig = MicSignals(channels=np.zeros((3, 32000), dtype=np.float32), fs=16000)
@@ -291,8 +324,6 @@ class TestTrackFile:
         assert rows[0]["time_s"] == pytest.approx(2048 / 48000)
 
     def test_with_untrained_checkpoint(self, tmp_path):
-        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
-
         path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8))
         ckpt_path = tmp_path / "m.sstc"
         save_checkpoint(ckpt_path, make_checkpoint(build_cross3d(4, 8, seed=1)))
@@ -301,8 +332,6 @@ class TestTrackFile:
         assert all(-180.0 <= r["azimuth_deg"] <= 180.0 for r in rows)
 
     def test_cross3d_checkpoint_on_another_grid_rejected(self, tmp_path):
-        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
-
         path, array, _, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8), duration=1.0)
         ckpt_path = tmp_path / "m.sstc"
         save_checkpoint(ckpt_path, make_checkpoint(build_cross3d(4, 8, seed=1)))
@@ -312,23 +341,28 @@ class TestTrackFile:
         same = track_file(path, array, checkpoint_path=ckpt_path, grid=SphericalGrid(4, 8))
         assert same == track_file(path, array, checkpoint_path=ckpt_path)
 
-    def test_model_rows_match_per_frame_oracle(self, tmp_path):
-        from srptrack.models import build_cross3d, forward_track, make_checkpoint, save_checkpoint
-        from srptrack.srpfeat import EnergyVad
-
+    @pytest.mark.parametrize("vad_mode", ["energy", "all"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_rows_match_per_frame_oracle(self, tmp_path, kind, vad_mode):
         path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8))
-        ckpt_path = tmp_path / "m.sstc"
-        model = build_cross3d(4, 8, seed=2)
-        save_checkpoint(ckpt_path, make_checkpoint(model))
-        rows = track_file(path, array, checkpoint_path=ckpt_path)
+        ckpt_path = _save_untrained(tmp_path, kind, array, grid)
+        rows = track_file(path, array, checkpoint_path=ckpt_path, grid=grid, vad_mode=vad_mode)
+        model = model_from_checkpoint(load_checkpoint(ckpt_path))
         channels = MicSignals.from_wav(path).channels.astype(float)
         framing = FramingConfig()
         vad = EnergyVad().mask(channels, framing)
+        if vad_mode == "all":
+            vad = np.ones_like(vad)
         tensor = compute_input_tensor(channels, delay_table(array, grid), framing, vad_mask=vad)
-        _, units, degenerate = forward_track(model, tensor.data)
-        assert len(rows) == units.shape[1]
+        features = {
+            "cross3d": tensor.data,
+            "baseline-max": baseline_max_features(tensor),
+            "baseline-gcc": baseline_gcc_features(channels, array, framing, vad_mask=vad),
+        }[kind]
+        units, degenerate = forward_track(model, features)
+        assert len(rows) == len(units)
         for i, row in enumerate(rows):
-            theta, phi = unit_to_doa(units[:, i])
+            theta, phi = unit_to_doa(units[i])
             assert abs(row["elevation_deg"] - math.degrees(theta)) <= 1e-9
             assert abs(row["azimuth_deg"] - math.degrees(phi)) <= 1e-9
             assert type(row["azimuth_deg"]) is float and type(row["time_s"]) is float

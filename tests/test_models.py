@@ -174,10 +174,10 @@ class TestForward:
                 out[:, 1] = [0.6, 0.0, 0.8]
                 return out
 
-        raw, units, degenerate = forward_track(Stub(), None)
+        units, degenerate = forward_track(Stub(), None)
         np.testing.assert_array_equal(degenerate, [True, False, True, True])
-        np.testing.assert_allclose(units[:, 1], [0.6, 0.0, 0.8])
-        np.testing.assert_array_equal(units[:, 0], [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(units[1], [0.6, 0.0, 0.8])
+        np.testing.assert_array_equal(units[0], [0.0, 0.0, 1.0])
 
     def test_float32_matches_old_conv_layers(self, monkeypatch):
         """One forward and one backward pass of float32 Cross3D against the

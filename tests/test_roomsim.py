@@ -286,7 +286,7 @@ class TestRenderMovingSource:
         # source jumps between two grid directions: the per-frame map argmax
         # must follow (skipping the single frame straddling the jump)
         from srptrack.geometry import SphericalGrid, default_array, delay_table
-        from srptrack.srpfeat import FramingConfig, compute_power_maps
+        from srptrack.srpfeat import FramingConfig, compute_power_maps, frame_signal
 
         framing = FramingConfig()
         array = default_array()
@@ -303,7 +303,7 @@ class TestRenderMovingSource:
             dry[: framing.hop * 8], points, origin + array.positions, room, FS, hop=framing.hop
         )
         table = delay_table(array, grid)
-        maps = compute_power_maps(out.channels.astype(float), table, framing)
+        maps = compute_power_maps(frame_signal(out.channels.astype(float), framing), table, framing.fs)
         observed = [grid_argmax(m, grid)[1] for m in maps]
         for i, idx in enumerate(observed):
             if i <= 2:

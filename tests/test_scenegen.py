@@ -16,7 +16,7 @@ from srptrack.scenegen import (
     synthetic_source,
     wav_corpus_provider,
 )
-from srptrack.srpfeat import EnergyVad, FramingConfig, compute_power_maps
+from srptrack.srpfeat import EnergyVad, FramingConfig, compute_power_maps, frame_signal
 
 from oracles import clean_dry_signal_per_frame, grid_argmax, gt_units_from_angles, unit_to_doa
 
@@ -244,7 +244,7 @@ class TestSynthesizeTrajectorySample:
         points = np.tile(src, (t, 1))
         signals = render_moving_source(dry, points, origin + array.positions, room, framing.fs, hop=framing.hop)
         table = delay_table(array, grid)
-        maps = compute_power_maps(signals.channels.astype(float), table, framing)
+        maps = compute_power_maps(frame_signal(signals.channels.astype(float), framing), table, framing.fs)
         for i in range(t):
             if mask[i]:
                 _, idx = grid_argmax(maps[i], grid)

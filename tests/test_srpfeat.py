@@ -55,6 +55,24 @@ class TestFraming:
         with pytest.raises(TooShort):
             FramingConfig().n_frames(4095)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"K": 4096.5}, "K must be a positive integer"),
+            ({"K": 4096.0}, "K must be a positive integer"),
+            ({"K": True, "hop": 1}, "K must be a positive integer"),
+            ({"hop": True}, "hop must be a positive integer"),
+            ({"hop": 0}, "hop must be a positive integer"),
+            ({"fs": 0}, "fs must be a positive integer"),
+            ({"fs": -16000}, "fs must be a positive integer"),
+            ({"fs": 16000.0}, "fs must be a positive integer"),
+            ({"hop": 4097}, r"hop must be in \(0, K\]"),
+        ],
+    )
+    def test_bad_values_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FramingConfig(**kwargs)
+
     def test_frames_are_windowed(self):
         cfg = FramingConfig(K=64, hop=32, fs=1000)
         sig = np.ones((1, 200))
@@ -277,8 +295,37 @@ class TestEnergyVad:
         # the first frame is below the 1e-6 floor; later thresholds are
         # 0.05 x the running max so far (1, 1, 1, 2, 2)
         rms = np.array([5e-7, 1.0, 0.04, 0.06, 2.0, 0.09])
-        mask = EnergyVad().mask_from_rms(rms)
+        mask = EnergyVad().mask_from_frames(rms[None, :, None])  # one-sample frames: RMS is |x|
         np.testing.assert_array_equal(mask, [False, True, False, True, True, False])
+
+    def test_input_tensor_vad_matches_the_detector(self):
+        from srptrack.geometry import default_array
+
+        cfg = FramingConfig(K=1024, hop=768)
+        channels = np.random.default_rng(16).normal(size=(12, 1024 + 11 * 768))
+        channels[:, 3 * 768 : 6 * 768] *= 1e-3  # quiet middle frames, so the mask has both values
+        vad = EnergyVad().mask(channels, cfg)
+        assert vad.any() and not vad.all()
+        tensor = compute_input_tensor(channels, delay_table(default_array(), SphericalGrid(4, 8)), cfg)
+        np.testing.assert_array_equal(tensor.vad, vad)
+
+    @pytest.mark.parametrize("vad_given", [False, True], ids=["energy-vad", "given-mask"])
+    def test_input_tensor_frames_once(self, monkeypatch, vad_given):
+        from srptrack import srpfeat
+        from srptrack.geometry import default_array
+
+        calls = []
+
+        def counted(channels, cfg):
+            calls.append(cfg)
+            return frame_signal(channels, cfg)
+
+        monkeypatch.setattr(srpfeat, "frame_signal", counted)
+        cfg = FramingConfig(K=1024, hop=768)
+        channels = np.random.default_rng(17).normal(size=(12, 1024 + 4 * 768))
+        vad = np.ones(5, dtype=bool) if vad_given else None
+        compute_input_tensor(channels, delay_table(default_array(), SphericalGrid(4, 8)), cfg, vad_mask=vad)
+        assert calls == [cfg]
 
 
 class TestAssembleInput:
@@ -387,6 +434,14 @@ class TestFeatureDump:
             pytest.param(lambda h, p: _srpm(dict(h, grid={"n_theta": 4, "n_phi": 8}), p),
                          id="grid-shape-differs"),
             pytest.param(lambda h, p: _srpm(dict(h, framing={"K": 0}), p), id="bad-framing"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], K=4096.5)), p),
+                         id="framing-float-K"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], hop=True)), p),
+                         id="framing-bool-hop"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], fs=0)), p),
+                         id="framing-zero-fs"),
+            pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], fs=-16000)), p),
+                         id="framing-negative-fs"),
             pytest.param(lambda h, p: _srpm([h], p), id="header-not-an-object"),
             pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], window="hann")), p),
                          id="framing-with-window"),
@@ -432,7 +487,7 @@ class TestComputePowerMaps:
         cfg = FramingConfig(K=1024, hop=768, fs=fs)
         dry = rng.normal(size=4096)
         channels = plane_wave_frames(dry, arr.positions, u, fs)
-        maps = compute_power_maps(channels, table, cfg)
+        maps = compute_power_maps(frame_signal(channels, cfg), table, cfg.fs)
         assert maps.shape == (cfg.n_frames(4096),) + grid.shape
         for pmap in maps:
             _, idx = grid_argmax(pmap, grid)
