@@ -50,11 +50,13 @@ def receptive_field_seconds(depth: int, framing: FramingConfig | None = None) ->
 
 
 class Cross3D:
-    """Two-branch causal 3D CNN over power-map sequences."""
+    """Two-branch causal 3D CNN over power-map sequences. Its weights are
+    drawn from ``rng``, or left uninitialised for a checkpoint load when
+    ``rng`` is None."""
 
     kind = "cross3d"
 
-    def __init__(self, n_theta: int, n_phi: int, seed: int = 0, dtype=np.float32):
+    def __init__(self, n_theta: int, n_phi: int, rng: np.random.Generator | None, dtype=np.float32):
         if n_theta < 2 or n_phi < 2:
             raise ShapeError("grid must be at least 2 x 2")
         depth = branch_depth(n_theta, n_phi)
@@ -66,8 +68,6 @@ class Cross3D:
         self.n_phi = n_phi
         self.depth = depth
         self.dtype = dtype
-        self.seed = seed
-        rng = np.random.default_rng(seed)
 
         self.stem = CausalConv3d(3, STEM_CHANNELS, (5, 5, 5), rng, dtype, "stem")
         self.stem_act = PReLU(STEM_CHANNELS, dtype, "stem_act")
@@ -163,16 +163,16 @@ class Cross3D:
 
 class Baseline1D:
     """Seven causal 1D convolutions; input is either the map-maximum
-    coordinates (2 channels) or the stacked GCC lags of every sensor pair."""
+    coordinates (2 channels) or the stacked GCC lags of every sensor pair.
+    Weights come from ``rng`` as for ``Cross3D``."""
 
-    def __init__(self, kind: str, in_channels: int, seed: int = 0, dtype=np.float32):
+    def __init__(self, kind: str, in_channels: int, rng: np.random.Generator | None,
+                 dtype=np.float32):
         if kind not in ("baseline-max", "baseline-gcc"):
             raise ShapeError(f"unknown baseline kind {kind!r}")
         self.kind = kind
         self.in_channels = in_channels
         self.dtype = dtype
-        self.seed = seed
-        rng = np.random.default_rng(seed)
         self.layers = []
         prev = in_channels
         for i, ch in enumerate(BASELINE_CHANNELS):
@@ -218,11 +218,11 @@ class Baseline1D:
 
 
 def build_cross3d(n_theta: int, n_phi: int, seed: int = 0, dtype=np.float32) -> Cross3D:
-    return Cross3D(n_theta, n_phi, seed=seed, dtype=dtype)
+    return Cross3D(n_theta, n_phi, np.random.default_rng(seed), dtype=dtype)
 
 
 def build_baseline_max(seed: int = 0, dtype=np.float32) -> Baseline1D:
-    return Baseline1D("baseline-max", 2, seed=seed, dtype=dtype)
+    return Baseline1D("baseline-max", 2, np.random.default_rng(seed), dtype=dtype)
 
 
 def _gcc_feature_width(array: MicArray, fs: int) -> int:
@@ -231,7 +231,8 @@ def _gcc_feature_width(array: MicArray, fs: int) -> int:
 
 
 def build_baseline_gcc(array: MicArray, fs: int, seed: int = 0, dtype=np.float32) -> Baseline1D:
-    return Baseline1D("baseline-gcc", _gcc_feature_width(array, fs), seed=seed, dtype=dtype)
+    return Baseline1D("baseline-gcc", _gcc_feature_width(array, fs), np.random.default_rng(seed),
+                      dtype=dtype)
 
 
 def baseline_max_features(tensor: InputTensor) -> np.ndarray:
@@ -402,25 +403,26 @@ def _spec_count(ckpt: Checkpoint, key: str) -> int:
 def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: int | None = None):
     """Rebuild the model a checkpoint describes and load its parameters; with
     ``array`` given, a GCC baseline must fit that array's features at ``fs``,
-    which is then required."""
+    which is then required. No random initialisation is drawn: the
+    checkpoint fills every weight."""
     if array is not None and fs is None:
         raise TypeError("model_from_checkpoint needs fs when an array is given")
     if ckpt.kind not in MODEL_KINDS:
         raise FormatError(f"unknown model kind {ckpt.kind!r}")
     if ckpt.kind == "cross3d":
         try:
-            model = build_cross3d(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"))
+            model = Cross3D(_spec_count(ckpt, "n_theta"), _spec_count(ckpt, "n_phi"), None)
         except ShapeError as exc:
             raise FormatError(f"cross3d checkpoint spec {ckpt.spec} describes no model: {exc}") from exc
     elif ckpt.kind == "baseline-max":
-        model = build_baseline_max()
+        model = Baseline1D("baseline-max", 2, None)
     else:
         in_channels = _spec_count(ckpt, "in_channels")
         width = in_channels if array is None else _gcc_feature_width(array, fs)
         if in_channels != width:
             raise FormatError(f"baseline-gcc checkpoint takes {in_channels} input channels,"
                               f" the {array.n_mics}-sensor array at {fs} Hz gives {width}")
-        model = Baseline1D("baseline-gcc", in_channels)
+        model = Baseline1D("baseline-gcc", in_channels, None)
     load_into(model, ckpt)
     return model
 
@@ -436,4 +438,4 @@ def load_into(model, ckpt: Checkpoint) -> None:
     for name, arr in ckpt.tensors.items():
         if tuple(arr.shape) != params[name].value.shape:
             raise FormatError(f"tensor {name} has shape {arr.shape}, expected {params[name].value.shape}")
-        params[name].value[...] = arr.astype(model.dtype)
+        params[name].value[...] = arr

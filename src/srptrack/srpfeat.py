@@ -7,10 +7,20 @@ no interpolation is performed. Maps are plain arrays: one frame gives an
 ``(n_theta, n_phi)`` map, a signal a ``(T, n_theta, n_phi)`` stack.
 ``compute_input_tensor`` frames a signal once, and the power maps and the
 energy VAD both read those Hann-windowed frames.
+
+The GCC-PHAT kernel whitens each channel's spectrum once and forms each
+pair's whitened product. The PHAT floor stays per pair: it is relative to
+the pair's largest cross magnitude, and it is re-applied exactly to the pairs
+whose per-channel magnitude bounds allow it to bite (silent, dead or
+narrowband channels). Only the 2L + 1 lags in use are computed, by one
+product of the cross-spectra, viewed as real, against a cached real DFT
+basis; no inverse FFT runs.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +119,86 @@ def default_lag_range(array: MicArray, fs: float) -> int:
     return int(np.ceil(array.aperture * fs / SPEED_OF_SOUND))
 
 
+@functools.lru_cache(maxsize=None)
+def _lag_basis(k: int, lag_range: int) -> np.ndarray:
+    """Read-only (2 * (k // 2 + 1), 2 * lag_range + 1) real DFT basis: a
+    half spectrum viewed as interleaved real and imaginary parts, times this
+    basis, gives lags -lag_range..+lag_range of its length-``k`` inverse
+    ``irfft``. As in ``irfft``, the imaginary parts of the DC and Nyquist
+    bins are ignored."""
+    bins = np.arange(k // 2 + 1)[:, None]
+    lags = np.arange(-lag_range, lag_range + 1)[None, :]
+    # reduce b * t modulo k first, so the angles stay accurate for large bins
+    angle = 2.0 * np.pi * ((bins * lags) % k) / k
+    weight = np.where((bins == 0) | (2 * bins == k), 1.0, 2.0) / k
+    basis = np.empty((bins.size, 2, lags.size))
+    basis[:, 0] = weight * np.cos(angle)
+    basis[:, 1] = -weight * np.sin(angle)
+    basis[0, 1] = 0.0
+    if k % 2 == 0:
+        basis[-1, 1] = 0.0
+    basis = basis.reshape(2 * bins.size, lags.size)
+    basis.setflags(write=False)
+    return basis
+
+
 def gcc_set(frames: np.ndarray, lag_range: int) -> GccSet:
     """GCC-PHAT for all sensor pairs of one multichannel frame (n_mics, K)."""
     frames = np.asarray(frames, dtype=float)
     n_mics, k = frames.shape
     spectra = np.fft.rfft(frames, axis=-1)
+    mag = np.abs(spectra)
+    white = spectra / np.where(mag > 0.0, mag, 1.0)
+    conj = np.conj(white)
     n, m = np.triu_indices(n_mics, k=1)
-    cross = spectra[n] * np.conj(spectra[m])
-    mag = np.abs(cross)
-    floor = np.maximum(mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, np.finfo(float).tiny)
-    r = np.fft.irfft(cross / np.maximum(mag, floor), n=k, axis=-1)
-    pair_lags = np.concatenate([r[:, -lag_range:], r[:, : lag_range + 1]], axis=-1)
+    cross = np.empty((n.size, spectra.shape[1]), dtype=complex)
+    start = 0
+    for i in range(n_mics - 1):
+        # whitened X_i * conj(X_m) for m > i: a broadcast, no gathered copies
+        stop = start + n_mics - 1 - i
+        np.multiply(white[i], conj[i + 1:], out=cross[start:stop])
+        start = stop
+    # The pair floor max(|X_n X_m|) * eps can only bite where |X_n X_m| drops
+    # below it, which the per-channel extremes bound; such pairs get the
+    # exact floor: the whitened product times min(1, |X_n X_m| / floor).
+    tiny = np.finfo(float).tiny
+    lo, hi = mag.min(axis=-1), mag.max(axis=-1)
+    bite = np.flatnonzero(lo[n] * lo[m] < np.maximum(hi[n] * hi[m] * _PHAT_EPS_REL, tiny))
+    if bite.size:
+        pair_mag = mag[n[bite]] * mag[m[bite]]
+        floor = np.maximum(pair_mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, tiny)
+        cross[bite] *= np.minimum(1.0, pair_mag / floor)
+    pair_lags = cross.view(float) @ _lag_basis(k, lag_range)
     # autoterm: PHAT of |X_n|^2 is flat, so R_nn(0) is 1 unless the frame is silent
-    auto_mag = np.abs(spectra) ** 2
-    auto_floor = np.maximum(auto_mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, np.finfo(float).tiny)
+    auto_mag = mag ** 2
+    auto_floor = np.maximum(auto_mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, tiny)
     auto_zero = np.mean(auto_mag / np.maximum(auto_mag, auto_floor), axis=-1)
     return GccSet(pair_lags=pair_lags, auto_zero=auto_zero, lag_range=lag_range)
+
+
+# per delay table, {(fs, lag_range): steering index}; an entry goes with its table
+_STEERING = weakref.WeakKeyDictionary()
+
+
+def _steering_index(delays: DelayTable, fs: float, lag_range: int) -> np.ndarray:
+    """Flat positions in a (n_pairs, 2 * lag_range + 1) ``pair_lags`` of each
+    pair's nearest-sample lag at every grid point, (n_pairs, n_theta, n_phi).
+    Built once per delay table, rate and lag range."""
+    per_table = _STEERING.setdefault(delays, {})
+    index = per_table.get((fs, lag_range))
+    if index is None:
+        n_mics = delays.delays.shape[0]
+        lags = np.rint(delays.delays[np.triu_indices(n_mics, k=1)] * fs).astype(int)
+        max_lag = int(np.max(np.abs(lags)))
+        if max_lag > lag_range:
+            raise LagRangeTooSmall(
+                f"delay table needs lags up to {max_lag}, GCC set stores +-{lag_range}"
+            )
+        # row p, column lag_range + lag
+        index = lags + (lag_range + (2 * lag_range + 1) * np.arange(len(lags)))[:, None, None]
+        index.setflags(write=False)
+        per_table[(fs, lag_range)] = index
+    return index
 
 
 def srp_map(gcc: GccSet, delays: DelayTable, fs: float) -> np.ndarray:
@@ -133,15 +207,7 @@ def srp_map(gcc: GccSet, delays: DelayTable, fs: float) -> np.ndarray:
 
     Evaluates the double sum over all sensor pairs, autoterms included.
     """
-    n_pairs, width = gcc.pair_lags.shape
-    lags = np.rint(delays.delays[np.triu_indices(len(gcc.auto_zero), k=1)] * fs).astype(int)
-    max_lag = int(np.max(np.abs(lags)))
-    if max_lag > gcc.lag_range:
-        raise LagRangeTooSmall(
-            f"delay table needs lags up to {max_lag}, GCC set stores +-{gcc.lag_range}"
-        )
-    # flat positions in pair_lags: row p, column lag_range + lag
-    steered = np.take(gcc.pair_lags, lags + (gcc.lag_range + width * np.arange(n_pairs))[:, None, None])
+    steered = np.take(gcc.pair_lags, _steering_index(delays, fs, gcc.lag_range))
     # R_mn(-l) == R_nm(l), so each unordered pair contributes twice its value
     return (2.0 * steered).sum(axis=0, initial=float(np.sum(gcc.auto_zero)))
 

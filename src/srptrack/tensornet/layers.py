@@ -66,9 +66,14 @@ class Layer:
         raise NotImplementedError
 
 
-def _he_std(fan_in: int) -> float:
-    # He init with the PReLU gain of the reference initialization
-    return math.sqrt(2.0 / ((1.0 + PRELU_INIT**2) * fan_in))
+def _he_weights(rng: np.random.Generator | None, shape: tuple, dtype) -> np.ndarray:
+    """He-normal (out_ch, in_ch, *kernel) weights, with the PReLU gain of the
+    reference initialization; left uninitialised when ``rng`` is None, for a
+    checkpoint load to fill."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
+    std = math.sqrt(2.0 / ((1.0 + PRELU_INIT**2) * math.prod(shape[1:])))
+    return rng.normal(0.0, std, shape).astype(dtype)
 
 
 def _stack(x, kernel, dilation, causal):
@@ -134,7 +139,7 @@ def _conv_backward(layer, grad_out, dilation):
 
 class CausalConv3d(Layer):
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int, int],
-                 rng: np.random.Generator, dtype=np.float32, name: str = "conv3d"):
+                 rng: np.random.Generator | None, dtype=np.float32, name: str = "conv3d"):
         kt, kh, kw = kernel
         if kh % 2 == 0 or kw % 2 == 0:
             raise ShapeError("spatial kernel sizes must be odd to preserve shape")
@@ -142,8 +147,7 @@ class CausalConv3d(Layer):
         self.out_ch = out_ch
         self.kernel = (kt, kh, kw)
         self.name = name
-        std = _he_std(in_ch * kt * kh * kw)
-        self.w = Parameter(rng.normal(0.0, std, (out_ch, in_ch, kt, kh, kw)).astype(dtype), f"{name}.w")
+        self.w = Parameter(_he_weights(rng, (out_ch, in_ch, kt, kh, kw), dtype), f"{name}.w")
         self.b = Parameter(np.zeros(out_ch, dtype=dtype), f"{name}.b")
 
     def params(self):
@@ -168,15 +172,14 @@ class CausalConv3d(Layer):
 
 
 class CausalConv1d(Layer):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator | None,
                  dilation: int = 1, dtype=np.float32, name: str = "conv1d"):
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kernel = kernel
         self.dilation = dilation
         self.name = name
-        std = _he_std(in_ch * kernel)
-        self.w = Parameter(rng.normal(0.0, std, (out_ch, in_ch, kernel)).astype(dtype), f"{name}.w")
+        self.w = Parameter(_he_weights(rng, (out_ch, in_ch, kernel), dtype), f"{name}.w")
         self.b = Parameter(np.zeros(out_ch, dtype=dtype), f"{name}.b")
 
     def params(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from srptrack.errors import FormatError, ShapeError
 from srptrack.geometry import MicArray, SphericalGrid, default_array
 from srptrack.models import (
+    MODEL_KINDS,
     Checkpoint,
     TrainConfig,
     baseline_gcc_features,
@@ -466,6 +467,48 @@ class TestCheckpoints:
             model_from_checkpoint(ckpt, array=array, fs=48000)
         with pytest.raises(TypeError, match="needs fs"):
             model_from_checkpoint(ckpt, array=array)
+
+    @staticmethod
+    def _saved(tmp_path, kind):
+        model = {
+            "cross3d": lambda: build_cross3d(4, 8, seed=21),
+            "baseline-max": lambda: build_baseline_max(seed=22),
+            "baseline-gcc": lambda: build_baseline_gcc(default_array(), 16000, seed=23),
+        }[kind]()
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, make_checkpoint(model))
+        return load_checkpoint(path)
+
+    @staticmethod
+    def _forbid_random_draws(monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random initialisation")
+
+        monkeypatch.setattr("srptrack.models.np.random.default_rng", draw)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch, kind):
+        ckpt = self._saved(tmp_path, kind)
+        self._forbid_random_draws(monkeypatch)
+        model = model_from_checkpoint(ckpt)
+        loaded = {p.name: p.value for p in model.parameters()}
+        assert list(loaded) == list(ckpt.tensors)
+        for name, arr in ckpt.tensors.items():
+            assert loaded[name].dtype == arr.dtype
+            np.testing.assert_array_equal(loaded[name], arr, strict=True)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    def test_incomplete_tensors_rejected(self, tmp_path, monkeypatch, kind, damage):
+        ckpt = self._saved(tmp_path, kind)
+        self._forbid_random_draws(monkeypatch)
+        name = list(ckpt.tensors)[-1]
+        if damage == "missing":
+            del ckpt.tensors[name]
+        else:
+            ckpt.tensors[name] = np.append(ckpt.tensors[name], np.float32(0.0))
+        with pytest.raises(FormatError):
+            model_from_checkpoint(ckpt)
 
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline_gcc(default_array(), 16000, seed=11)

@@ -26,6 +26,7 @@ from srptrack.srpfeat import (
     save_features,
     srp_map,
 )
+from srptrack.srpfeat import _lag_basis
 
 from oracles import (
     gcc_phat,
@@ -36,6 +37,7 @@ from oracles import (
     plane_wave_frames,
     srp_direct_pairwise,
     srp_direct_two_mic,
+    srp_map_per_pair,
 )
 
 
@@ -164,11 +166,61 @@ class TestGccPhat:
         assert np.argmax(gset.pair_lags[p]) - 6 == lag
 
     def test_gcc_set_matches_per_pair_path_bitwise(self):
+        # the lags come from a DFT basis, not an irfft, so they agree to
+        # rounding; the autoterms are computed as in the oracle
         frames = np.random.default_rng(9).normal(size=(12, 4096))
         pair_lags, auto_zero, _ = gcc_set_per_pair(frames, 6)
         gset = gcc_set(frames, 6)
-        np.testing.assert_array_equal(gset.pair_lags, pair_lags)
+        np.testing.assert_allclose(gset.pair_lags, pair_lags, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(gset.auto_zero, auto_zero)
+
+
+def _edge_frame(case: str) -> np.ndarray:
+    """One Hann-windowed 12-channel, 4096-sample frame of a case where the
+    per-pair PHAT floor matters, or may."""
+    k, fs = 4096, 16000
+    rng = np.random.default_rng(51)
+    noise = rng.normal(size=(12, k))
+    tone = np.sin(2 * np.pi * 500 * np.arange(k) / fs + rng.uniform(0, 2 * np.pi, (12, 1)))
+    frame = {
+        "silent": np.zeros((12, k)),
+        "dead-channel": noise * (np.arange(12) != 4)[:, None],
+        "quiet-channel": noise * np.where(np.arange(12) == 7, 1e-9, 1.0)[:, None],
+        "dc-only": np.ones((12, k)),
+        "tone-500hz": tone,
+        "tone-plus-noise": tone + 1e-7 * noise,
+    }[case]
+    return frame * np.hanning(k)
+
+
+class TestGccOracleEdgeCases:
+    """gcc_set against the per-pair irfft oracle where the per-pair floor
+    decides the result: a per-channel floor alone misses the DC and tone
+    frames by about 1."""
+
+    @staticmethod
+    def _assert_matches_oracle(frames, lag_range):
+        pair_lags, auto_zero, _ = gcc_set_per_pair(frames, lag_range)
+        gset = gcc_set(frames, lag_range)
+        np.testing.assert_allclose(gset.pair_lags, pair_lags, atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(gset.auto_zero, auto_zero)
+
+    @pytest.mark.parametrize("case", ["silent", "dead-channel", "quiet-channel", "dc-only",
+                                      "tone-500hz", "tone-plus-noise"])
+    def test_matches_per_pair_oracle(self, case):
+        self._assert_matches_oracle(_edge_frame(case), 6)
+
+    @pytest.mark.parametrize("n_mics", [2, 3, 4])
+    def test_toy_arrays_match_per_pair_oracle(self, n_mics):
+        frames = np.random.default_rng(60 + n_mics).normal(size=(n_mics, 1024)) * np.hanning(1024)
+        self._assert_matches_oracle(frames, 32)
+
+    def test_lag_basis_is_cached_and_read_only(self):
+        basis = _lag_basis(4096, 6)
+        assert basis.shape == (2 * 2049, 13)
+        assert _lag_basis(4096, 6) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
 
 
 def _toy_array(n_mics: int) -> MicArray:
@@ -246,6 +298,25 @@ class TestSrpMap:
         frames = np.random.default_rng(9).normal(size=(2, 512))
         with pytest.raises(LagRangeTooSmall):
             srp_map(gcc_set(frames, 4), table, 16000)
+
+    def test_steering_follows_rate_and_lag_range_of_one_table(self):
+        arr = _toy_array(3)
+        table = delay_table(arr, SphericalGrid(6, 8))
+        frames = np.random.default_rng(34).normal(size=(3, 1024))
+        for fs, lag_range in [(16000, 16), (16000, 32), (48000, 32), (16000, 16)]:
+            gset = gcc_set(frames, lag_range)
+            pairs = list(itertools.combinations(range(3), 2))
+            expected = srp_map_per_pair(gset.pair_lags, gset.auto_zero, pairs, lag_range, table.delays, fs)
+            np.testing.assert_array_equal(srp_map(gset, table, fs), expected)
+
+    def test_lag_range_too_small_raises_on_every_call(self):
+        arr = MicArray(positions=np.array([[0.5, 0, 0], [-0.5, 0, 0]]), name="wide")
+        table = delay_table(arr, SphericalGrid(4, 8))
+        frames = np.random.default_rng(9).normal(size=(2, 512))
+        for _ in range(2):
+            with pytest.raises(LagRangeTooSmall):
+                srp_map(gcc_set(frames, 4), table, 16000)
+        srp_map(gcc_set(frames, table.max_abs_lag(16000)), table, 16000)
 
     def test_default_lag_range_nao(self):
         from srptrack.geometry import default_array
@@ -495,12 +566,13 @@ class TestComputePowerMaps:
 
 
 class TestMatchesPerFramePath:
-    """compute_input_tensor against the per-pair, per-frame path it replaced."""
+    """compute_input_tensor against the per-pair, per-frame irfft path it
+    replaced: maps to 1e-12, VAD and argmax DOAs bit for bit."""
 
     def _assert_same(self, channels, table, cfg, vad_mask=None):
         tensor = compute_input_tensor(channels, table, cfg, vad_mask=vad_mask)
         data, vad, argmax = input_tensor_per_frame(channels, table, cfg, vad_mask=vad_mask)
-        np.testing.assert_array_equal(tensor.data, data)
+        np.testing.assert_allclose(tensor.data, data, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(tensor.vad, vad)
         np.testing.assert_array_equal(tensor.argmax_doa, argmax)
 
@@ -513,6 +585,16 @@ class TestMatchesPerFramePath:
         channels = rng.normal(size=(12, cfg.K + 9 * cfg.hop))
         channels[:, : 2 * cfg.hop] *= 1e-4  # quiet opening frames, for the energy VAD
         self._assert_same(channels, delay_table(default_array(), SphericalGrid(*resolution)), cfg)
+
+    def test_repeat_call_is_bit_identical(self):
+        from srptrack.geometry import default_array
+
+        cfg = FramingConfig()
+        channels = np.random.default_rng(70).normal(size=(12, cfg.K + 4 * cfg.hop))
+        table = delay_table(default_array(), SphericalGrid(16, 32))
+        first, second = (compute_input_tensor(channels, table, cfg) for _ in range(2))
+        for name in ("data", "vad", "argmax_doa"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
     @pytest.mark.parametrize("n_mics", [2, 3, 4])
     def test_toy_arrays_bitwise(self, n_mics):
