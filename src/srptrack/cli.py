@@ -139,7 +139,7 @@ def cmd_features(args) -> int:
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
     signals, framing = read_recording(args.wav, array, cfg.file_framing)
-    tensor = compute_input_tensor(signals.channels.astype(float), delay_table(array, grid), framing)
+    tensor = compute_input_tensor(signals.channels, delay_table(array, grid), framing)
     save_features(args.out, tensor, grid, framing)
     print(f"wrote {tensor.data.shape} features to {args.out}")
     return 0

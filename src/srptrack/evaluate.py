@@ -78,7 +78,7 @@ def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, fra
 
 def evaluate_models_on_scene(signals, scene, grid, framing, models: dict):
     """Per-frame angular errors for the SRP argmax and each named model."""
-    tensor, tracks = track_signal(signals.channels.astype(float), scene.array, grid, framing,
+    tensor, tracks = track_signal(signals.channels, scene.array, grid, framing,
                                   scene.vad_mask, models)
     gt = scene.gt_units()
     out = {"srp-argmax": angular_error(sphere_to_unit(*tensor.argmax_doa.T), gt)}
@@ -193,10 +193,9 @@ def track_file(
 
     if vad_mode not in ("energy", "all"):
         raise ValueError(f"unknown vad mode {vad_mode!r}")
-    channels = signals.channels.astype(float)
     # None: the energy VAD runs on the frames the maps are computed from
-    vad_mask = None if vad_mode == "energy" else np.ones(framing.n_frames(channels.shape[1]), dtype=bool)
-    tensor, tracks = track_signal(channels, array, grid, framing, vad_mask,
+    vad_mask = None if vad_mode == "energy" else np.ones(framing.n_frames(signals.n_samples), dtype=bool)
+    tensor, tracks = track_signal(signals.channels, array, grid, framing, vad_mask,
                                   {} if model is None else {model.kind: model})
     if model is None:
         theta, phi = tensor.argmax_doa.T

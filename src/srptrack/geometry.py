@@ -178,10 +178,6 @@ class DelayTable:
     array: MicArray
     grid: SphericalGrid
 
-    def max_abs_lag(self, fs: float) -> int:
-        """Largest delay magnitude in (rounded) samples at rate ``fs``."""
-        return int(np.max(np.abs(np.rint(self.delays * fs))))
-
 
 def delay_table(array: MicArray, grid: SphericalGrid) -> DelayTable:
     """Far-field delay table over the grid: ``tau_n = -(r_n . u) / c``."""

@@ -8,10 +8,15 @@ vector pointing at the source.
 
 The baselines share the head idea: seven causal 1D convolutions over either
 the per-frame map-maximum coordinates or the stacked pairwise GCC values.
+
+Every model declares its layers once, as ``tensornet.Sequential`` chains
+(Cross3D: ``stem``, one per branch, ``head``); the chains give the parameters
+in checkpoint order, the feature widths, and the forward and backward passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +26,8 @@ from .errors import FormatError, ShapeError
 from .geometry import MicArray, SphericalGrid, delay_table
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
 from .srpfeat import FramingConfig, InputTensor, compute_input_tensor, default_lag_range, frame_signal, gcc_set
-from .tensornet import Adam, CausalConv1d, CausalConv3d, MaxPoolAxis, PReLU, Tanh, euclidean_distance_loss
+from .tensornet import (Adam, CausalConv1d, CausalConv3d, MaxPoolAxis, PReLU, Sequential, Tanh,
+                        euclidean_distance_loss)
 
 _CKPT_MAGIC = b"SSTC"
 _CKPT_VERSION = 1
@@ -50,71 +56,46 @@ def receptive_field_seconds(depth: int, framing: FramingConfig | None = None) ->
 
 
 class Cross3D:
-    """Two-branch causal 3D CNN over power-map sequences. Its weights are
-    drawn from ``rng``, or left uninitialised for a checkpoint load when
-    ``rng`` is None."""
+    """Two-branch causal 3D CNN over power-map sequences: ``stem``, one
+    sequence per branch, ``head``. Its weights are drawn from ``rng``, or left
+    uninitialised for a checkpoint load when ``rng`` is None."""
 
     kind = "cross3d"
 
     def __init__(self, n_theta: int, n_phi: int, rng: np.random.Generator | None, dtype=np.float32):
         if n_theta < 2 or n_phi < 2:
             raise ShapeError("grid must be at least 2 x 2")
-        depth = branch_depth(n_theta, n_phi)
-        if n_theta % (1 << depth) or n_phi % (1 << depth):
-            raise ShapeError(
-                f"{n_theta}x{n_phi} maps are not divisible by 2^{depth} on both axes"
-            )
         self.n_theta = n_theta
         self.n_phi = n_phi
-        self.depth = depth
+        self.depth = branch_depth(n_theta, n_phi)
         self.dtype = dtype
 
-        self.stem = CausalConv3d(3, STEM_CHANNELS, (5, 5, 5), rng, dtype, "stem")
-        self.stem_act = PReLU(STEM_CHANNELS, dtype, "stem_act")
+        self.stem = Sequential(CausalConv3d(3, STEM_CHANNELS, (5, 5, 5), rng, dtype, "stem"),
+                               PReLU(STEM_CHANNELS, dtype, "stem_act"))
+        self.branches = []
         # branch a pools azimuth, branch b pools elevation
-        self.branches = (self._branch(rng, axis=3, tag="a"), self._branch(rng, axis=2, tag="b"))
-        pooled = (n_theta * n_phi) >> depth
-        self.feature_width = 2 * STEM_CHANNELS * pooled
-        self._split = STEM_CHANNELS * pooled
-        self.mix = CausalConv1d(self.feature_width, HEAD_CHANNELS, 5, rng, dilation=2,
-                                dtype=dtype, name="mix")
-        self.mix_act = PReLU(None, dtype, "mix_act")
-        self.head = CausalConv1d(HEAD_CHANNELS, 3, 5, rng, dilation=2, dtype=dtype, name="head")
-        self.head_act = Tanh()
-        self._validate_shapes()
-
-    def _branch(self, rng, axis: int, tag: str):
-        layers = []
-        for i in range(self.depth):
-            layers.append(
-                (
-                    CausalConv3d(STEM_CHANNELS, STEM_CHANNELS, (5, 3, 3), rng, self.dtype,
-                                 f"branch_{tag}{i}"),
-                    PReLU(STEM_CHANNELS, self.dtype, f"branch_{tag}{i}_act"),
-                    MaxPoolAxis(axis=axis, size=2, name=f"branch_{tag}{i}_pool"),
-                )
-            )
-        return layers
-
-    def _validate_shapes(self) -> None:
-        shape = self.stem.out_shape((3, 8, self.n_theta, self.n_phi))
-        width = 0
-        for branch in self.branches:
-            s = shape
-            for conv, act, pool in branch:
-                s = pool.out_shape(act.out_shape(conv.out_shape(s)))
-            width += s[0] * s[2] * s[3]
-        if width != self.feature_width:
-            raise ShapeError(f"feature width {width} != expected {self.feature_width}")
-        self.head.out_shape(self.mix.out_shape((self.feature_width, 8)))
+        for axis, tag in ((3, "a"), (2, "b")):
+            layers = []
+            for i in range(self.depth):
+                name = f"branch_{tag}{i}"
+                layers += [CausalConv3d(STEM_CHANNELS, STEM_CHANNELS, (5, 3, 3), rng, dtype, name),
+                           PReLU(STEM_CHANNELS, dtype, f"{name}_act"),
+                           MaxPoolAxis(axis=axis, size=2, name=f"{name}_pool")]
+            self.branches.append(Sequential(*layers))
+        # features per frame: each branch's channels x pooled grid, side by side;
+        # a grid the branches cannot pool raises ShapeError here
+        one_frame = self.stem.out_shape((3, 1, n_theta, n_phi))
+        widths = [math.prod(branch.out_shape(one_frame)) for branch in self.branches]
+        self._split = widths[0]
+        self.head = Sequential(
+            CausalConv1d(sum(widths), HEAD_CHANNELS, 5, rng, dilation=2, dtype=dtype, name="mix"),
+            PReLU(None, dtype, "mix_act"),
+            CausalConv1d(HEAD_CHANNELS, 3, 5, rng, dilation=2, dtype=dtype, name="head"),
+            Tanh(),
+        )
 
     def parameters(self):
-        out = self.stem.params() + self.stem_act.params()
-        for branch in self.branches:
-            for conv, act, _ in branch:
-                out += conv.params() + act.params()
-        out += self.mix.params() + self.mix_act.params() + self.head.params()
-        return out
+        return [p for seq in (self.stem, *self.branches, self.head) for p in seq.params()]
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -123,38 +104,20 @@ class Cross3D:
     def spec(self) -> dict:
         return {"n_theta": self.n_theta, "n_phi": self.n_phi}
 
-    @staticmethod
-    def _flatten(x):
-        c, t, h, w = x.shape
-        return x.transpose(0, 2, 3, 1).reshape(c * h * w, t)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != 3 or x.shape[2:] != (self.n_theta, self.n_phi):
             raise ShapeError(f"expected (3, T, {self.n_theta}, {self.n_phi}), got {x.shape}")
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        h = self.stem_act.forward(self.stem.forward(x))
-        self._shapes = []
-        feats = []
-        for branch in self.branches:
-            y = h
-            for conv, act, pool in branch:
-                y = pool.forward(act.forward(conv.forward(y)))
-            self._shapes.append(y.shape)
-            feats.append(self._flatten(y))
-        m = self.mix_act.forward(self.mix.forward(np.concatenate(feats, axis=0)))
-        return self.head_act.forward(self.head.forward(m))
+        h = self.stem.forward(np.ascontiguousarray(x, dtype=self.dtype))
+        ys = [branch.forward(h) for branch in self.branches]
+        self._shapes = [y.shape for y in ys]
+        feats = [y.transpose(0, 2, 3, 1).reshape(-1, y.shape[1]) for y in ys]  # (C * H * W, T)
+        return self.head.forward(np.concatenate(feats))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.head.backward(self.head_act.backward(grad_out))
-        g = self.mix.backward(self.mix_act.backward(g))
-        grads = []
-        for branch, gf, (c, t, h, w) in zip(self.branches, np.split(g, [self._split]), self._shapes):
-            gy = gf.reshape(c, h, w, t).transpose(0, 3, 1, 2)
-            for conv, act, pool in reversed(branch):
-                gy = conv.backward(act.backward(pool.backward(gy)))
-            grads.append(gy)
-        ga, gb = grads
-        return self.stem.backward(self.stem_act.backward(ga + gb))
+        grads = np.split(self.head.backward(grad_out), [self._split])
+        ga, gb = (branch.backward(g.reshape(c, h, w, t).transpose(0, 3, 1, 2))
+                  for branch, g, (c, t, h, w) in zip(self.branches, grads, self._shapes))
+        return self.stem.backward(ga + gb)
 
     def features_from(self, tensor: InputTensor) -> np.ndarray:
         # kept for perfbench's warm-up; the package picks inputs in model_features
@@ -164,7 +127,8 @@ class Cross3D:
 class Baseline1D:
     """Seven causal 1D convolutions; input is either the map-maximum
     coordinates (2 channels) or the stacked GCC lags of every sensor pair.
-    Weights come from ``rng`` as for ``Cross3D``."""
+    Weights come from ``rng`` as for ``Cross3D``. The (conv, activation)
+    pairs are ``layers`` and run as one sequence."""
 
     def __init__(self, kind: str, in_channels: int, rng: np.random.Generator | None,
                  dtype=np.float32):
@@ -180,20 +144,14 @@ class Baseline1D:
             conv = CausalConv1d(prev, ch, 5, rng, dilation=dilation, dtype=dtype, name=f"l{i}")
             if i == len(BASELINE_CHANNELS) - 1:
                 act = Tanh()
-            elif ch == HEAD_CHANNELS:
-                act = PReLU(None, dtype, f"l{i}_act")
-            else:
-                act = PReLU(ch, dtype, f"l{i}_act")
+            else:  # the head-width layer shares one slope, as Cross3D's mix_act does
+                act = PReLU(None if ch == HEAD_CHANNELS else ch, dtype, f"l{i}_act")
             self.layers.append((conv, act))
             prev = ch
+        self.net = Sequential(*(layer for pair in self.layers for layer in pair))
 
     def parameters(self):
-        out = []
-        for conv, act in self.layers:
-            out += conv.params()
-            if isinstance(act, PReLU):
-                out += act.params()
-        return out
+        return self.net.params()
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -205,16 +163,10 @@ class Baseline1D:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[0] != self.in_channels:
             raise ShapeError(f"expected ({self.in_channels}, T), got {x.shape}")
-        h = np.ascontiguousarray(x, dtype=self.dtype)
-        for conv, act in self.layers:
-            h = act.forward(conv.forward(h))
-        return h
+        return self.net.forward(np.ascontiguousarray(x, dtype=self.dtype))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = grad_out
-        for conv, act in reversed(self.layers):
-            g = conv.backward(act.backward(g))
-        return g
+        return self.net.backward(grad_out)
 
 
 def build_cross3d(n_theta: int, n_phi: int, seed: int = 0, dtype=np.float32) -> Cross3D:
@@ -314,9 +266,8 @@ def _sample_training_pair(model, scene_cfg: SceneConfig, framing: FramingConfig,
     signals, scene = synthesize_trajectory_sample(
         scene_cfg, source_provider, rng, array=array, framing=framing
     )
-    channels = signals.channels.astype(float)
-    tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
-    feats = model_features(model, tensor, channels, array, framing)
+    tensor = compute_input_tensor(signals.channels, delays, framing, vad_mask=scene.vad_mask)
+    feats = model_features(model, tensor, signals.channels, array, framing)
     target = scene.gt_units().T  # (3, T), silent frames keep the true DOA
     return feats, target
 
@@ -435,7 +386,9 @@ def load_into(model, ckpt: Checkpoint) -> None:
     params = {p.name: p for p in model.parameters()}
     if set(params) != set(ckpt.tensors):
         raise FormatError("checkpoint tensor directory does not match the model")
+    # every shape is checked before the first copy, so a bad checkpoint leaves the model as it was
     for name, arr in ckpt.tensors.items():
         if tuple(arr.shape) != params[name].value.shape:
             raise FormatError(f"tensor {name} has shape {arr.shape}, expected {params[name].value.shape}")
+    for name, arr in ckpt.tensors.items():
         params[name].value[...] = arr

@@ -288,12 +288,8 @@ def render_moving_source(
         raise ValueError(f"dry signal too short for {n_points} segments of hop {hop}")
 
     # identical consecutive points share one RIR set (a static source has one)
-    runs = []
-    for i in range(n_points):
-        if runs and np.array_equal(traj_points[i], traj_points[runs[-1][0]]):
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
+    starts = np.flatnonzero(np.r_[True, np.any(traj_points[1:] != traj_points[:-1], axis=1)]).tolist()
+    runs = list(zip(starts, starts[1:] + [n_points]))
 
     def rirs(i):
         return _rirs_for_point(room, traj_points[runs[i][0]], mic_positions, fs, t_max)

@@ -257,7 +257,7 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
 def compute_power_maps(frames: np.ndarray, delays: DelayTable, fs: int) -> np.ndarray:
     """Raw SRP-PHAT maps (T, n_theta, n_phi) of Hann-windowed frames
     (n_ch, T, K) sampled at ``fs``."""
-    lag_range = max(default_lag_range(delays.array, fs), delays.max_abs_lag(fs))
+    lag_range = default_lag_range(delays.array, fs)
     return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, fs)
                      for i in range(frames.shape[1])])
 

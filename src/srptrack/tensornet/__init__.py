@@ -1,9 +1,11 @@
 """Minimal dense-tensor NN core: exactly the layers the trackers need.
 
 Tensors are plain numpy arrays (row-major, float32 in production paths,
-float64 for gradient checking). Every layer implements ``forward``,
-``backward`` (exact reverse-mode) and ``out_shape`` (total shape algebra that
-raises ShapeError before any numeric work).
+float64 for gradient checking). Every layer implements ``params``,
+``forward``, ``backward`` (exact reverse-mode) and ``out_shape`` (total shape
+algebra that raises ShapeError before any numeric work). ``Sequential`` is a
+layer made of layers: it chains their shapes and forward passes in order and
+their backward passes in reverse, so a model declares each layer once.
 """
 
 from .layers import (
@@ -13,6 +15,7 @@ from .layers import (
     MaxPoolAxis,
     Parameter,
     PReLU,
+    Sequential,
     Tanh,
     euclidean_distance_loss,
 )
@@ -26,6 +29,7 @@ __all__ = [
     "MaxPoolAxis",
     "PReLU",
     "Parameter",
+    "Sequential",
     "Tanh",
     "euclidean_distance_loss",
 ]

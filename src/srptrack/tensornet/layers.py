@@ -277,6 +277,31 @@ class MaxPoolAxis(Layer):
         return np.moveaxis(grouped.reshape(self._moved_shape), -1, self.axis)
 
 
+class Sequential(Layer):
+    """Layers run in order; backward runs them in reverse order."""
+
+    def __init__(self, *layers: Layer):
+        self.layers = layers
+
+    def params(self):
+        return [p for layer in self.layers for p in layer.params()]
+
+    def out_shape(self, in_shape):
+        for layer in self.layers:
+            in_shape = layer.out_shape(in_shape)
+        return in_shape
+
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x
+
+    def backward(self, grad_out):
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
+
+
 class Tanh(Layer):
     def out_shape(self, in_shape):
         return in_shape

@@ -1,5 +1,6 @@
 """Tests for srptrack.models: architecture exactness, causality, training."""
 
+import hashlib
 import json
 import struct
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srptrack.errors import FormatError, ShapeError
-from srptrack.geometry import MicArray, SphericalGrid, default_array
+from srptrack.geometry import MicArray, SphericalGrid, default_array, delay_table
 from srptrack.models import (
     MODEL_KINDS,
     Checkpoint,
@@ -32,8 +33,8 @@ from srptrack.models import (
     training_phase,
 )
 from srptrack.scenegen import SceneConfig
-from srptrack.srpfeat import FramingConfig, assemble_input, default_lag_range
-from srptrack.tensornet import Adam, CausalConv1d, CausalConv3d, euclidean_distance_loss
+from srptrack.srpfeat import FramingConfig, assemble_input, compute_input_tensor, default_lag_range
+from srptrack.tensornet import Adam, CausalConv1d, CausalConv3d, MaxPoolAxis, PReLU, euclidean_distance_loss
 
 from oracles import conv1d_loop_backward, conv1d_loop_forward, conv3d_im2col_backward, conv3d_im2col_forward
 
@@ -77,6 +78,46 @@ TABLE_COUNTS = {
     (16, 32): 1_693_988,
     (32, 64): 5_626_148,
     (64, 128): 21_354_788,
+}
+
+
+def _baseline_layout(in_channels):
+    return [
+        ("l0.w", (1024, in_channels, 5)), ("l0.b", (1024,)), ("l0_act.a", (1024,)),
+        ("l1.w", (512, 1024, 5)), ("l1.b", (512,)), ("l1_act.a", (512,)),
+        ("l2.w", (512, 512, 5)), ("l2.b", (512,)), ("l2_act.a", (512,)),
+        ("l3.w", (512, 512, 5)), ("l3.b", (512,)), ("l3_act.a", (512,)),
+        ("l4.w", (512, 512, 5)), ("l4.b", (512,)), ("l4_act.a", (512,)),
+        ("l5.w", (128, 512, 5)), ("l5.b", (128,)), ("l5_act.a", ()),
+        ("l6.w", (3, 128, 5)), ("l6.b", (3,)),
+    ]
+
+
+# kind -> (seed-0 builder, parameter names and shapes in order, SHA-256 of its checkpoint file)
+PINNED_CHECKPOINTS = {
+    "cross3d": (
+        lambda: build_cross3d(4, 8, seed=0),
+        [
+            ("stem.w", (32, 3, 5, 5, 5)), ("stem.b", (32,)), ("stem_act.a", (32,)),
+            ("branch_a0.w", (32, 32, 5, 3, 3)), ("branch_a0.b", (32,)), ("branch_a0_act.a", (32,)),
+            ("branch_a1.w", (32, 32, 5, 3, 3)), ("branch_a1.b", (32,)), ("branch_a1_act.a", (32,)),
+            ("branch_b0.w", (32, 32, 5, 3, 3)), ("branch_b0.b", (32,)), ("branch_b0_act.a", (32,)),
+            ("branch_b1.w", (32, 32, 5, 3, 3)), ("branch_b1.b", (32,)), ("branch_b1_act.a", (32,)),
+            ("mix.w", (128, 512, 5)), ("mix.b", (128,)), ("mix_act.a", ()),
+            ("head.w", (3, 128, 5)), ("head.b", (3,)),
+        ],
+        "9104ac1209cb16aaa43163ca3078469e41416f5a75deb8b189662547924ad157",
+    ),
+    "baseline-max": (
+        lambda: build_baseline_max(seed=0),
+        _baseline_layout(2),
+        "5bed3c76505bdd10cd31f71944ce6209f74cac578d840c4137d086d204be84ec",
+    ),
+    "baseline-gcc": (
+        lambda: build_baseline_gcc(default_array(), 16000, seed=0),
+        _baseline_layout(858),
+        "cf75ef0822384e8dad9864b8a7d0fd0043aeb45bfe8636d178af0dd8ff263a6c",
+    ),
 }
 
 
@@ -206,8 +247,9 @@ class TestForward:
         # so can a near-tie pick another pooled element; either changes the
         # gradient upstream far beyond rounding. The reference backward pass
         # reuses the first pass's choices.
-        acts = [model.stem_act, model.mix_act] + [act for branch in model.branches for _, act, _ in branch]
-        pools = [pool for branch in model.branches for _, _, pool in branch]
+        layers = [layer for seq in (model.stem, *model.branches, model.head) for layer in seq.layers]
+        acts = [layer for layer in layers if isinstance(layer, PReLU)]
+        pools = [layer for layer in layers if isinstance(layer, MaxPoolAxis)]
         signs, picks = [a._neg for a in acts], [p._argmax for p in pools]
 
         def same_choices():
@@ -326,6 +368,21 @@ class TestBaselineFeatures:
             baseline_max_features(tensor))
         assert model_features(build_cross3d(4, 8), tensor, channels, array, cfg) is tensor.data
 
+    def test_float32_channels_as_stored(self):
+        """Framing promotes float32 samples exactly, so features of channels as
+        scenes and WAV files store them equal those of a float64 copy."""
+        array = default_array()
+        cfg = FramingConfig()
+        channels = np.random.default_rng(9).normal(size=(12, 4 * cfg.fs)).astype(np.float32)
+        table = delay_table(array, SphericalGrid(16, 32))
+        stored = compute_input_tensor(channels, table, cfg)
+        promoted = compute_input_tensor(channels.astype(float), table, cfg)
+        for name in ("data", "vad", "argmax_doa"):
+            np.testing.assert_array_equal(getattr(stored, name), getattr(promoted, name), strict=True)
+        np.testing.assert_array_equal(
+            baseline_gcc_features(channels, array, cfg, vad_mask=stored.vad),
+            baseline_gcc_features(channels.astype(float), array, cfg, vad_mask=stored.vad), strict=True)
+
 
 class TestCheckpoints:
     def test_save_load_forward_bitwise(self, tmp_path):
@@ -352,6 +409,27 @@ class TestCheckpoints:
                              "tensors": directory}).encode()
         payload = b"".join(arr.astype("<f4").tobytes() for arr in ckpt.tensors.values())
         assert path.read_bytes() == b"SSTC" + struct.pack("<2I", 1, len(header)) + header + payload
+
+    def test_misshapen_tensor_leaves_the_model_unchanged(self):
+        ckpt = make_checkpoint(build_cross3d(4, 8, seed=2))
+        ckpt.tensors["head.b"] = np.zeros(4, np.float32)  # the last tensor copied
+        model = build_cross3d(4, 8, seed=1)
+        with pytest.raises(FormatError, match="head.b"):
+            load_into(model, ckpt)
+        for p, q in zip(model.parameters(), build_cross3d(4, 8, seed=1).parameters()):
+            np.testing.assert_array_equal(p.value, q.value, strict=True)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_pinned_layout_and_bytes(self, tmp_path, kind):
+        """Parameter names, shapes and order, and the bytes of a seed-0
+        checkpoint: a refactor that reorders or re-draws weights breaks
+        every checkpoint written before it."""
+        build, layout, sha256 = PINNED_CHECKPOINTS[kind]
+        model = build()
+        assert [(p.name, p.value.shape) for p in model.parameters()] == layout
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, make_checkpoint(model))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_mismatched_resolution_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"

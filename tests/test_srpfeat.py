@@ -6,11 +6,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srptrack.errors import FormatError, LagRangeTooSmall, TooShort
-from srptrack.geometry import MicArray, SphericalGrid, delay_table
+from srptrack.geometry import DelayTable, MicArray, SphericalGrid, delay_table
 from srptrack.srpfeat import (
     EnergyVad,
     FramingConfig,
@@ -316,7 +316,7 @@ class TestSrpMap:
         for _ in range(2):
             with pytest.raises(LagRangeTooSmall):
                 srp_map(gcc_set(frames, 4), table, 16000)
-        srp_map(gcc_set(frames, table.max_abs_lag(16000)), table, 16000)
+        srp_map(gcc_set(frames, default_lag_range(arr, 16000)), table, 16000)
 
     def test_default_lag_range_nao(self):
         from srptrack.geometry import default_array
@@ -563,6 +563,34 @@ class TestComputePowerMaps:
         for pmap in maps:
             _, idx = grid_argmax(pmap, grid)
             assert idx == (3, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 3), min_size=2, max_size=5),
+        n_theta=st.integers(2, 12),
+        n_phi=st.integers(2, 12),
+        fs=st.integers(1000, 96000),
+    )
+    def test_default_lag_range_covers_every_delay_table(self, positions, n_theta, n_phi, fs):
+        """|tau_n - tau_m| <= aperture / c and rint(x) <= ceil(x): the aperture's
+        lag range holds every rounded delay of a table built by delay_table."""
+        try:
+            arr = MicArray(positions=np.array(positions))
+        except ValueError:
+            assume(False)  # coinciding sensors
+        table = delay_table(arr, SphericalGrid(n_theta, n_phi))
+        lag_range = default_lag_range(arr, fs)
+        assert np.abs(np.rint(table.delays * fs)).max() <= lag_range
+        frames = np.random.default_rng(n_theta).normal(size=(arr.n_mics, 1, 4 * lag_range + 2))
+        assert compute_power_maps(frames, table, fs).shape == (1, n_theta, n_phi)
+
+    def test_table_beyond_the_aperture_raises(self):
+        arr = _toy_array(3)
+        table = delay_table(arr, SphericalGrid(4, 8))
+        wide = DelayTable(delays=3.0 * table.delays, array=arr, grid=table.grid)
+        frames = np.random.default_rng(15).normal(size=(3, 2, 512))
+        with pytest.raises(LagRangeTooSmall):
+            compute_power_maps(frames, wide, 16000)
 
 
 class TestMatchesPerFramePath:
