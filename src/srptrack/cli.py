@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -95,6 +96,20 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports the ValueError of a non-integer
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports the ValueError of a non-number
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _t60(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative T60 in seconds, got {text!r}")
     return value
 
 
@@ -250,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="RMSAE sweep over T60/SNR/resolution cells")
     common(p)
-    p.add_argument("--t60", type=float, nargs="+", required=True)
-    p.add_argument("--snr", type=float, nargs="+", required=True)
+    p.add_argument("--t60", type=_t60, nargs="+", required=True)
+    p.add_argument("--snr", type=_finite_float, nargs="+", required=True)
     p.add_argument("--resolution", type=_resolution, nargs="+", default=None)
     p.add_argument("--trajectories", type=_positive_int, default=50)
     p.add_argument("--checkpoint", type=str, nargs="*", default=None)

@@ -58,9 +58,10 @@ class ExperimentGrid:
     def __post_init__(self):
         if not (self.t60s and self.snrs and self.resolutions):
             raise ValueError("grid axes must be nonempty")
-        if self.trajectories_per_cell < 1 or min(self.t60s) < 0:
-            raise ValueError(f"need trajectories_per_cell >= 1 and T60s >= 0,"
-                             f" got {self.trajectories_per_cell} and {self.t60s}")
+        finite = all(math.isfinite(v) for v in (*self.t60s, *self.snrs))
+        if self.trajectories_per_cell < 1 or not finite or min(self.t60s) < 0:
+            raise ValueError(f"need trajectories_per_cell >= 1, finite T60s >= 0 and finite SNRs,"
+                             f" got {self.trajectories_per_cell} and {self.t60s} and {self.snrs}")
 
 
 def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, framing: FramingConfig,

@@ -8,9 +8,11 @@ polyphase form: each of the 16 deposit phases is an output-rate signal
 convolved with its own 81-tap slice of the oversampled kernel, which gives
 the oversampled convolution's output samples without computing the others.
 
-Image coordinates and gains are computed once per wall parity, and images
-too far from the array centre to reach any microphone within ``t_max`` are
-dropped before the per-microphone pass. A moving source needs one RIR set per
+Every room, anechoic ones included, runs the same image pass. An image's
+gain is beta to the power of its wall reflections, a product of per-axis
+factors tabulated once per wall parity; images with a zero gain, or too far
+from the array centre to reach any microphone within ``t_max``, are dropped
+before the per-microphone pass. A moving source needs one RIR set per
 trajectory point, and these sets are independent: they are computed on all
 usable cores, while the calling thread convolves the segments and
 overlap-adds them in trajectory order, so the result is the same for any
@@ -19,12 +21,13 @@ number of threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -44,31 +47,33 @@ _MAX_BETA = 1.0 - 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Room:
-    """Shoebox room with a uniform wall reflection magnitude."""
+    """Shoebox room with uniform walls, given by its size and T60. The wall
+    reflection magnitude ``beta`` is 0 at T60 0 (anechoic), else sqrt(1 - alpha)
+    for the absorption alpha of a Sabine inversion, clamped below 1."""
 
     dims: np.ndarray  # (3,) metres
     t60: float
-    beta: float
+    beta: float = field(init=False)
 
     def __post_init__(self):
         dims = as_vec3(self.dims)
         if np.any(dims <= 0):
             raise ValueError("room dimensions must be positive")
-        if self.t60 < 0:
-            raise ValueError("t60 must be nonnegative")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+        t60 = float(self.t60)
+        if not (math.isfinite(t60) and t60 >= 0):
+            raise ValueError(f"t60 must be finite and nonnegative, got {self.t60}")
+        beta = 0.0
+        if t60 > 0:
+            volume = float(np.prod(dims))
+            surface = 2.0 * (dims[0] * dims[1] + dims[0] * dims[2] + dims[1] * dims[2])
+            alpha = 0.161 * volume / (surface * t60)
+            if alpha >= 1.0:
+                warnings.warn(f"t60={t60} s is not achievable in this room (alpha={alpha:.3f} clamped)",
+                              NonPhysicalT60Warning)
+            beta = min(math.sqrt(1.0 - min(alpha, 0.9999)), _MAX_BETA)
         object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def from_t60(cls, dims, t60: float) -> "Room":
-        dims = as_vec3(dims)
-        beta = 0.0 if t60 == 0.0 else beta_from_t60(dims, t60)
-        return cls(dims=dims, t60=float(t60), beta=beta)
-
-    def contains(self, point) -> bool:
-        p = as_vec3(point)
-        return bool(np.all(p > 0) and np.all(p < self.dims))
+        object.__setattr__(self, "t60", t60)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,47 +117,20 @@ class MicSignals:
         return cls(channels=data.T.astype(np.float32), fs=int(fs))
 
 
-def beta_from_t60(dims, t60: float) -> float:
-    """Uniform wall reflection magnitude from a Sabine inversion."""
-    dims = as_vec3(dims)
-    if t60 <= 0:
-        raise ValueError("t60 must be positive")
-    volume = float(np.prod(dims))
-    surface = 2.0 * (dims[0] * dims[1] + dims[0] * dims[2] + dims[1] * dims[2])
-    alpha = 0.161 * volume / (surface * t60)
-    if alpha >= 1.0:
-        warnings.warn(
-            f"t60={t60} s is not achievable in this room (alpha={alpha:.3f} clamped)",
-            NonPhysicalT60Warning,
-        )
-    alpha = min(max(alpha, 0.0), 0.9999)
-    return min(math.sqrt(1.0 - alpha), _MAX_BETA)
-
-
 def image_counts(dims, t_max: float) -> np.ndarray:
     """Mirrored-room repetitions per axis needed to cover ``t_max``."""
     dims = as_vec3(dims)
     return np.ceil(SPEED_OF_SOUND * t_max / (2.0 * dims)).astype(int)
 
 
-def _sinc_kernel_up() -> np.ndarray:
-    """Hann-windowed sinc on the oversampled grid."""
-    half = SINC_HALF_WIDTH * OVERSAMPLE
-    i = np.arange(-half, half + 1)
-    window = 0.5 * (1.0 + np.cos(np.pi * i / half))
-    return window * np.sinc(i / OVERSAMPLE)
-
-
-_KERNEL_UP = _sinc_kernel_up()
-
-
 def _polyphase_kernel() -> np.ndarray:
-    """Sub-kernel per oversampling phase: row r, column k + 40 is ``_KERNEL_UP[16 k + 640 - r]``."""
+    """Sub-kernel per oversampling phase: row r, column k + 40 is the
+    Hann-windowed sinc at oversampled offset ``16 k - r`` (0 past its ends)."""
     half = SINC_HALF_WIDTH * OVERSAMPLE
     k = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-    idx = OVERSAMPLE * k[None, :] + half - np.arange(OVERSAMPLE)[:, None]
-    valid = (idx >= 0) & (idx < len(_KERNEL_UP))
-    return np.where(valid, _KERNEL_UP[np.clip(idx, 0, len(_KERNEL_UP) - 1)], 0.0)
+    i = OVERSAMPLE * k[None, :] - np.arange(OVERSAMPLE)[:, None]
+    window = 0.5 * (1.0 + np.cos(np.pi * i / half))
+    return np.where(np.abs(i) <= half, window * np.sinc(i / OVERSAMPLE), 0.0)
 
 
 _KERNEL_PHASES = _polyphase_kernel()
@@ -176,9 +154,10 @@ def _deposit_to_rirs(hist: np.ndarray, n_taps: int) -> np.ndarray:
 
     ``hist`` holds ``OVERSAMPLE * (n_taps + 1)`` deposits per microphone.
     Output tap n is the oversampled convolution read at ``16 n + 640``, so
-    deposit ``16 i + r`` reaches it only through ``_KERNEL_UP[16 (n - i) + 640
-    - r]``: each phase r is an output-rate signal convolved with an 81-tap
-    sub-kernel, and the 16 results are summed in the frequency domain.
+    deposit ``16 i + r`` reaches it only through the kernel at oversampled
+    offset ``16 (n - i) - r``: each phase r is an output-rate signal convolved
+    with an 81-tap sub-kernel, and the 16 results are summed in the frequency
+    domain.
     """
     n_mics = hist.shape[0]
     n_fft = sp_fft.next_fast_len(n_taps + 2 * SINC_HALF_WIDTH + 1, real=True)
@@ -208,48 +187,41 @@ def _rirs_for_point(
     hist = np.zeros((n_mics, (n_taps + 1) * OVERSAMPLE))
     max_dist = SPEED_OF_SOUND * t_max
 
-    if room.beta == 0.0:
-        # fully absorbing walls: only the direct path survives
-        d = np.linalg.norm(mic_positions - src, axis=1)
-        q = np.rint(d / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
-        keep = q < n_up
-        np.add.at(hist, (np.arange(n_mics)[keep], q[keep]), 1.0 / (4.0 * np.pi * d[keep]))
-        return _deposit_to_rirs(hist, n_taps)
-
     counts = image_counts(room.dims, t_max)
-    grids = [np.arange(-n, n + 1) for n in counts]
-    # per axis and wall-parity: image coordinate and reflection count
-    coords = [[(1 - 2 * p) * src[a] + 2 * grids[a] * room.dims[a] for p in (0, 1)] for a in range(3)]
-    expos = [[np.abs(grids[a] + p) + np.abs(grids[a]) for p in (0, 1)] for a in range(3)]
-    log_beta = math.log(room.beta)
+    # per axis and wall parity: the coordinates and gains beta ** reflections
+    # of the images with a nonzero gain (0 ** 0 == 1, so an anechoic room
+    # keeps its direct image and nothing else)
+    axes = []
+    for a, n in enumerate(np.arange(-c, c + 1) for c in counts):
+        gains = [room.beta ** (np.abs(n + p) + np.abs(n)) for p in (0, 1)]
+        axes.append([((1 - 2 * p) * src[a] + 2 * n[g > 0] * room.dims[a], g[g > 0]) for p, g in enumerate(gains)])
     # an image farther than this from the array centre is beyond max_dist of
     # every microphone; the slack keeps rounding from dropping one that is not
     centre = mic_positions.mean(axis=0)
     reach = max_dist + np.linalg.norm(mic_positions - centre, axis=1).max() + 1e-6
 
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                x, y, z = coords[0][px], coords[1][py], coords[2][pz]
-                near = (
-                    ((x - centre[0]) ** 2)[:, None, None]
-                    + ((y - centre[1]) ** 2)[None, :, None]
-                    + ((z - centre[2]) ** 2)[None, None, :]
-                ) <= reach**2
-                ix, iy, iz = np.nonzero(near)
-                xs, ys, zs = x[ix], y[iy], z[iz]
-                gain = np.exp(log_beta * (expos[0][px][ix] + expos[1][py][iy] + expos[2][pz][iz]))
-                for m in range(n_mics):
-                    d = np.sqrt(
-                        (xs - mic_positions[m, 0]) ** 2
-                        + (ys - mic_positions[m, 1]) ** 2
-                        + (zs - mic_positions[m, 2]) ** 2
-                    )
-                    keep = d <= max_dist
-                    dk = d[keep]
-                    amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
-                    q = np.rint(dk / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
-                    hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
+    for (x, gx), (y, gy), (z, gz) in itertools.product(*axes):
+        near = (
+            ((x - centre[0]) ** 2)[:, None, None]
+            + ((y - centre[1]) ** 2)[None, :, None]
+            + ((z - centre[2]) ** 2)[None, None, :]
+        ) <= reach**2
+        ix, iy, iz = np.nonzero(near)
+        if not len(ix):
+            continue
+        xs, ys, zs = x[ix], y[iy], z[iz]
+        gain = gx[ix] * gy[iy] * gz[iz]
+        for m in range(n_mics):
+            d = np.sqrt(
+                (xs - mic_positions[m, 0]) ** 2
+                + (ys - mic_positions[m, 1]) ** 2
+                + (zs - mic_positions[m, 2]) ** 2
+            )
+            keep = d <= max_dist
+            dk = d[keep]
+            amp = gain[keep] / (4.0 * np.pi * np.maximum(dk, 1e-9))
+            q = np.rint(dk / SPEED_OF_SOUND * fs * OVERSAMPLE).astype(int)
+            hist[m] += np.bincount(q, weights=amp, minlength=hist.shape[1])
     hist[:, n_up:] = 0.0
     return _deposit_to_rirs(hist, n_taps)
 
@@ -274,12 +246,12 @@ def render_moving_source(
     traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=float))
     n_points = traj_points.shape[0]
-    for p in traj_points:
-        if not room.contains(p):
-            raise OutOfRoom(f"trajectory point {p} outside room {room.dims}")
-    for m in mic_positions:
-        if not room.contains(m):
-            raise OutOfRoom(f"microphone {m} outside room {room.dims}")
+    for what, points in (("trajectory point", traj_points), ("microphone", mic_positions)):
+        if points.shape[1] != 3:
+            raise ValueError(f"{what}s must be 3-vectors, got shape {points.shape}")
+        inside = np.all((points > 0) & (points < room.dims), axis=1)  # False for NaN
+        if not inside.all():
+            raise OutOfRoom(f"{what} {points[~inside][0]} outside room {room.dims}")
     if t_max is None:
         t_max = _default_t_max(room, fs)
     if hop is None:

@@ -10,6 +10,7 @@ like an infinite dataset while staying reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,12 +40,17 @@ class SceneConfig:
     def __post_init__(self):
         rmin = as_vec3(self.room_min)
         rmax = as_vec3(self.room_max)
-        if np.any(rmin > rmax):
-            raise ValueError("room_min must be <= room_max componentwise")
-        if self.snr_range[0] > self.snr_range[1] or self.t60_range[0] > self.t60_range[1]:
-            raise ValueError("ranges must be nonempty")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if np.any(rmin <= 0) or np.any(rmin > rmax):
+            raise ValueError("room_min must be positive and <= room_max componentwise")
+        for name, (lo, hi) in (("snr_range", self.snr_range), ("t60_range", self.t60_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name} must be a finite, nonempty range, got {(lo, hi)}")
+        if self.t60_range[0] < 0:
+            raise ValueError(f"t60_range must be nonnegative, got {self.t60_range}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        if self.rir_t_max is not None and not (math.isfinite(self.rir_t_max) and self.rir_t_max > 0):
+            raise ValueError(f"rir_t_max must be finite and positive, got {self.rir_t_max}")
         object.__setattr__(self, "room_min", rmin)
         object.__setattr__(self, "room_max", rmax)
         object.__setattr__(self, "snr_range", tuple(self.snr_range))
@@ -84,7 +90,7 @@ class AcousticScene:
     snr: float
     vad_mask: np.ndarray  # (L,) bool, from the dry source
     gt_doa: np.ndarray  # (L, 2) theta, phi in the array frame
-    vad_energy_mask: np.ndarray | None = None
+    vad_energy_mask: np.ndarray  # (L,) bool, the energy detector on the cleaned dry source
 
     def gt_units(self) -> np.ndarray:
         """(L, 3) ground-truth unit vectors."""
@@ -100,14 +106,13 @@ class AcousticScene:
             "array_name": self.array.name,
             "trajectory_points_m": self.trajectory.points.tolist(),
             "vad_mask": self.vad_mask.astype(int).tolist(),
-            "vad_energy_mask": None if self.vad_energy_mask is None
-            else self.vad_energy_mask.astype(int).tolist(),
+            "vad_energy_mask": self.vad_energy_mask.astype(int).tolist(),
             "gt_doa_deg": np.degrees(self.gt_doa).tolist(),
         }
 
 
-def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> tuple[Room, np.ndarray, float, float]:
-    """Draw (room, array origin, snr, t60) from the configured ranges.
+def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> tuple[Room, np.ndarray, float]:
+    """Draw (room, array origin, snr) from the configured ranges.
 
     The array origin keeps the wall margin on every axis and sits in the
     lower half of the room vertically.
@@ -119,7 +124,7 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> tuple[Room, np.n
     lo = m * dims
     hi = np.array([(1.0 - m) * dims[0], (1.0 - m) * dims[1], 0.5 * dims[2]])
     origin = rng.uniform(lo, hi)
-    return Room.from_t60(dims, t60), origin, snr, t60
+    return Room(dims, t60), origin, snr
 
 
 def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> Trajectory:
@@ -245,7 +250,7 @@ def synthesize_trajectory_sample(
     vad_mask = np.asarray(vad_mask, dtype=bool)
     dry = clean_dry_signal(dry, vad_mask, framing)
 
-    room, origin, snr, _ = sample_scene(cfg, rng)
+    room, origin, snr = sample_scene(cfg, rng)
     traj = generate_trajectory(room, len(vad_mask), rng)
 
     mic_positions = origin + array.positions

@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from srptrack.errors import DegenerateDirection
-from srptrack.roomsim import _KERNEL_UP, OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
+from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
 from srptrack.srpfeat import _PHAT_EPS_REL
 
 
@@ -97,11 +97,19 @@ def schroeder_t60(taps: np.ndarray, fs: float) -> float:
 # The image-source RIR path as it stood before the polyphase kernel: every
 # microphone runs its own pass over the whole image grid, and one FFT
 # convolution on the 16x oversampled grid applies the 1281-tap kernel. It
-# shares only the kernel table and image_counts with the package.
+# shares only the kernel constants and image_counts with the package.
+def sinc_kernel_oversampled() -> np.ndarray:
+    """Hann-windowed sinc on the oversampled grid, 1281 taps."""
+    half = SINC_HALF_WIDTH * OVERSAMPLE
+    i = np.arange(-half, half + 1)
+    window = 0.5 * (1.0 + np.cos(np.pi * i / half))
+    return window * np.sinc(i / OVERSAMPLE)
+
+
 def deposit_to_rirs_oversampled(hist_up: np.ndarray, n_taps: int) -> np.ndarray:
     """Convolve oversampled impulse deposits with the sinc kernel and decimate."""
     half = SINC_HALF_WIDTH * OVERSAMPLE
-    full = fftconvolve(hist_up, _KERNEL_UP[None, :], axes=1)
+    full = fftconvolve(hist_up, sinc_kernel_oversampled()[None, :], axes=1)
     idx = np.arange(n_taps) * OVERSAMPLE + half
     return full[:, idx]
 

@@ -158,7 +158,7 @@ def _static_scene_cell(t60, t_max, seeds, duration=2.5):
             room_min=[4.5, 3.8, 2.8], room_max=[7.0, 6.0, 3.5],
             snr_range=(30.0, 30.0), t60_range=(t60, t60),
         )
-        room, origin, snr, _ = sample_scene(cfg, rng)
+        room, origin, snr = sample_scene(cfg, rng)
         for _ in range(100):
             src = rng.uniform(0.15 * room.dims, 0.85 * room.dims)
             if np.linalg.norm(src - origin) > 0.7:
@@ -362,7 +362,7 @@ class TestCriterion10T60Fidelity:
         room_dims = [6.0, 5.0, 3.0]
         results = {}
         for t60 in (0.3, 0.65, 1.0):
-            room = Room.from_t60(room_dims, t60)
+            room = Room(room_dims, t60)
             rir = _rirs_for_point(room, np.array([2.0, 1.5, 1.4]), np.array([[4.1, 3.2, 1.6]]), fs, t60)[0]
             results[t60] = schroeder_t60(rir, fs)
         ok = all(abs(results[t] - t) <= 0.25 * t for t in results)

@@ -194,11 +194,26 @@ class TestConfigFiles:
             ('{"framing": {"fs": 0}}', "bad value in section 'framing': fs must be"),
             ('{"framing": {"fs": -16000}}', "bad value in section 'framing': fs must be"),
             ('{"framing": {"fs": 16000.5}}', "bad value in section 'framing': fs must be"),
+            ('{"scene": {"snr_range": [NaN, NaN]}}', "bad value in section 'scene': snr_range must be"),
+            ('{"scene": {"snr_range": [5.0, Infinity]}}', "bad value in section 'scene': snr_range must be"),
+            ('{"scene": {"t60_range": [-Infinity, 0.5]}}', "bad value in section 'scene': t60_range must be"),
+            ('{"scene": {"t60_range": [-0.1, 0.5]}}', "bad value in section 'scene': t60_range must be"),
+            ('{"scene": {"snr_range": [5.0]}}', "bad value in section 'scene'"),
+            ('{"scene": {"room_max": [NaN, 8.0, 6.0]}}', "bad value in section 'scene'"),
+            ('{"scene": {"duration": NaN}}', "bad value in section 'scene': duration must be"),
+            ('{"scene": {"duration": 0}}', "bad value in section 'scene': duration must be"),
+            ('{"scene": {"duration": null}}', "bad value in section 'scene'"),
+            ('{"scene": {"room_min": [0.0, 3.0, 2.5]}}', "bad value in section 'scene': room_min must be positive"),
+            ('{"scene": {"rir_t_max": Infinity}}', "bad value in section 'scene': rir_t_max must be"),
+            ('{"scene": {"rir_t_max": -0.1}}', "bad value in section 'scene': rir_t_max must be"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
              "train-epochs", "framing-float-K", "framing-float-hop", "framing-bool-hop", "framing-bool-K",
-             "framing-zero-fs", "framing-negative-fs", "framing-float-fs"],
+             "framing-zero-fs", "framing-negative-fs", "framing-float-fs", "scene-nan-snr", "scene-inf-snr",
+             "scene-inf-t60", "scene-negative-t60", "scene-snr-not-a-pair", "scene-nan-room",
+             "scene-nan-duration", "scene-zero-duration", "scene-null-duration", "scene-zero-room",
+             "scene-inf-rir-t-max", "scene-negative-rir-t-max"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -243,6 +258,18 @@ class TestCountArguments:
         with pytest.raises(SystemExit) as exc:
             main([*command, "--out", str(out)])
         assert exc.value.code == 2 and command[-2] in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSceneArguments:
+    @pytest.mark.parametrize("flag,value", [("--t60", "-1"), ("--t60", "nan"), ("--t60", "inf"),
+                                            ("--snr", "nan"), ("--snr", "-inf")])
+    def test_non_finite_or_negative_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        args = {"--t60": "0.2", "--snr": "30", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--t60", args["--t60"], "--snr", args["--snr"], "--out", str(out)])
+        assert exc.value.code == 2 and f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 
 

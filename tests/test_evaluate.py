@@ -110,6 +110,10 @@ class TestRunGrid:
             ({"trajectories_per_cell": 0}, "got 0 and"),
             ({"trajectories_per_cell": -2}, "got -2 and"),
             ({"t60s": (0.2, -0.1)}, r"got 50 and \(0\.2, -0\.1\)"),
+            ({"t60s": (0.2, math.nan)}, r"got 50 and \(0\.2, nan\)"),
+            ({"t60s": (math.inf,)}, r"got 50 and \(inf,\)"),
+            ({"snrs": (math.nan,)}, r"and \(nan,\)$"),
+            ({"snrs": (30.0, -math.inf)}, r"and \(30\.0, -inf\)$"),
         ],
     )
     def test_bad_counts_and_t60s_rejected(self, kwargs, match):
@@ -184,7 +188,7 @@ def _write_static_scene_wav(tmp_path, grid_res=(64, 128), duration=3.0, t60=0.0,
     framing = FramingConfig()
     array = default_array()
     grid = SphericalGrid(*grid_res)
-    room = Room.from_t60([6.0, 5.0, 3.0], t60)
+    room = Room([6.0, 5.0, 3.0], t60)
     origin = np.array([3.0, 2.5, 1.2])
     ij = ij or (grid.n_theta // 3, grid.n_phi // 3)
     u = grid.unit_vectors()[ij]

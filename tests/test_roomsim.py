@@ -14,7 +14,6 @@ from srptrack.roomsim import (
     MicSignals,
     Room,
     add_noise,
-    beta_from_t60,
     image_counts,
     render_moving_source,
 )
@@ -40,24 +39,29 @@ def assert_matches_oracle(rirs, ref):
 class TestBetaFromT60:
     def test_reference_room(self):
         # 6 x 5 x 3 m, t60 = 0.5 s: alpha = 0.161 * 90 / (126 * 0.5)
-        beta = beta_from_t60([6.0, 5.0, 3.0], 0.5)
+        beta = Room([6.0, 5.0, 3.0], 0.5).beta
         assert beta == pytest.approx(math.sqrt(1.0 - 0.23), abs=1e-4)
 
     def test_infinite_t60_clamps_below_one(self):
-        beta = beta_from_t60([6.0, 5.0, 3.0], 1e12)
+        beta = Room([6.0, 5.0, 3.0], 1e12).beta
         assert beta < 1.0
         assert beta > 0.999
 
     def test_doubling_t60_halves_alpha(self):
         dims = [4.0, 5.0, 2.5]
-        alpha1 = 1.0 - beta_from_t60(dims, 0.4) ** 2
-        alpha2 = 1.0 - beta_from_t60(dims, 0.8) ** 2
+        alpha1 = 1.0 - Room(dims, 0.4).beta ** 2
+        alpha2 = 1.0 - Room(dims, 0.8).beta ** 2
         assert alpha1 == pytest.approx(2.0 * alpha2, rel=1e-9)
 
     def test_non_physical_t60_warns(self):
         with pytest.warns(NonPhysicalT60Warning):
-            beta = beta_from_t60([3.0, 3.0, 2.5], 0.01)
+            beta = Room([3.0, 3.0, 2.5], 0.01).beta
         assert 0.0 <= beta < 1.0
+
+    @pytest.mark.parametrize("t60", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_t60_rejected(self, t60):
+        with pytest.raises(ValueError, match="t60 must be finite and nonnegative"):
+            Room([6.0, 5.0, 3.0], t60)
 
 
 class TestImageCounts:
@@ -75,7 +79,7 @@ class TestSimulateRir:
     either of them outside the room."""
 
     def test_anechoic_single_pulse(self):
-        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0, beta=0.0)
+        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0)
         src = np.array([2.0, 2.5, 1.5])
         mic = np.array([3.0, 2.5, 1.5])  # d = 1 m
         rir = single_rir(room, src, mic, t_max=0.02)
@@ -84,7 +88,7 @@ class TestSimulateRir:
         assert center == pytest.approx(FS / 343.0, abs=0.1)
 
     def test_direct_path_is_earliest_energy(self):
-        room = Room.from_t60([5.0, 4.0, 3.0], 0.4)
+        room = Room([5.0, 4.0, 3.0], 0.4)
         rir = single_rir(room, [1.0, 2.0, 1.2], [3.0, 2.0, 1.5], t_max=0.4)
         direct = np.linalg.norm([2.0, 0.0, 0.3]) / 343.0 * FS
         nz = np.nonzero(np.abs(rir) > 1e-6 * np.max(np.abs(rir)))[0]
@@ -93,11 +97,21 @@ class TestSimulateRir:
         assert np.all(np.isfinite(rir))
 
     def test_out_of_room(self):
-        room = Room.from_t60([4.0, 4.0, 3.0], 0.3)
-        with pytest.raises(OutOfRoom):
-            render_moving_source(np.zeros(4000), [[5.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]], room, FS, t_max=0.1)
-        with pytest.raises(OutOfRoom):
-            render_moving_source(np.zeros(4000), [[1.0, 1.0, 1.0]], [[1.0, -0.5, 1.0]], room, FS, t_max=0.1)
+        room = Room([4.0, 4.0, 3.0], 0.3)
+        inside = [[1.0, 1.0, 1.0], [2.0, 3.0, 1.5]]
+        for src, mics in [
+            ([[5.0, 1.0, 1.0]], inside),
+            (inside, [[1.0, -0.5, 1.0]]),
+            ([[1.0, 1.0, 1.0], [np.nan, 1.0, 1.0]], inside),
+            (inside, [[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]]),
+            ([[1.0, 4.0, 1.0]], inside),  # on a wall
+            ([[1.0, 1.0, np.inf]], inside),
+        ]:
+            with pytest.raises(OutOfRoom):
+                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1)
+        for src, mics in [([[1.0, 1.0]], inside), (inside, [[1.0, 1.0], [2.0, 2.0]])]:
+            with pytest.raises(ValueError, match="must be 3-vectors"):
+                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1)
 
     @pytest.mark.parametrize("t60", [0.3, 0.6, 1.0])
     def test_schroeder_t60_tracks_request(self, t60):
@@ -105,7 +119,7 @@ class TestSimulateRir:
         # Schroeder T20 fit (slow axial image paths; cross-checked against an
         # independent image-method implementation). Assert the validated
         # envelope rather than the Sabine nominal.
-        room = Room.from_t60([6.0, 5.0, 3.0], t60)
+        room = Room([6.0, 5.0, 3.0], t60)
         rir = single_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], t_max=t60)
         measured = schroeder_t60(rir, FS)
         assert 1.0 * t60 < measured < 1.6 * t60
@@ -114,7 +128,7 @@ class TestSimulateRir:
         room_dims = [6.0, 5.0, 3.0]
         measured = []
         for t60 in (0.3, 0.6, 1.0):
-            room = Room.from_t60(room_dims, t60)
+            room = Room(room_dims, t60)
             rir = single_rir(room, [2.0, 1.5, 1.4], [4.1, 3.2, 1.6], t_max=t60)
             measured.append(schroeder_t60(rir, FS))
         assert measured[0] < measured[1] < measured[2]
@@ -131,28 +145,28 @@ class TestRirsMatchOversampledOracle:
     def test_random_rooms(self, seed):
         rng = np.random.default_rng(300 + seed)
         dims = rng.uniform(3.0, 8.0, size=3)
-        room = Room.from_t60(dims, rng.uniform(0.1, 0.5))
+        room = Room(dims, rng.uniform(0.1, 0.5))
         src = rng.uniform(0.1, 0.9, size=3) * dims
         mics = rng.uniform(0.1, 0.9, size=(5, 3)) * dims
         rirs = self._rirs(room, src, mics, room.t60)
         assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, room.t60, C))
 
     def test_default_array(self):
-        room = Room.from_t60([6.0, 5.0, 3.0], 0.4)
+        room = Room([6.0, 5.0, 3.0], 0.4)
         mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
         src = np.array([1.7, 3.1, 1.6])
         rirs = self._rirs(room, src, mics, 0.4)
         assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, 0.4, C))
 
     def test_anechoic_direct_path_only(self):
-        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0, beta=0.0)
+        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0)
         mics = np.array([[3.0, 2.5, 1.5], [1.0, 4.0, 2.0], [5.5, 0.5, 0.5]])
         src = np.array([2.0, 2.0, 1.0])
         rirs = self._rirs(room, src, mics, 0.03)
         assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mics, FS, 0.03, C))
 
     def test_simulate_rir_single_mic(self):
-        room = Room.from_t60([5.0, 4.0, 3.0], 0.3)
+        room = Room([5.0, 4.0, 3.0], 0.3)
         src, mic = np.array([1.0, 2.0, 1.2]), np.array([3.0, 2.0, 1.5])
         rirs = self._rirs(room, src, mic[None, :], 0.3)
         assert_matches_oracle(rirs, rirs_for_point_oversampled(room, src, mic[None, :], FS, 0.3, C))
@@ -161,7 +175,7 @@ class TestRirsMatchOversampledOracle:
         # t_max * fs = 1600.4 gives 1600 taps, while images out to c * t_max
         # land on oversampled slots up to 16 * 1600.4 > 16 * 1600 + 1
         t_max = 1600.4 / FS
-        room = Room.from_t60([4.0, 3.5, 2.8], 0.3)
+        room = Room([4.0, 3.5, 2.8], 0.3)
         src = np.array([1.1, 2.0, 1.3])
         mics = np.array([[2.5, 1.5, 1.4], [2.6, 1.5, 1.4]])
         rirs = self._rirs(room, src, mics, t_max)
@@ -175,7 +189,7 @@ class TestThreadedRendering:
     POINTS = np.array([[1.5, 1.0, 1.4], [2.0, 1.6, 1.5], [2.5, 2.2, 1.6], [3.0, 2.8, 1.7], [3.5, 3.4, 1.8]])
 
     def _render(self, points):
-        room = Room.from_t60([6.0, 5.0, 3.0], 0.3)
+        room = Room([6.0, 5.0, 3.0], 0.3)
         mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
         dry = np.random.default_rng(45).normal(size=len(points) * 1600)
         # a t_max past T60 gives about 30k images per parity block, so even a
@@ -228,7 +242,7 @@ class TestThreadedRendering:
 
 class TestRenderMovingSource:
     def _room(self):
-        return Room.from_t60([5.0, 4.0, 3.0], 0.25)
+        return Room([5.0, 4.0, 3.0], 0.25)
 
     def test_static_equals_single_rir_convolution(self):
         room = self._room()
@@ -291,7 +305,7 @@ class TestRenderMovingSource:
         framing = FramingConfig()
         array = default_array()
         grid = SphericalGrid(8, 16)
-        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0, beta=0.0)
+        room = Room(dims=np.array([6.0, 5.0, 3.0]), t60=0.0)
         origin = np.array([3.0, 2.5, 1.2])
         ij_a, ij_b = (3, 4), (3, 12)
         src_a = origin + 1.5 * grid.unit_vectors()[ij_a]
