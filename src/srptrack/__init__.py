@@ -11,6 +11,7 @@ from .errors import (
     DegenerateDirection,
     EmptySelection,
     FormatError,
+    ImageGridTooLarge,
     LagRangeTooSmall,
     NonPhysicalT60Warning,
     OutOfRoom,
@@ -39,6 +40,7 @@ __all__ = [
     "DelayTable",
     "EmptySelection",
     "FormatError",
+    "ImageGridTooLarge",
     "LagRangeTooSmall",
     "MicArray",
     "NonPhysicalT60Warning",

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FormatError
-from .evaluate import ExperimentGrid, emit_plot_data, read_recording, run_grid, track_file, write_track_csv
+from .evaluate import ExperimentGrid, emit_plot_data, run_grid, track_file, write_track_csv
 from .geometry import DEFAULT_GRID, MicArray, SphericalGrid, default_array, delay_table
 from .models import (
     MODEL_KINDS,
@@ -31,6 +31,7 @@ from .models import (
     save_checkpoint,
     train,
 )
+from .roomsim import read_recording
 from .scenegen import (
     SceneConfig,
     sample_rng,
@@ -89,6 +90,8 @@ def _resolution(text: str) -> tuple[int, int]:
         n_theta, n_phi = (int(v) for v in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected RxC like 16x32, got {text!r}") from exc
+    if min(n_theta, n_phi) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 points per axis, got {text!r}")
     return n_theta, n_phi
 
 
@@ -153,7 +156,7 @@ def cmd_features(args) -> int:
     cfg = _load_config(args.config, args.seed)
     array = _array(args.array)
     grid = SphericalGrid(*args.resolution)
-    signals, framing = read_recording(args.wav, array, cfg.file_framing)
+    signals, framing = read_recording(args.wav, array.n_mics, cfg.file_framing)
     tensor = compute_input_tensor(signals.channels, delay_table(array, grid), framing)
     save_features(args.out, tensor, grid, framing)
     print(f"wrote {tensor.data.shape} features to {args.out}")

@@ -25,6 +25,10 @@ class LagRangeTooSmall(SrpTrackError):
     """The stored GCC lag range does not cover the delay table."""
 
 
+class ImageGridTooLarge(SrpTrackError):
+    """An RIR's image-source grid is too large to allocate."""
+
+
 class ShapeError(SrpTrackError):
     """Tensor or layer shapes are inconsistent."""
 

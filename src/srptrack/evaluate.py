@@ -27,7 +27,7 @@ from .geometry import (
     unit_to_sphere,
 )
 from .models import forward_track, load_checkpoint, model_features, model_from_checkpoint
-from .roomsim import MicSignals
+from .roomsim import read_recording
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
 from .srpfeat import FramingConfig, InputTensor, compute_input_tensor
 
@@ -141,29 +141,6 @@ def emit_plot_data(rows: list[dict], path) -> None:
                           r["n_traj"]] for r in rows)
 
 
-def read_recording(wav_path, array: MicArray, framing: FramingConfig | None = None):
-    """Read a multichannel WAV recorded with ``array``. Returns the signals
-    and ``framing``, or without one the default framing at the file's rate.
-
-    Raises FormatError for a channel count other than the array's, a
-    non-finite sample, or a file rate other than ``framing.fs``.
-    """
-    signals = MicSignals.from_wav(wav_path)
-    if signals.channels.shape[0] != array.n_mics:
-        raise FormatError(
-            f"{wav_path} has {signals.channels.shape[0]} channels, array has {array.n_mics}"
-        )
-    bad = np.argwhere(~np.isfinite(signals.channels))
-    if len(bad):
-        channel, sample = bad[0]
-        raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
-    if framing is None:
-        framing = FramingConfig(fs=signals.fs)
-    elif framing.fs != signals.fs:
-        raise FormatError(f"{wav_path} is sampled at {signals.fs} Hz, the framing expects {framing.fs} Hz")
-    return signals, framing
-
-
 def track_file(
     wav_path,
     array: MicArray,
@@ -180,7 +157,7 @@ def track_file(
     early frames never change when the file is truncated later. Without
     ``framing`` the default framing runs at the file's rate.
     """
-    signals, framing = read_recording(wav_path, array, framing)
+    signals, framing = read_recording(wav_path, array.n_mics, framing)
     model = None
     if checkpoint_path is not None:
         model = model_from_checkpoint(load_checkpoint(checkpoint_path), array=array, fs=framing.fs)

@@ -13,10 +13,10 @@ gain is beta to the power of its wall reflections, a product of per-axis
 factors tabulated once per wall parity; images with a zero gain, or too far
 from the array centre to reach any microphone within ``t_max``, are dropped
 before the per-microphone pass. A moving source needs one RIR set per
-trajectory point, and these sets are independent: they are computed on all
-usable cores, while the calling thread convolves the segments and
-overlap-adds them in trajectory order, so the result is the same for any
-number of threads.
+trajectory point, and these sets are independent: one thread pool maps them
+over all usable cores (a static source is one set on one worker thread),
+while the calling thread convolves the segments and overlap-adds them in
+trajectory order, so the result is the same for any number of threads.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from scipy import fft as sp_fft
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
-from .errors import AllSilent, FormatError, NonPhysicalT60Warning, OutOfRoom
+from .errors import AllSilent, FormatError, ImageGridTooLarge, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
 from .srpfeat import FramingConfig, frame_indices
 
@@ -43,6 +43,10 @@ SINC_HALF_WIDTH = 40  # taps each side at the output rate (81-tap kernel)
 OVERSAMPLE = 16
 
 _MAX_BETA = 1.0 - 1e-9
+# images per parity block; a block's float64 temporaries take 8 bytes each
+# (0.5 GiB at the cap), and the largest default draw, 3x3x2.5 m at T60 1.3 s,
+# needs 4.1 M
+MAX_GRID_IMAGES = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +119,29 @@ class MicSignals:
         elif data.dtype.kind != "f":
             raise FormatError(f"{path} holds {data.dtype} samples; expected uint8, int16, int32 or float")
         return cls(channels=data.T.astype(np.float32), fs=int(fs))
+
+
+def read_recording(wav_path, n_channels: int, framing: FramingConfig | None = None):
+    """Read a WAV of ``n_channels`` channels. Returns the signals and
+    ``framing``, or without one the default framing at the file's rate.
+
+    Raises FormatError for another channel count, a file with no samples, a
+    non-finite sample, or a file rate other than ``framing.fs``.
+    """
+    signals = MicSignals.from_wav(wav_path)
+    if signals.channels.shape[0] != n_channels:
+        raise FormatError(f"{wav_path} has {signals.channels.shape[0]} channels, expected {n_channels}")
+    if signals.n_samples == 0:
+        raise FormatError(f"{wav_path} holds no samples")
+    bad = np.argwhere(~np.isfinite(signals.channels))
+    if len(bad):
+        channel, sample = bad[0]
+        raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
+    if framing is None:
+        framing = FramingConfig(fs=signals.fs)
+    elif framing.fs != signals.fs:
+        raise FormatError(f"{wav_path} is sampled at {signals.fs} Hz, the framing expects {framing.fs} Hz")
+    return signals, framing
 
 
 def image_counts(dims, t_max: float) -> np.ndarray:
@@ -254,6 +281,10 @@ def render_moving_source(
             raise OutOfRoom(f"{what} {points[~inside][0]} outside room {room.dims}")
     if t_max is None:
         t_max = _default_t_max(room, fs)
+    grid_images = int(np.prod(2 * image_counts(room.dims, t_max) + 1))
+    if grid_images > MAX_GRID_IMAGES:
+        raise ImageGridTooLarge(f"room {room.dims} m at t_max {t_max} s needs {grid_images} grid images"
+                                f" per parity block, more than {MAX_GRID_IMAGES}")
     if hop is None:
         hop = int(math.ceil(len(dry) / n_points))
     if hop * (n_points - 1) >= len(dry):
@@ -263,26 +294,22 @@ def render_moving_source(
     starts = np.flatnonzero(np.r_[True, np.any(traj_points[1:] != traj_points[:-1], axis=1)]).tolist()
     runs = list(zip(starts, starts[1:] + [n_points]))
 
-    def rirs(i):
-        return _rirs_for_point(room, traj_points[runs[i][0]], mic_positions, fs, t_max)
+    def rirs(run):
+        return _rirs_for_point(room, traj_points[run[0]], mic_positions, fs, t_max)
 
-    # the calling thread computes every n-th RIR set and a pool the others;
-    # segments are overlap-added here in trajectory order, whatever n is
-    n = min(_worker_count(), len(runs))
-    pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+    # pool threads compute the RIR sets and map yields them in trajectory
+    # order, so the calling thread overlap-adds the same sums for any pool size
+    pool = ThreadPoolExecutor(min(_worker_count(), len(runs)))
     try:
-        pending = {i: pool.submit(rirs, i) for i in range(len(runs)) if i % n}
         out = np.zeros((mic_positions.shape[0], len(dry)))
-        for i, (start, stop) in enumerate(runs):
-            rir_set = pending.pop(i).result() if i % n else rirs(i)
+        for (start, stop), rir_set in zip(runs, pool.map(rirs, runs)):
             seg_lo = start * hop
             seg_hi = stop * hop if stop < n_points else len(dry)
             wet = fftconvolve(dry[None, seg_lo:seg_hi], rir_set, axes=1)
             hi = min(seg_lo + wet.shape[1], len(dry))
             out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     return MicSignals(channels=out.astype(dtype), fs=fs)
 
 
@@ -301,8 +328,10 @@ def add_noise(
     framing: FramingConfig,
 ) -> MicSignals:
     """Add white Gaussian noise at an SNR measured over the non-silent
-    analysis frames of ``framing`` (unwindowed)."""
-    if math.isinf(snr_db):
+    analysis frames of ``framing`` (unwindowed). An SNR of +inf adds none."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return MicSignals(channels=sig.channels.copy(), fs=sig.fs)
     vad_mask = np.asarray(vad_mask, dtype=bool)
     if not vad_mask.any():

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import firwin, lfilter
 
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
-from .roomsim import MicSignals, Room, add_noise, render_moving_source
+from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig, frame_indices
 
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
@@ -204,6 +204,9 @@ def clean_dry_signal(sig: np.ndarray, vad_mask: np.ndarray, framing: FramingConf
 def wav_corpus_provider(directory):
     """Source provider reading mono WAVs from a directory, concatenated and
     trimmed to the requested duration; activity comes from the energy VAD.
+    Each file is read with ``read_recording``, so an empty, multichannel or
+    non-finite file, or one at another rate than the framing, is a
+    FormatError.
 
     A source provider is called as ``provider(duration, framing, rng)`` and
     returns the dry signal at ``framing.fs`` with its per-frame activity mask.
@@ -213,16 +216,13 @@ def wav_corpus_provider(directory):
         raise FileNotFoundError(f"no .wav files under {directory}")
 
     def provider(duration: float, framing: FramingConfig, rng: np.random.Generator):
-        fs = framing.fs
-        n = int(round(duration * fs))
+        n = int(round(duration * framing.fs))
         order = rng.permutation(len(paths))
         chunks = []
         total = 0
         k = 0
         while total < n:
-            sig = MicSignals.from_wav(paths[order[k % len(paths)]])
-            if sig.fs != fs:
-                raise ValueError(f"{paths[order[k % len(paths)]]} is {sig.fs} Hz, expected {fs}")
+            sig, _ = read_recording(paths[order[k % len(paths)]], 1, framing)
             chunks.append(sig.channels[0])
             total += sig.channels.shape[1]
             k += 1

@@ -120,7 +120,7 @@ class TestSynthFeaturesTrack:
             main(["track", "--wav", str(not_wav), "--out", out])
         three = tmp_path / "three.wav"
         MicSignals(channels=np.zeros((3, 16000), dtype=np.float32), fs=16000).to_wav(three)
-        with pytest.raises(FormatError, match="3 channels, array has 12"):
+        with pytest.raises(FormatError, match="3 channels, expected 12"):
             main(["features", "--wav", str(three), "--out", str(tmp_path / "f.srpm")])
 
     def test_48khz_wav_framed_at_its_own_rate(self, tmp_path):
@@ -263,12 +263,13 @@ class TestCountArguments:
 
 class TestSceneArguments:
     @pytest.mark.parametrize("flag,value", [("--t60", "-1"), ("--t60", "nan"), ("--t60", "inf"),
-                                            ("--snr", "nan"), ("--snr", "-inf")])
+                                            ("--snr", "nan"), ("--snr", "-inf"),
+                                            ("--resolution", "1x8"), ("--resolution", "0x0")])
     def test_non_finite_or_negative_is_a_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         args = {"--t60": "0.2", "--snr": "30", flag: value}
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--t60", args["--t60"], "--snr", args["--snr"], "--out", str(out)])
+            main(["eval", *(v for item in args.items() for v in item), "--out", str(out)])
         assert exc.value.code == 2 and f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from srptrack import roomsim
-from srptrack.errors import AllSilent, FormatError, NonPhysicalT60Warning, OutOfRoom
+from srptrack.errors import AllSilent, FormatError, ImageGridTooLarge, NonPhysicalT60Warning, OutOfRoom
 from srptrack.geometry import default_array
 from srptrack.roomsim import (
     MicSignals,
@@ -219,9 +219,9 @@ class TestThreadedRendering:
         monkeypatch.setattr(roomsim, "_worker_count", lambda: 1)
         serial = self._render(points)
         threaded, submitted = self._threaded(monkeypatch, points)
-        # a static source is one RIR set, which the calling thread computes;
-        # of 5 sets and 4 workers, the calling thread takes the 1st and the 5th
-        assert len(submitted) == (0 if static else 3)
+        # every RIR set goes to the pool: a static source is one set, the
+        # moving one 5 sets
+        assert len(submitted) == (1 if static else 5)
         assert threaded.dtype == np.float32
         np.testing.assert_array_equal(threaded, serial)
 
@@ -238,6 +238,18 @@ class TestThreadedRendering:
         with pytest.raises(RuntimeError) as info:
             self._threaded(monkeypatch, self.POINTS)
         assert info.value is failure
+
+    def test_oversized_image_grid_is_rejected_before_any_set(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an RIR set was started")
+
+        monkeypatch.setattr(roomsim, "_rirs_for_point", never)
+        mics = np.array([3.0, 2.5, 1.2]) + default_array().positions
+        dry = np.zeros(len(self.POINTS) * 1600)
+        with pytest.raises(ImageGridTooLarge, match=r"t_max 30.0 s needs \d+ grid images per parity block"):
+            render_moving_source(dry, self.POINTS, mics, Room([6.0, 5.0, 3.0], 30.0), FS, hop=1600)
+        # the largest default training draw stays well below the cap
+        assert np.prod(2 * image_counts([3.0, 3.0, 2.5], 1.3) + 1) < roomsim.MAX_GRID_IMAGES / 8
 
 
 class TestRenderMovingSource:
@@ -336,6 +348,11 @@ class TestAddNoise:
         mask = np.ones(10, dtype=bool)
         out = add_noise(sig, math.inf, mask, np.random.default_rng(0), FramingConfig())
         np.testing.assert_array_equal(out.channels, sig.channels)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_or_minus_infinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(self._sig(), snr_db, np.ones(10, dtype=bool), np.random.default_rng(0), FramingConfig())
 
     def test_measured_snr_close(self):
         sig = self._sig(n=FS * 20)

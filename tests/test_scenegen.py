@@ -1,10 +1,12 @@
 """Tests for srptrack.scenegen."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
 
+from srptrack.errors import FormatError
 from srptrack.geometry import SphericalGrid, angular_error, delay_table
 from srptrack.roomsim import Room
 from srptrack.scenegen import (
@@ -273,8 +275,42 @@ class TestWavCorpusProvider:
         dry, mask = wav_corpus_provider(tmp_path)(1.5, framing, np.random.default_rng(0))
         assert len(dry) == 12000
         assert mask.shape == (framing.n_frames(12000),)
-        with pytest.raises(ValueError, match="8000 Hz, expected 16000"):
+        with pytest.raises(FormatError, match="sampled at 8000 Hz, the framing expects 16000"):
             wav_corpus_provider(tmp_path)(1.5, FramingConfig(), np.random.default_rng(0))
+
+    def test_empty_wavs_rejected(self, tmp_path):
+        from srptrack.roomsim import MicSignals
+
+        MicSignals(channels=np.zeros((1, 0), dtype=np.float32), fs=16000).to_wav(tmp_path / "s.wav")
+
+        def timeout(signum, frame):
+            raise TimeoutError("the provider is still looping over empty files")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            with pytest.raises(FormatError, match="no samples"):
+                wav_corpus_provider(tmp_path)(1.5, FramingConfig(), np.random.default_rng(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_non_finite_sample_rejected(self, tmp_path):
+        from srptrack.roomsim import MicSignals
+
+        noise = np.random.default_rng(15).normal(size=(1, 16000)).astype(np.float32) * 0.1
+        noise[0, 1234] = np.nan
+        MicSignals(channels=noise, fs=16000).to_wav(tmp_path / "s.wav")
+        with pytest.raises(FormatError, match="non-finite value at channel 0, sample 1234"):
+            wav_corpus_provider(tmp_path)(0.5, FramingConfig(), np.random.default_rng(0))
+
+    def test_multichannel_file_rejected(self, tmp_path):
+        from srptrack.roomsim import MicSignals
+
+        noise = np.random.default_rng(16).normal(size=(2, 16000)).astype(np.float32) * 0.1
+        MicSignals(channels=noise, fs=16000).to_wav(tmp_path / "s.wav")
+        with pytest.raises(FormatError, match="2 channels, expected 1"):
+            wav_corpus_provider(tmp_path)(0.5, FramingConfig(), np.random.default_rng(0))
 
     def test_missing_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
