@@ -37,7 +37,7 @@ from scipy.signal import fftconvolve
 
 from .errors import AllSilent, FormatError, ImageGridTooLarge, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
-from .srpfeat import FramingConfig, frame_indices
+from .srpfeat import FramingConfig
 
 SINC_HALF_WIDTH = 40  # taps each side at the output rate (81-tap kernel)
 OVERSAMPLE = 16
@@ -273,6 +273,8 @@ def render_moving_source(
     traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=float))
     n_points = traj_points.shape[0]
+    if n_points == 0:
+        raise ValueError("traj_points is empty: a trajectory needs at least one point")
     for what, points in (("trajectory point", traj_points), ("microphone", mic_positions)):
         if points.shape[1] != 3:
             raise ValueError(f"{what}s must be 3-vectors, got shape {points.shape}")
@@ -331,13 +333,17 @@ def add_noise(
     analysis frames of ``framing`` (unwindowed). An SNR of +inf adds none."""
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    vad_mask = np.asarray(vad_mask, dtype=bool)
+    frames = framing.frames(sig.channels).transpose(1, 2, 0)  # (T, K, n_ch)
+    if vad_mask.shape != frames.shape[:1]:
+        raise ValueError(f"vad mask has shape {vad_mask.shape}, the signal has {len(frames)} frames")
     if snr_db == math.inf:
         return MicSignals(channels=sig.channels.copy(), fs=sig.fs)
-    vad_mask = np.asarray(vad_mask, dtype=bool)
     if not vad_mask.any():
         raise AllSilent("cannot set an SNR with every frame silent")
-    frames = sig.channels[:, frame_indices(len(vad_mask), framing.K, framing.hop)]  # (n_ch, T, K)
-    p_sig = float(np.mean(frames[:, vad_mask] ** 2))
+    # compress copies the voiced frames in C order, channels fastest; the float
+    # sum runs in memory order, so this layout fixes the calibrated SNR's bits
+    p_sig = float(np.mean(frames.compress(vad_mask, axis=0) ** 2))
     sigma = math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0))
     noise = rng.normal(0.0, sigma, size=sig.channels.shape)
     return MicSignals(channels=(sig.channels + noise).astype(sig.channels.dtype), fs=sig.fs)

@@ -19,7 +19,7 @@ from scipy.signal import firwin, lfilter
 
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
-from .srpfeat import EnergyVad, FramingConfig, frame_indices
+from .srpfeat import EnergyVad, FramingConfig
 
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
 _WALL_MARGIN_FRACTION = 0.1  # of each room dimension, kept clear around the array
@@ -184,20 +184,18 @@ def synthetic_source(
     peak = np.max(np.abs(sig))
     if peak > 0:
         sig = 0.5 * sig / peak
-    idx = frame_indices(framing.n_frames(n), framing.K, framing.hop)
-    return sig, np.mean(sig[idx] ** 2, axis=1) > 0.0
+    return sig, np.mean(framing.frames(sig) ** 2, axis=1) > 0.0
 
 
 def clean_dry_signal(sig: np.ndarray, vad_mask: np.ndarray, framing: FramingConfig) -> np.ndarray:
     """Zero every sample not covered by at least one voiced frame."""
     vad_mask = np.asarray(vad_mask, dtype=bool)
-    n_frames = framing.n_frames(len(sig))
-    if vad_mask.shape != (n_frames,):
-        raise ValueError(f"vad mask has shape {vad_mask.shape}, the signal has {n_frames} frames")
-    keep = np.zeros(len(sig), dtype=bool)
-    keep[frame_indices(len(vad_mask), framing.K, framing.hop)[vad_mask]] = True
-    out = sig.copy()
-    out[~keep] = 0.0
+    covered = framing.frames(np.arange(len(sig)))  # (T, K) sample indices
+    if vad_mask.shape != covered.shape[:1]:
+        raise ValueError(f"vad mask has shape {vad_mask.shape}, the signal has {len(covered)} frames")
+    keep = covered[vad_mask]
+    out = np.zeros_like(sig)
+    out[keep] = sig[keep]
     return out
 
 
@@ -219,16 +217,11 @@ def wav_corpus_provider(directory):
         n = int(round(duration * framing.fs))
         order = rng.permutation(len(paths))
         chunks = []
-        total = 0
-        k = 0
-        while total < n:
-            sig, _ = read_recording(paths[order[k % len(paths)]], 1, framing)
+        while sum(map(len, chunks)) < n:
+            sig, _ = read_recording(paths[order[len(chunks) % len(paths)]], 1, framing)
             chunks.append(sig.channels[0])
-            total += sig.channels.shape[1]
-            k += 1
         dry = np.concatenate(chunks)[:n]
-        mask = EnergyVad().mask(dry[None, :], framing)
-        return dry, mask
+        return dry, EnergyVad().mask(dry[None, :], framing)
 
     return provider
 

@@ -24,6 +24,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifact
 from .errors import FormatError, LagRangeTooSmall, TooShort
@@ -65,17 +66,16 @@ class FramingConfig:
         """Centre time in seconds of each frame."""
         return (np.arange(n_frames) * self.hop + self.K / 2) / self.fs
 
-
-def frame_indices(n_frames: int, length: int, hop: int) -> np.ndarray:
-    """(n_frames, length) sample indices of frames starting every ``hop`` samples."""
-    return np.arange(length)[None, :] + hop * np.arange(n_frames)[:, None]
+    def frames(self, x: np.ndarray) -> np.ndarray:
+        """Unwindowed frames of an (..., n_samples) signal as a read-only
+        (..., T, K) view of its samples; frame t starts at sample t * hop."""
+        self.n_frames(np.shape(x)[-1])  # TooShort below one window
+        return sliding_window_view(x, self.K, axis=-1)[..., :: self.hop, :]
 
 
 def frame_signal(channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
     """Split (n_ch, n_samples) into Hann-windowed frames (n_ch, T, K)."""
-    channels = np.atleast_2d(np.asarray(channels))
-    idx = frame_indices(cfg.n_frames(channels.shape[-1]), cfg.K, cfg.hop)
-    return channels[:, idx] * np.hanning(cfg.K)
+    return cfg.frames(np.atleast_2d(channels)) * np.hanning(cfg.K)
 
 
 class EnergyVad:

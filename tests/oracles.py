@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from srptrack.errors import DegenerateDirection
-from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, Room, image_counts
+from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, MicSignals, Room, image_counts
 from srptrack.srpfeat import _PHAT_EPS_REL
 
 
@@ -329,6 +329,38 @@ def clean_dry_signal_per_frame(sig: np.ndarray, vad_mask: np.ndarray, framing) -
     keep = np.zeros(len(sig), dtype=bool)
     for i in np.nonzero(vad_mask)[0]:
         keep[i * framing.hop : i * framing.hop + framing.K] = True
+    out = sig.copy()
+    out[~keep] = 0.0
+    return out
+
+
+# The index gathers that FramingConfig.frames replaced: each builds the (T, K)
+# table of frame sample indices and gathers through it.
+def frame_index_table(n_frames: int, framing) -> np.ndarray:
+    return np.arange(framing.K)[None, :] + framing.hop * np.arange(n_frames)[:, None]
+
+
+def add_noise_gather(sig, snr_db: float, vad_mask: np.ndarray, rng: np.random.Generator, framing):
+    """roomsim.add_noise with the signal power measured on an index gather."""
+    if snr_db == math.inf:
+        return MicSignals(channels=sig.channels.copy(), fs=sig.fs)
+    vad_mask = np.asarray(vad_mask, dtype=bool)
+    frames = sig.channels[:, frame_index_table(len(vad_mask), framing)]  # (n_ch, T, K)
+    p_sig = float(np.mean(frames[:, vad_mask] ** 2))
+    sigma = math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0))
+    noise = rng.normal(0.0, sigma, size=sig.channels.shape)
+    return MicSignals(channels=(sig.channels + noise).astype(sig.channels.dtype), fs=sig.fs)
+
+
+def activity_mask_gather(sig: np.ndarray, framing) -> np.ndarray:
+    """synthetic_source's activity mask: the frames of nonzero power."""
+    idx = frame_index_table(framing.n_frames(len(sig)), framing)
+    return np.mean(sig[idx] ** 2, axis=1) > 0.0
+
+
+def clean_dry_signal_gather(sig: np.ndarray, vad_mask: np.ndarray, framing) -> np.ndarray:
+    keep = np.zeros(len(sig), dtype=bool)
+    keep[frame_index_table(len(vad_mask), framing)[np.asarray(vad_mask, dtype=bool)]] = True
     out = sig.copy()
     out[~keep] = 0.0
     return out

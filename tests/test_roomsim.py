@@ -113,6 +113,12 @@ class TestSimulateRir:
             with pytest.raises(ValueError, match="must be 3-vectors"):
                 render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1)
 
+    @pytest.mark.parametrize("hop", [None, 1600])
+    def test_empty_trajectory_rejected(self, hop):
+        room = Room([4.0, 4.0, 3.0], 0.3)
+        with pytest.raises(ValueError, match="traj_points"):
+            render_moving_source(np.zeros(4000), np.zeros((0, 3)), [[1.0, 1.0, 1.0]], room, FS, t_max=0.1, hop=hop)
+
     @pytest.mark.parametrize("t60", [0.3, 0.6, 1.0])
     def test_schroeder_t60_tracks_request(self, t60):
         # Pure ISM with uniform Sabine-inverted walls reads 25-50% long on a
@@ -343,16 +349,18 @@ class TestAddNoise:
         rng = np.random.default_rng(seed)
         return MicSignals(channels=rng.normal(size=(2, n)).astype(np.float64), fs=FS)
 
+    def _voiced(self, n=FS * 4):
+        return np.ones(FramingConfig().n_frames(n), dtype=bool)
+
     def test_infinite_snr_identity(self):
         sig = self._sig()
-        mask = np.ones(10, dtype=bool)
-        out = add_noise(sig, math.inf, mask, np.random.default_rng(0), FramingConfig())
+        out = add_noise(sig, math.inf, self._voiced(), np.random.default_rng(0), FramingConfig())
         np.testing.assert_array_equal(out.channels, sig.channels)
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_nan_or_minus_infinite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
-            add_noise(self._sig(), snr_db, np.ones(10, dtype=bool), np.random.default_rng(0), FramingConfig())
+            add_noise(self._sig(), snr_db, self._voiced(), np.random.default_rng(0), FramingConfig())
 
     def test_measured_snr_close(self):
         sig = self._sig(n=FS * 20)
@@ -369,14 +377,20 @@ class TestAddNoise:
 
     def test_deterministic_given_seed(self):
         sig = self._sig()
-        mask = np.ones(10, dtype=bool)
-        out1 = add_noise(sig, 5.0, mask, np.random.default_rng(7), FramingConfig())
-        out2 = add_noise(sig, 5.0, mask, np.random.default_rng(7), FramingConfig())
+        out1 = add_noise(sig, 5.0, self._voiced(), np.random.default_rng(7), FramingConfig())
+        out2 = add_noise(sig, 5.0, self._voiced(), np.random.default_rng(7), FramingConfig())
         np.testing.assert_array_equal(out1.channels, out2.channels)
 
     def test_all_silent_rejected(self):
         with pytest.raises(AllSilent):
-            add_noise(self._sig(), 10.0, np.zeros(10, dtype=bool), np.random.default_rng(0), FramingConfig())
+            add_noise(self._sig(), 10.0, ~self._voiced(), np.random.default_rng(0), FramingConfig())
+
+    @pytest.mark.parametrize("n_mask", [53, 106])
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    def test_mask_of_another_length_rejected(self, n_mask, snr_db):
+        sig = self._sig(n=FS * 20)  # 103 frames
+        with pytest.raises(ValueError, match=rf"\({n_mask},\), the signal has 103 frames"):
+            add_noise(sig, snr_db, np.ones(n_mask, dtype=bool), np.random.default_rng(0), FramingConfig())
 
 
 class TestWavRoundTrip:

@@ -6,11 +6,13 @@ import signal
 import numpy as np
 import pytest
 
+from srptrack import scenegen, srpfeat
 from srptrack.errors import FormatError
-from srptrack.geometry import SphericalGrid, angular_error, delay_table
-from srptrack.roomsim import Room
+from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table
+from srptrack.roomsim import MicSignals, Room, add_noise
 from srptrack.scenegen import (
     SceneConfig,
+    clean_dry_signal,
     generate_trajectory,
     sample_rng,
     sample_scene,
@@ -18,9 +20,18 @@ from srptrack.scenegen import (
     synthetic_source,
     wav_corpus_provider,
 )
-from srptrack.srpfeat import EnergyVad, FramingConfig, compute_power_maps, frame_signal
+from srptrack.srpfeat import EnergyVad, FramingConfig, compute_input_tensor, compute_power_maps, frame_signal
 
-from oracles import clean_dry_signal_per_frame, grid_argmax, gt_units_from_angles, unit_to_doa
+from oracles import (
+    activity_mask_gather,
+    add_noise_gather,
+    clean_dry_signal_gather,
+    clean_dry_signal_per_frame,
+    frame_signal_per_frame,
+    grid_argmax,
+    gt_units_from_angles,
+    unit_to_doa,
+)
 
 
 class TestSampleScene:
@@ -115,8 +126,6 @@ class TestSyntheticSource:
         assert 10 * math.log10(passband / stopband) > 60.0
 
     def test_clean_dry_signal_matches_per_frame_loop(self):
-        from srptrack.scenegen import clean_dry_signal
-
         framing = FramingConfig(K=64, hop=48, fs=1000)
         rng = np.random.default_rng(8)
         sig = rng.normal(size=64 + 48 * 9 + 20)  # a tail no frame covers
@@ -228,9 +237,7 @@ class TestSynthesizeTrajectorySample:
         sig, scene = synthesize_trajectory_sample(cfg, synthetic_source, rng)
 
         # rebuild a static scene at a grid direction by re-rendering manually
-        from srptrack.geometry import default_array
         from srptrack.roomsim import render_moving_source
-        from srptrack.scenegen import clean_dry_signal
 
         framing = FramingConfig()
         array = default_array()
@@ -255,8 +262,6 @@ class TestSynthesizeTrajectorySample:
 
 class TestWavCorpusProvider:
     def test_reads_and_trims(self, tmp_path):
-        from srptrack.roomsim import MicSignals
-
         rng = np.random.default_rng(13)
         for k in range(2):
             sig = MicSignals(channels=rng.normal(size=(1, 16000)).astype(np.float32) * 0.1, fs=16000)
@@ -267,8 +272,6 @@ class TestWavCorpusProvider:
         assert mask.shape == (FramingConfig().n_frames(24000),)
 
     def test_mask_uses_the_framing(self, tmp_path):
-        from srptrack.roomsim import MicSignals
-
         framing = FramingConfig(K=1024, hop=512, fs=8000)
         noise = np.random.default_rng(14).normal(size=(1, 8000)).astype(np.float32) * 0.1
         MicSignals(channels=noise, fs=8000).to_wav(tmp_path / "s.wav")
@@ -279,8 +282,6 @@ class TestWavCorpusProvider:
             wav_corpus_provider(tmp_path)(1.5, FramingConfig(), np.random.default_rng(0))
 
     def test_empty_wavs_rejected(self, tmp_path):
-        from srptrack.roomsim import MicSignals
-
         MicSignals(channels=np.zeros((1, 0), dtype=np.float32), fs=16000).to_wav(tmp_path / "s.wav")
 
         def timeout(signum, frame):
@@ -296,8 +297,6 @@ class TestWavCorpusProvider:
             signal.signal(signal.SIGALRM, previous)
 
     def test_non_finite_sample_rejected(self, tmp_path):
-        from srptrack.roomsim import MicSignals
-
         noise = np.random.default_rng(15).normal(size=(1, 16000)).astype(np.float32) * 0.1
         noise[0, 1234] = np.nan
         MicSignals(channels=noise, fs=16000).to_wav(tmp_path / "s.wav")
@@ -305,8 +304,6 @@ class TestWavCorpusProvider:
             wav_corpus_provider(tmp_path)(0.5, FramingConfig(), np.random.default_rng(0))
 
     def test_multichannel_file_rejected(self, tmp_path):
-        from srptrack.roomsim import MicSignals
-
         noise = np.random.default_rng(16).normal(size=(2, 16000)).astype(np.float32) * 0.1
         MicSignals(channels=noise, fs=16000).to_wav(tmp_path / "s.wav")
         with pytest.raises(FormatError, match="2 channels, expected 1"):
@@ -315,3 +312,79 @@ class TestWavCorpusProvider:
     def test_missing_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             wav_corpus_provider(tmp_path / "empty")
+
+
+def _voiced_masks(t, rng):
+    """A single voiced frame, every frame voiced, and a random mix."""
+    single = np.zeros(t, dtype=bool)
+    single[t // 2] = True
+    return [single, np.ones(t, dtype=bool), rng.random(t) < 0.5]
+
+
+class TestFrameViewsMatchIndexGathers:
+    """Reading frames through ``FramingConfig.frames`` gives, bit for bit,
+    what the (T, K) index gathers it replaced gave."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_add_noise(self, dtype):
+        # the power is a float sum whose order follows the memory layout of
+        # the voiced frames; random channel counts and lengths expose a
+        # layout that differs from the gather's
+        framing = FramingConfig()
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            n_ch, n = int(rng.integers(1, 13)), int(rng.integers(4096, 16000 * 10))
+            sig = MicSignals(channels=(rng.normal(size=(n_ch, n)) * 0.3).astype(dtype), fs=16000)
+            for mask in _voiced_masks(framing.n_frames(n), rng):
+                out = add_noise(sig, 12.0, mask, np.random.default_rng(1), framing)
+                ref = add_noise_gather(sig, 12.0, mask, np.random.default_rng(1), framing)
+                assert out.channels.dtype == dtype
+                np.testing.assert_array_equal(out.channels, ref.channels)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clean_dry_signal(self, dtype):
+        framing = FramingConfig()
+        rng = np.random.default_rng(2)
+        sig = rng.normal(size=16000 * 3 + 100).astype(dtype)
+        for mask in _voiced_masks(framing.n_frames(len(sig)), rng):
+            out = clean_dry_signal(sig, mask, framing)
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, clean_dry_signal_gather(sig, mask, framing))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_signal(self, dtype):
+        framing = FramingConfig()
+        x = np.random.default_rng(3).normal(size=(12, 16000 * 2)).astype(dtype)
+        np.testing.assert_array_equal(frame_signal(x, framing), frame_signal_per_frame(x, framing))
+
+    @pytest.mark.parametrize("duration", [0.256, 5.0])  # one frame, then 25
+    def test_synthetic_source_mask(self, duration):
+        framing = FramingConfig()
+        for seed in range(3):
+            sig, mask = synthetic_source(duration, framing, np.random.default_rng(seed))
+            np.testing.assert_array_equal(mask, activity_mask_gather(sig, framing))
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_scene_and_features(self, seed, monkeypatch):
+        cfg = SceneConfig(room_min=[4.0, 3.5, 2.8], room_max=[6.0, 5.0, 3.5], snr_range=(15.0, 30.0),
+                          t60_range=(0.2, 0.4), duration=3.0, rir_t_max=0.15)
+        table = delay_table(default_array(), SphericalGrid(8, 16))
+
+        def run(source):
+            sig, scene = synthesize_trajectory_sample(cfg, source, sample_rng(seed, 0))
+            return sig, scene, compute_input_tensor(sig.channels, table, FramingConfig())
+
+        def source_gather(duration, framing, rng):
+            sig, _ = synthetic_source(duration, framing, rng)
+            return sig, activity_mask_gather(sig, framing)
+
+        sig, scene, tensor = run(synthetic_source)
+        monkeypatch.setattr(scenegen, "clean_dry_signal", clean_dry_signal_gather)
+        monkeypatch.setattr(scenegen, "add_noise", add_noise_gather)
+        monkeypatch.setattr(srpfeat, "frame_signal", frame_signal_per_frame)
+        ref_sig, ref_scene, ref_tensor = run(source_gather)
+        np.testing.assert_array_equal(sig.channels, ref_sig.channels)
+        np.testing.assert_array_equal(scene.vad_mask, ref_scene.vad_mask)
+        np.testing.assert_array_equal(scene.vad_energy_mask, ref_scene.vad_energy_mask)
+        np.testing.assert_array_equal(tensor.data, ref_tensor.data)
+        np.testing.assert_array_equal(tensor.vad, ref_tensor.vad)

@@ -18,7 +18,6 @@ from srptrack.srpfeat import (
     compute_input_tensor,
     compute_power_maps,
     default_lag_range,
-    frame_indices,
     frame_signal,
     gcc_set,
     load_features,
@@ -89,9 +88,32 @@ class TestFraming:
         window = np.hanning(8)
         np.testing.assert_allclose(frames[0, 2], sig[0, 8:16] * window)
 
-    def test_frame_indices(self):
-        idx = frame_indices(3, 4, 2)
-        np.testing.assert_array_equal(idx, [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
+    def test_frames_start_every_hop(self):
+        # a trailing sample that no whole frame covers is left out
+        frames = FramingConfig(K=4, hop=2, fs=1).frames(np.arange(9))
+        np.testing.assert_array_equal(frames, [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
+
+    def test_frames_are_a_read_only_view(self):
+        x = np.random.default_rng(0).normal(size=(3, 200))
+        frames = FramingConfig(K=64, hop=32, fs=1000).frames(x)
+        assert frames.shape == (3, 5, 64)
+        assert np.shares_memory(frames, x)
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(frames[1, 2], x[1, 64:128])
+
+    def test_frames_too_short(self):
+        with pytest.raises(TooShort):
+            FramingConfig(K=64, hop=32, fs=1000).frames(np.zeros((2, 63)))
+
+    def test_frames_of_exactly_one_window(self):
+        x = np.arange(64.0)
+        np.testing.assert_array_equal(FramingConfig(K=64, hop=32, fs=1000).frames(x), x[None, :])
+
+    def test_frames_with_hop_equal_to_k_tile_the_signal(self):
+        x = np.arange(2 * 200.0).reshape(2, 200)
+        frames = FramingConfig(K=64, hop=64, fs=1000).frames(x)
+        np.testing.assert_array_equal(frames, x[:, :192].reshape(2, 3, 64))
 
 
 def _pair_gcc(frame_n, frame_m, lag_range):
