@@ -25,7 +25,8 @@ from . import artifact
 from .errors import FormatError, ShapeError
 from .geometry import MicArray, SphericalGrid, delay_table
 from .scenegen import SceneConfig, sample_rng, synthesize_trajectory_sample, synthetic_source
-from .srpfeat import FramingConfig, InputTensor, compute_input_tensor, default_lag_range, frame_signal, gcc_set
+from .srpfeat import (FramingConfig, InputTensor, compute_input_tensor, default_lag_range, gcc_set,
+                      windowed_frames)
 from .tensornet import (Adam, CausalConv1d, CausalConv3d, MaxPoolAxis, PReLU, Sequential, Tanh,
                         euclidean_distance_loss)
 
@@ -200,9 +201,8 @@ def baseline_gcc_features(
 ) -> np.ndarray:
     """(n_pairs * n_lags, T) stacked GCC-PHAT values; silent frames zeroed."""
     lag_range = default_lag_range(array, cfg.fs)
-    frames = frame_signal(channels, cfg)
-    feats = np.stack([gcc_set(frames[:, i], lag_range).pair_lags.reshape(-1)
-                      for i in range(frames.shape[1])], axis=1)
+    feats = np.stack([gcc_set(frame, lag_range).pair_lags.reshape(-1)
+                      for frame in windowed_frames(channels, cfg)], axis=1)
     if vad_mask is not None:
         feats[:, ~np.asarray(vad_mask, dtype=bool)] = 0.0
     return feats

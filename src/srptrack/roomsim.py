@@ -43,9 +43,9 @@ SINC_HALF_WIDTH = 40  # taps each side at the output rate (81-tap kernel)
 OVERSAMPLE = 16
 
 _MAX_BETA = 1.0 - 1e-9
-# images per parity block; a block's float64 temporaries take 8 bytes each
-# (0.5 GiB at the cap), and the largest default draw, 3x3x2.5 m at T60 1.3 s,
-# needs 4.1 M
+# images per parity block; a block's cull mask takes one byte each (64 MiB at
+# the cap), every image within reach tens of bytes of float64 and index
+# temporaries, and the largest default draw, 3x3x2.5 m at T60 1.3 s, needs 4.1 M
 MAX_GRID_IMAGES = 2**26
 
 
@@ -118,7 +118,8 @@ class MicSignals:
             data = data.astype(np.float32) / 2147483648.0
         elif data.dtype.kind != "f":
             raise FormatError(f"{path} holds {data.dtype} samples; expected uint8, int16, int32 or float")
-        return cls(channels=data.T.astype(np.float32), fs=int(fs))
+        # one C-contiguous row per channel: astype alone keeps the file's interleaved layout
+        return cls(channels=np.ascontiguousarray(data.T, dtype=np.float32), fs=int(fs))
 
 
 def read_recording(wav_path, n_channels: int, framing: FramingConfig | None = None):
@@ -228,11 +229,9 @@ def _rirs_for_point(
     reach = max_dist + np.linalg.norm(mic_positions - centre, axis=1).max() + 1e-6
 
     for (x, gx), (y, gy), (z, gz) in itertools.product(*axes):
-        near = (
-            ((x - centre[0]) ** 2)[:, None, None]
-            + ((y - centre[1]) ** 2)[None, :, None]
-            + ((z - centre[2]) ** 2)[None, None, :]
-        ) <= reach**2
+        # z moves to the right-hand side, so only the mask has the image grid's size
+        dxy = ((x - centre[0]) ** 2)[:, None] + ((y - centre[1]) ** 2)[None, :]
+        near = dxy[:, :, None] <= (reach**2 - (z - centre[2]) ** 2)[None, None, :]
         ix, iy, iz = np.nonzero(near)
         if not len(ix):
             continue

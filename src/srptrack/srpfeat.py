@@ -5,8 +5,13 @@ computed from the pairwise generalized cross-correlations with phase-transform
 weighting. Fractional steering delays are approximated to the nearest sample;
 no interpolation is performed. Maps are plain arrays: one frame gives an
 ``(n_theta, n_phi)`` map, a signal a ``(T, n_theta, n_phi)`` stack.
-``compute_input_tensor`` frames a signal once, and the power maps and the
-energy VAD both read those Hann-windowed frames.
+
+The feature pass streams: ``windowed_frames`` walks the zero-copy frame view
+of ``FramingConfig.frames`` and windows one ``(n_ch, K)`` frame at a time into
+a single reused buffer, so no ``(n_ch, T, K)`` array is built.
+``compute_input_tensor`` takes each frame's GCC set and SRP map from that
+loop, plus the frame's windowed mean square for the energy VAD when no mask
+is given; the GCC baseline's features walk the same loop.
 
 The GCC-PHAT kernel whitens each channel's spectrum once and forms each
 pair's whitened product. The PHAT floor stays per pair: it is relative to
@@ -78,6 +83,18 @@ def frame_signal(channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
     return cfg.frames(np.atleast_2d(channels)) * np.hanning(cfg.K)
 
 
+def windowed_frames(channels: np.ndarray, cfg: FramingConfig):
+    """Yield the Hann-windowed frames of (n_ch, n_samples) one at a time, in
+    order, each as the same float64 (n_ch, K) buffer refilled in place: a
+    caller takes what it needs from a frame before asking for the next."""
+    view = cfg.frames(np.atleast_2d(channels))
+    window = np.hanning(cfg.K)
+    frame = np.empty((view.shape[0], cfg.K))
+    for t in range(view.shape[1]):
+        np.multiply(view[:, t], window, out=frame)
+        yield frame
+
+
 class EnergyVad:
     """Energy-threshold voice activity detector over analysis frames.
 
@@ -91,11 +108,15 @@ class EnergyVad:
     ABS_FLOOR = 1e-6
     REL_THRESHOLD = 0.05
 
-    def mask_from_frames(self, frames: np.ndarray) -> np.ndarray:
-        """Per-frame speech mask for Hann-windowed frames (n_ch, T, K)."""
-        rms = np.sqrt(np.mean(frames ** 2, axis=(0, 2)))
+    def mask_from_power(self, power: np.ndarray) -> np.ndarray:
+        """Per-frame speech mask from each frame's windowed mean square (T,)."""
+        rms = np.sqrt(power)
         running_max = np.maximum.accumulate(rms)
         return rms > np.maximum(self.ABS_FLOOR, self.REL_THRESHOLD * running_max)
+
+    def mask_from_frames(self, frames: np.ndarray) -> np.ndarray:
+        """Per-frame speech mask for Hann-windowed frames (n_ch, T, K)."""
+        return self.mask_from_power(np.mean(frames ** 2, axis=(0, 2)))
 
     def mask(self, channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
         """Per-frame speech mask for a (n_ch, n_samples) signal."""
@@ -254,30 +275,27 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     return InputTensor(data=data, vad=vad, argmax_doa=argmax)
 
 
-def compute_power_maps(frames: np.ndarray, delays: DelayTable, fs: int) -> np.ndarray:
-    """Raw SRP-PHAT maps (T, n_theta, n_phi) of Hann-windowed frames
-    (n_ch, T, K) sampled at ``fs``."""
-    lag_range = default_lag_range(delays.array, fs)
-    return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, fs)
-                     for i in range(frames.shape[1])])
-
-
 def compute_input_tensor(
     channels: np.ndarray,
     delays: DelayTable,
     cfg: FramingConfig,
     vad_mask: np.ndarray | None = None,
 ) -> InputTensor:
-    """Full feature pipeline: frames -> GCC -> maps -> normalize -> tensor.
+    """Full feature pipeline: frame -> GCC -> map, frame by frame, then
+    normalize -> tensor.
 
     ``vad_mask`` takes priority (e.g. the oracle mask of a simulated scene);
     otherwise the energy detector runs on the same frames as the maps.
     """
-    frames = frame_signal(channels, cfg)  # (n_ch, T, K)
-    maps = normalize_map(compute_power_maps(frames, delays, cfg.fs))
+    lag_range = default_lag_range(delays.array, cfg.fs)
+    maps, power = [], []
+    for frame in windowed_frames(channels, cfg):
+        maps.append(srp_map(gcc_set(frame, lag_range), delays, cfg.fs))
+        if vad_mask is None:
+            power.append(np.mean(frame ** 2))
     if vad_mask is None:
-        vad_mask = EnergyVad().mask_from_frames(frames)
-    return assemble_input(maps, vad_mask, delays.grid)
+        vad_mask = EnergyVad().mask_from_power(np.array(power))
+    return assemble_input(normalize_map(np.stack(maps)), vad_mask, delays.grid)
 
 
 def save_features(path, tensor: InputTensor, grid: SphericalGrid, cfg: FramingConfig) -> None:

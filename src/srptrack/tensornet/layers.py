@@ -35,12 +35,20 @@ PRELU_INIT = 0.25
 
 
 class Parameter:
-    """A learnable array with a gradient slot of the same shape."""
+    """A learnable array with a gradient slot of the same shape. The slot is
+    zero-filled the first time ``grad`` is read, so a model that only runs
+    forward, such as one loaded to track, never holds one."""
 
     def __init__(self, value: np.ndarray, name: str):
         self.value = value
-        self.grad = np.zeros_like(value)
         self.name = name
+
+    def __getattr__(self, attr):
+        # reached only while ``grad`` is unset: instance attributes win
+        if attr != "grad":
+            raise AttributeError(attr)
+        self.grad = np.zeros_like(self.value)
+        return self.grad
 
     @property
     def size(self) -> int:

@@ -13,7 +13,7 @@ from scipy.signal import fftconvolve
 
 from srptrack.errors import DegenerateDirection
 from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, MicSignals, Room, image_counts
-from srptrack.srpfeat import _PHAT_EPS_REL
+from srptrack.srpfeat import _PHAT_EPS_REL, default_lag_range, gcc_set, srp_map
 
 
 def plane_wave_frames(dry: np.ndarray, mic_positions: np.ndarray, u: np.ndarray, fs: float, c: float = 343.0) -> np.ndarray:
@@ -264,6 +264,25 @@ def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
             data[1, i] = theta / np.pi
             data[2, i] = (phi + np.pi) / (2.0 * np.pi)
     return data, vad, argmax
+
+
+# The feature pass as it stood before it streamed frame by frame: the whole
+# (n_ch, T, K) Hann-windowed frame array first, then one GCC set and one map
+# per frame. The body is verbatim; the GCC kernel and the map are the
+# package's, so this pins the streaming, not the kernels.
+def power_maps_windowed(frames: np.ndarray, delays, fs: int) -> np.ndarray:
+    """Raw SRP-PHAT maps (T, n_theta, n_phi) of Hann-windowed frames
+    (n_ch, T, K) sampled at ``fs``."""
+    lag_range = default_lag_range(delays.array, fs)
+    return np.stack([srp_map(gcc_set(frames[:, i], lag_range), delays, fs)
+                     for i in range(frames.shape[1])])
+
+
+def gcc_features_windowed(frames: np.ndarray, lag_range: int) -> np.ndarray:
+    """(n_pairs * n_lags, T) stacked GCC-PHAT values of Hann-windowed frames
+    (n_ch, T, K), before any VAD mask."""
+    return np.stack([gcc_set(frames[:, i], lag_range).pair_lags.reshape(-1)
+                     for i in range(frames.shape[1])], axis=1)
 
 
 def grid_unit_vectors_broadcast(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -588,6 +588,24 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             model_from_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_loaded_model_holds_no_gradients_until_backward(self, tmp_path, kind):
+        ckpt = self._saved(tmp_path, kind)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size={"cross3d": (3, 6, 4, 8), "baseline-max": (2, 6), "baseline-gcc": (858, 6)}[kind])
+        model = model_from_checkpoint(ckpt)
+        out = model.forward(x)
+        assert not any("grad" in vars(p) for p in model.parameters())
+        # backward fills the same gradients as zero slots allocated up front
+        eager = model_from_checkpoint(ckpt)
+        for p in eager.parameters():
+            p.zero_grad()
+        np.testing.assert_array_equal(eager.forward(x), out)
+        g = rng.normal(size=out.shape).astype(out.dtype)
+        np.testing.assert_array_equal(model.backward(g), eager.backward(g))
+        for p, q in zip(model.parameters(), eager.parameters(), strict=True):
+            np.testing.assert_array_equal(p.grad, q.grad, strict=True)
+
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline_gcc(default_array(), 16000, seed=11)
         path = tmp_path / "model.sstc"

@@ -19,7 +19,7 @@ from srptrack.roomsim import (
 )
 from srptrack.srpfeat import FramingConfig
 
-from oracles import grid_argmax, rirs_for_point_oversampled, schroeder_t60
+from oracles import grid_argmax, power_maps_windowed, rirs_for_point_oversampled, schroeder_t60
 
 FS = 16000
 C = 343.0
@@ -318,7 +318,7 @@ class TestRenderMovingSource:
         # source jumps between two grid directions: the per-frame map argmax
         # must follow (skipping the single frame straddling the jump)
         from srptrack.geometry import SphericalGrid, default_array, delay_table
-        from srptrack.srpfeat import FramingConfig, compute_power_maps, frame_signal
+        from srptrack.srpfeat import FramingConfig, frame_signal
 
         framing = FramingConfig()
         array = default_array()
@@ -335,7 +335,7 @@ class TestRenderMovingSource:
             dry[: framing.hop * 8], points, origin + array.positions, room, FS, hop=framing.hop
         )
         table = delay_table(array, grid)
-        maps = compute_power_maps(frame_signal(out.channels.astype(float), framing), table, framing.fs)
+        maps = power_maps_windowed(frame_signal(out.channels.astype(float), framing), table, framing.fs)
         observed = [grid_argmax(m, grid)[1] for m in maps]
         for i, idx in enumerate(observed):
             if i <= 2:
@@ -413,6 +413,17 @@ class TestWavRoundTrip:
         path = tmp_path / "i16.wav"
         wavfile.write(path, FS, np.array([-32768, 0, 16384], dtype=np.int16))
         np.testing.assert_array_equal(MicSignals.from_wav(path).channels, [[-1.0, 0.0, 0.5]])
+
+    @pytest.mark.parametrize("dtype,offset,scale", [(np.float32, 0, 1), (np.int16, 0, 2**15),
+                                                    (np.int32, 0, 2**31), (np.uint8, 128, 128)])
+    def test_channels_are_row_major(self, tmp_path, dtype, offset, scale):
+        # the file interleaves its 12 channels; each must come back as one contiguous row
+        path = tmp_path / "rows.wav"
+        rows = np.arange(12 * 5).reshape(12, 5) + offset
+        wavfile.write(path, FS, rows.T.astype(dtype))
+        channels = MicSignals.from_wav(path).channels
+        assert channels.dtype == np.float32 and channels.flags.c_contiguous
+        np.testing.assert_array_equal(channels, (rows - offset) / scale)
 
     @pytest.mark.parametrize(
         "blob",

@@ -16,7 +16,6 @@ from srptrack.srpfeat import (
     FramingConfig,
     assemble_input,
     compute_input_tensor,
-    compute_power_maps,
     default_lag_range,
     frame_signal,
     gcc_set,
@@ -28,12 +27,15 @@ from srptrack.srpfeat import (
 from srptrack.srpfeat import _lag_basis
 
 from oracles import (
+    energy_vad_per_frame,
+    gcc_features_windowed,
     gcc_phat,
     gcc_set_per_pair,
     grid_argmax,
     input_tensor_per_frame,
     normalize_map_single,
     plane_wave_frames,
+    power_maps_windowed,
     srp_direct_pairwise,
     srp_direct_two_mic,
     srp_map_per_pair,
@@ -404,16 +406,17 @@ class TestEnergyVad:
 
     @pytest.mark.parametrize("vad_given", [False, True], ids=["energy-vad", "given-mask"])
     def test_input_tensor_frames_once(self, monkeypatch, vad_given):
-        from srptrack import srpfeat
+        # maps and energy VAD read one framing of the signal, with or without a mask
         from srptrack.geometry import default_array
 
         calls = []
+        frames = FramingConfig.frames
 
-        def counted(channels, cfg):
+        def counted(cfg, x):
             calls.append(cfg)
-            return frame_signal(channels, cfg)
+            return frames(cfg, x)
 
-        monkeypatch.setattr(srpfeat, "frame_signal", counted)
+        monkeypatch.setattr(FramingConfig, "frames", counted)
         cfg = FramingConfig(K=1024, hop=768)
         channels = np.random.default_rng(17).normal(size=(12, 1024 + 4 * 768))
         vad = np.ones(5, dtype=bool) if vad_given else None
@@ -570,6 +573,9 @@ class TestFeatureDump:
 
 
 class TestComputePowerMaps:
+    """The raw maps behind compute_input_tensor: one per frame, steered over
+    the whole grid."""
+
     def test_frame_count_and_argmax_stability(self):
         fs = 16000
         rng = np.random.default_rng(14)
@@ -580,8 +586,9 @@ class TestComputePowerMaps:
         cfg = FramingConfig(K=1024, hop=768, fs=fs)
         dry = rng.normal(size=4096)
         channels = plane_wave_frames(dry, arr.positions, u, fs)
-        maps = compute_power_maps(frame_signal(channels, cfg), table, cfg.fs)
-        assert maps.shape == (cfg.n_frames(4096),) + grid.shape
+        t = cfg.n_frames(4096)
+        maps = compute_input_tensor(channels, table, cfg, vad_mask=np.ones(t, dtype=bool)).data[0]
+        assert maps.shape == (t,) + grid.shape
         for pmap in maps:
             _, idx = grid_argmax(pmap, grid)
             assert idx == (3, 5)
@@ -603,16 +610,18 @@ class TestComputePowerMaps:
         table = delay_table(arr, SphericalGrid(n_theta, n_phi))
         lag_range = default_lag_range(arr, fs)
         assert np.abs(np.rint(table.delays * fs)).max() <= lag_range
-        frames = np.random.default_rng(n_theta).normal(size=(arr.n_mics, 1, 4 * lag_range + 2))
-        assert compute_power_maps(frames, table, fs).shape == (1, n_theta, n_phi)
+        k = 4 * lag_range + 2
+        channels = np.random.default_rng(n_theta).normal(size=(arr.n_mics, k))
+        tensor = compute_input_tensor(channels, table, FramingConfig(K=k, hop=k, fs=fs), vad_mask=[True])
+        assert tensor.data.shape == (3, 1, n_theta, n_phi)
 
     def test_table_beyond_the_aperture_raises(self):
         arr = _toy_array(3)
         table = delay_table(arr, SphericalGrid(4, 8))
         wide = DelayTable(delays=3.0 * table.delays, array=arr, grid=table.grid)
-        frames = np.random.default_rng(15).normal(size=(3, 2, 512))
+        channels = np.random.default_rng(15).normal(size=(3, 1024))
         with pytest.raises(LagRangeTooSmall):
-            compute_power_maps(frames, wide, 16000)
+            compute_input_tensor(channels, wide, FramingConfig(K=512, hop=512))
 
 
 class TestMatchesPerFramePath:
@@ -653,3 +662,66 @@ class TestMatchesPerFramePath:
         channels = rng.normal(size=(n_mics, 1024 + 5 * 768))
         vad_mask = rng.random(6) < 0.6
         self._assert_same(channels, delay_table(_toy_array(n_mics), SphericalGrid(6, 8)), cfg, vad_mask)
+
+    @pytest.mark.parametrize("vad_given", [False, True], ids=["energy-vad", "given-mask"])
+    def test_streamed_pass_matches_the_frame_array(self, vad_given):
+        """The frame-by-frame pass against the windowed-array pass it
+        replaced: maps to 1e-12, VAD and argmax DOAs bit for bit."""
+        from srptrack.geometry import default_array
+
+        cfg = FramingConfig()
+        rng = np.random.default_rng(71)
+        channels = rng.normal(size=(12, cfg.K + 7 * cfg.hop)).astype(np.float32)
+        channels[:, 3 * cfg.hop : 6 * cfg.hop] *= 1e-4  # quiet middle frames, for the energy VAD
+        table = delay_table(default_array(), SphericalGrid(16, 32))
+        frames = frame_signal(channels, cfg)
+        mask = rng.random(frames.shape[1]) < 0.7 if vad_given else None
+        tensor = compute_input_tensor(channels, table, cfg, vad_mask=mask)
+        if mask is None:
+            mask = EnergyVad().mask_from_frames(frames)
+            assert mask.any() and not mask.all()
+            np.testing.assert_array_equal(mask, energy_vad_per_frame(channels, cfg))
+        expected = assemble_input(normalize_map(power_maps_windowed(frames, table, cfg.fs)), mask, table.grid)
+        np.testing.assert_allclose(tensor.data, expected.data, atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(tensor.vad, expected.vad)
+        np.testing.assert_array_equal(tensor.argmax_doa, expected.argmax_doa)
+
+    def test_gcc_features_match_the_frame_array(self):
+        from srptrack.geometry import default_array
+        from srptrack.models import baseline_gcc_features
+
+        cfg = FramingConfig()
+        array = default_array()
+        channels = np.random.default_rng(72).normal(size=(12, cfg.K + 5 * cfg.hop)).astype(np.float32)
+        vad = np.array([True, False, True, True, False, True])
+        expected = gcc_features_windowed(frame_signal(channels, cfg), default_lag_range(array, cfg.fs))
+        expected[:, ~vad] = 0.0
+        np.testing.assert_array_equal(baseline_gcc_features(channels, array, cfg, vad_mask=vad), expected)
+
+
+class TestStreamingMemory:
+    """The feature pass holds one frame at a time, never the whole
+    (n_ch, T, K) float64 frame array: 40.5 MB for 20 s of 12 channels."""
+
+    @pytest.mark.parametrize("features", ["input-tensor", "gcc-baseline"])
+    def test_peak_far_below_the_frame_array(self, features):
+        import tracemalloc
+
+        from srptrack.geometry import default_array
+        from srptrack.models import baseline_gcc_features
+
+        cfg = FramingConfig()
+        array = default_array()
+        channels = np.random.default_rng(73).normal(size=(12, 20 * cfg.fs)).astype(np.float32)
+        table = delay_table(array, SphericalGrid(16, 32))
+        frame_array = channels.shape[0] * cfg.n_frames(channels.shape[1]) * cfg.K * 8
+        tracemalloc.start()
+        try:
+            if features == "input-tensor":
+                compute_input_tensor(channels, table, cfg)
+            else:
+                baseline_gcc_features(channels, array, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_array / 4

@@ -282,6 +282,20 @@ class TestLoss:
             euclidean_distance_loss(np.zeros((3, 4)), np.zeros((3, 5)))
 
 
+class TestParameter:
+    def test_gradient_slot_allocated_on_first_use(self):
+        p = Parameter(np.ones((2, 3), dtype=np.float32), "p")
+        assert "grad" not in vars(p)
+        assert p.grad.shape == (2, 3) and p.grad.dtype == np.float32 and not p.grad.any()
+        slot = p.grad
+        p.grad += 1.0
+        assert p.grad is slot
+        p.zero_grad()
+        np.testing.assert_array_equal(p.grad, 0.0)
+        with pytest.raises(AttributeError):
+            p.momentum
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         p = Parameter(np.array([1.0]), "p")
