@@ -16,7 +16,10 @@ before the per-microphone pass. A moving source needs one RIR set per
 trajectory point, and these sets are independent: one thread pool maps them
 over all usable cores (a static source is one set on one worker thread),
 while the calling thread convolves the segments and overlap-adds them in
-trajectory order, so the result is the same for any number of threads.
+trajectory order, so the result is the same for any number of threads. A
+segment is convolved with its RIR set by real FFTs of ``scipy.fft``, in the
+steps SciPy's ``fftconvolve`` takes, so the package does not import SciPy's
+signal module (which loads ``scipy.stats`` and costs most of a process start).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sp_fft
 from scipy.io import wavfile
-from scipy.signal import fftconvolve
 
 from .errors import AllSilent, FormatError, ImageGridTooLarge, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
@@ -134,9 +136,8 @@ def read_recording(wav_path, n_channels: int, framing: FramingConfig | None = No
         raise FormatError(f"{wav_path} has {signals.channels.shape[0]} channels, expected {n_channels}")
     if signals.n_samples == 0:
         raise FormatError(f"{wav_path} holds no samples")
-    bad = np.argwhere(~np.isfinite(signals.channels))
-    if len(bad):
-        channel, sample = bad[0]
+    if not np.isfinite(signals.channels).all():
+        channel, sample = np.argwhere(~np.isfinite(signals.channels))[0]
         raise FormatError(f"{wav_path} has a non-finite value at channel {channel}, sample {sample}")
     if framing is None:
         framing = FramingConfig(fs=signals.fs)
@@ -265,8 +266,9 @@ def render_moving_source(
     """Propagate a dry signal along a trajectory to every microphone.
 
     The dry signal is split into one contiguous segment per trajectory point;
-    each segment is convolved with that point's RIR set and the results are
-    overlap-added at the segments' original offsets.
+    each segment is convolved with that point's RIR set (``_convolve_segment``,
+    bit-identical to ``fftconvolve``) and the results are overlap-added at the
+    segments' original offsets.
     """
     dry = np.asarray(dry, dtype=float)
     traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
@@ -306,12 +308,27 @@ def render_moving_source(
         for (start, stop), rir_set in zip(runs, pool.map(rirs, runs)):
             seg_lo = start * hop
             seg_hi = stop * hop if stop < n_points else len(dry)
-            wet = fftconvolve(dry[None, seg_lo:seg_hi], rir_set, axes=1)
+            wet = _convolve_segment(dry[seg_lo:seg_hi], rir_set)
             hi = min(seg_lo + wet.shape[1], len(dry))
             out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
     finally:
         pool.shutdown(cancel_futures=True)
     return MicSignals(channels=out.astype(dtype), fs=fs)
+
+
+def _convolve_segment(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
+    """Full linear convolution of one dry segment with each row of ``rirs``:
+    (n_mics, n_taps) in, (n_mics, len(segment) + n_taps - 1) out. These are
+    the steps of SciPy's ``fftconvolve(segment[None], rirs, axes=1)``,
+    so the result has the same bits: a length-1 operand is a plain product,
+    otherwise both are zero-padded to the next fast real FFT length,
+    multiplied in the frequency domain and cropped."""
+    if len(segment) == 1 or rirs.shape[1] == 1:
+        return segment[None] * rirs
+    n = len(segment) + rirs.shape[1] - 1
+    shape = [sp_fft.next_fast_len(n, real=True)]
+    spectrum = sp_fft.rfftn(segment[None], shape, axes=[1]) * sp_fft.rfftn(rirs, shape, axes=[1])
+    return sp_fft.irfftn(spectrum, shape, axes=[1])[:, :n]
 
 
 def _default_t_max(room: Room, fs: float) -> float:

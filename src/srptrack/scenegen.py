@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import firwin, lfilter
 
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
@@ -148,15 +148,32 @@ def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> 
     return Trajectory(points=points, p0=p0, p_end=p_end, amplitude=amplitude, omega=omega)
 
 
+@lru_cache(maxsize=8)
+def _lowpass_taps(fs: int) -> np.ndarray:
+    """63-tap Kaiser (beta 9) lowpass at 3400 Hz with unit DC gain, built as
+    SciPy's ``firwin(63, 3400.0, fs=fs, window=("kaiser", 9.0))`` builds
+    it: a windowed sinc scaled so its taps sum to 1."""
+    if fs <= 6800:
+        raise ValueError(f"the 3400 Hz source lowpass needs fs above 6800 Hz, got {fs}")
+    cutoff = 3400.0 / (0.5 * fs)
+    m = np.arange(63) - 31.0
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(63, 9.0)
+    taps /= taps.sum()
+    taps.flags.writeable = False
+    return taps
+
+
 def synthetic_source(
     duration: float, framing: FramingConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Speech-like dry signal at ``framing.fs``: amplitude-modulated
     band-limited noise bursts.
 
-    On segments last 0.3-2 s, pauses 0.1-1 s. Returns the signal and the
-    per-analysis-frame activity mask actually realized (frames whose RMS is
-    exactly zero are marked silent).
+    On segments last 0.3-2 s, pauses 0.1-1 s. The bursts pass a causal
+    63-tap FIR lowpass (``_lowpass_taps``) by ``np.convolve`` cut to the
+    signal's length, the computation ``lfilter`` does for an FIR filter.
+    Returns the signal and the per-analysis-frame activity mask actually
+    realized (frames whose RMS is exactly zero are marked silent).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -179,8 +196,7 @@ def synthetic_source(
     envelope = np.interp(np.arange(n), np.linspace(0, n - 1, n_knots), knots)
     raw = noise * gate * envelope
     # confine the spectrum well below Nyquist (>60 dB down above 7 kHz)
-    taps = firwin(63, 3400.0, fs=fs, window=("kaiser", 9.0))
-    sig = lfilter(taps, 1.0, raw)
+    sig = np.convolve(_lowpass_taps(fs), raw)[:n]
     peak = np.max(np.abs(sig))
     if peak > 0:
         sig = 0.5 * sig / peak

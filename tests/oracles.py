@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, firwin, lfilter
 
 from srptrack.errors import DegenerateDirection
 from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, MicSignals, Room, image_counts
@@ -383,6 +383,43 @@ def clean_dry_signal_gather(sig: np.ndarray, vad_mask: np.ndarray, framing) -> n
     out = sig.copy()
     out[~keep] = 0.0
     return out
+
+
+# The scipy.signal calls that render_moving_source and synthetic_source made
+# before the package stopped importing scipy.signal.
+def convolve_segment_fftconvolve(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
+    return fftconvolve(segment[None], rirs, axes=1)
+
+
+def lowpass_taps_firwin(fs: float) -> np.ndarray:
+    return firwin(63, 3400.0, fs=fs, window=("kaiser", 9.0))
+
+
+def synthetic_source_lfilter(duration: float, framing, rng: np.random.Generator):
+    """synthetic_source with the firwin design and the lfilter call; the
+    body is otherwise verbatim."""
+    fs = framing.fs
+    n = int(round(duration * fs))
+    gate = np.zeros(n)
+    pos = 0
+    active = True
+    while pos < n:
+        seg = rng.uniform(0.3, 2.0) if active else rng.uniform(0.1, 1.0)
+        stop = min(n, pos + int(seg * fs))
+        if active:
+            gate[pos:stop] = 1.0
+        pos = stop
+        active = not active
+    noise = rng.normal(size=n)
+    n_knots = max(2, int(duration * 4))
+    knots = rng.uniform(0.3, 1.0, size=n_knots)
+    envelope = np.interp(np.arange(n), np.linspace(0, n - 1, n_knots), knots)
+    raw = noise * gate * envelope
+    sig = lfilter(lowpass_taps_firwin(fs), 1.0, raw)
+    peak = np.max(np.abs(sig))
+    if peak > 0:
+        sig = 0.5 * sig / peak
+    return sig, np.mean(framing.frames(sig) ** 2, axis=1) > 0.0
 
 
 # The causal convolutions as they stood before the shared tap loop: the 3D

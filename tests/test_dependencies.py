@@ -1,6 +1,9 @@
-"""The package imports only numpy, scipy and the standard library."""
+"""The package imports only numpy, scipy and the standard library, and not
+scipy.signal, whose import costs most of a process start."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +35,12 @@ def test_sources_found():
 def test_imports_are_numpy_scipy_or_stdlib(path):
     outside = sorted(set(absolute_imports(path)) - ALLOWED)
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_package_import_leaves_out_scipy_signal():
+    # a fresh interpreter: pytest and tests/oracles.py load scipy.signal themselves
+    code = "import sys, srptrack, srptrack.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = [m for m in out.split() if m.startswith(("scipy.signal", "scipy.stats"))]
+    assert "srptrack.cli" in out.split() and not loaded, f"importing srptrack loads {loaded}"

@@ -19,7 +19,13 @@ from srptrack.roomsim import (
 )
 from srptrack.srpfeat import FramingConfig
 
-from oracles import grid_argmax, power_maps_windowed, rirs_for_point_oversampled, schroeder_t60
+from oracles import (
+    convolve_segment_fftconvolve,
+    grid_argmax,
+    power_maps_windowed,
+    rirs_for_point_oversampled,
+    schroeder_t60,
+)
 
 FS = 16000
 C = 343.0
@@ -258,6 +264,24 @@ class TestThreadedRendering:
         assert np.prod(2 * image_counts([3.0, 3.0, 2.5], 1.3) + 1) < roomsim.MAX_GRID_IMAGES / 8
 
 
+class TestSegmentConvolutionMatchesFftconvolve:
+    """_convolve_segment takes fftconvolve's steps, so it gives its bits."""
+
+    @pytest.mark.parametrize(
+        "n_samples,n_taps",
+        # RIR lengths: T60 0.25 s (train), T60 0.7 s (eval), t_max 0.032 s (track)
+        [(3136, 4000), (3122, 11200), (3136, 512), (1, 4000), (700, 1)],
+        ids=["train", "eval", "track", "one-sample-segment", "one-tap"],
+    )
+    def test_bit_identical(self, n_samples, n_taps):
+        rng = np.random.default_rng(n_samples + n_taps)
+        segment = rng.normal(size=n_samples)
+        rirs = rng.normal(size=(12, n_taps)) * np.exp(-np.arange(n_taps) / 800.0)
+        wet = roomsim._convolve_segment(segment, rirs)
+        assert wet.shape == (12, n_samples + n_taps - 1)
+        assert np.array_equal(wet, convolve_segment_fftconvolve(segment, rirs))
+
+
 class TestRenderMovingSource:
     def _room(self):
         return Room([5.0, 4.0, 3.0], 0.25)
@@ -464,3 +488,15 @@ class TestWavRoundTrip:
         wavfile.write(path, FS, np.zeros((100, 2), dtype=np.int64))
         with pytest.raises(FormatError, match="int64"):
             MicSignals.from_wav(path)
+
+
+class TestReadRecording:
+    def test_first_non_finite_sample_named(self, tmp_path):
+        # the report names the lowest channel holding a bad sample, then its first one
+        channels = np.zeros((12, FS), dtype=np.float32)
+        channels[7, 100] = np.nan
+        channels[3, 9000] = np.inf
+        channels[3, 12000] = -np.inf
+        MicSignals(channels=channels, fs=FS).to_wav(tmp_path / "bad.wav")
+        with pytest.raises(FormatError, match=r"bad\.wav has a non-finite value at channel 3, sample 9000$"):
+            roomsim.read_recording(tmp_path / "bad.wav", 12)

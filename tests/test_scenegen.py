@@ -31,7 +31,9 @@ from oracles import (
     grid_argmax,
     gt_units_from_angles,
     input_tensor_per_frame,
+    lowpass_taps_firwin,
     power_maps_windowed,
+    synthetic_source_lfilter,
     unit_to_doa,
 )
 
@@ -145,6 +147,30 @@ class TestSyntheticSource:
             est = EnergyVad().mask(sig[None, :], framing)
             agreements.append(np.mean(est == mask))
         assert np.mean(agreements) >= 0.95
+
+
+class TestSourceFilterMatchesFirwinLfilter:
+    """The numpy lowpass against the scipy.signal design and filter it replaced."""
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
+    def test_taps(self, fs):
+        taps = scenegen._lowpass_taps(fs)
+        assert taps.shape == (63,) and not taps.flags.writeable
+        assert np.max(np.abs(taps - lowpass_taps_firwin(fs))) <= 1e-15
+
+    def test_cutoff_above_nyquist_rejected(self):
+        # firwin rejects this too
+        with pytest.raises(ValueError, match="above 6800 Hz"):
+            scenegen._lowpass_taps(6800)
+
+    @pytest.mark.parametrize("duration,framing", [(20.0, FramingConfig()), (3.3, FramingConfig(K=1024, hop=512, fs=8000))])
+    def test_synthetic_source(self, duration, framing):
+        for seed in range(3):
+            sig, mask = synthetic_source(duration, framing, np.random.default_rng(seed))
+            ref, ref_mask = synthetic_source_lfilter(duration, framing, np.random.default_rng(seed))
+            assert sig.shape == ref.shape
+            assert np.max(np.abs(sig - ref)) <= 1e-15 * np.max(np.abs(ref))
+            np.testing.assert_array_equal(mask, ref_mask)
 
 
 class TestSynthesizeTrajectorySample:
