@@ -3,15 +3,17 @@
 A file is a 4-byte magic, the ``<2I`` version and header length, a UTF-8 JSON
 object header, then float32 little-endian tensors. The header's ``"tensors"``
 list gives each tensor's name, shape and byte offset after the header; its
-other keys are metadata that the caller checks.
+other keys are metadata that the caller checks. ``read`` reads each tensor
+from the file straight into its own array, with no staging copy of the file;
+a checkpoint's model keeps these arrays as its weights.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -34,48 +36,56 @@ def write(path, magic: bytes, version: int, meta: dict, tensors: dict) -> None:
     with open(path, "wb") as f:
         f.write(magic + struct.pack("<2I", version, len(header)) + header)
         for arr in tensors.values():
-            f.write(arr.astype("<f4").tobytes())
+            np.asarray(arr, "<f4").tofile(f)
 
 
 def read(path, magic: bytes, version: int, what: str) -> tuple[dict, dict]:
     """(metadata, name -> float32 array) of a file ``write`` made with this
-    ``magic`` and ``version``; FormatError naming ``what`` for anything else."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != magic:
-        raise FormatError(f"not a {what} (bad magic)")
-    if len(blob) < 12:
-        raise FormatError(f"{what} truncated")
-    found, header_len = struct.unpack_from("<2I", blob, 4)
-    if found != version:
-        raise FormatError(f"unsupported {what} version {found}")
-    body = 12 + header_len
-    if len(blob) < body:
-        raise FormatError(f"{what} truncated inside header")
-    try:
-        meta = json.loads(blob[12:body].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
-        raise FormatError(f"corrupt {what} header: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{what} header is not a JSON object")
-    directory = meta.pop("tensors", None)
-    if not isinstance(directory, list):
-        raise FormatError(f"{what} header has a missing or bad 'tensors': {directory!r}")
-    tensors = {}
-    for entry in directory:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(is_count(n) for n in entry["shape"])
-            and is_count(entry.get("offset"))
-        ):
-            raise FormatError(f"bad {what} tensor entry {entry!r}")
-        count = math.prod(entry["shape"])
-        start = body + entry["offset"]
-        if start + 4 * count > len(blob):
-            raise FormatError(f"{what} truncated: tensor {entry['name']} out of range")
+    ``magic`` and ``version``; FormatError naming ``what`` for anything else,
+    a NaN or infinite value included."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        lead = f.read(12)
+        if lead[:4] != magic:
+            raise FormatError(f"not a {what} (bad magic)")
+        if len(lead) < 12:
+            raise FormatError(f"{what} truncated")
+        found, header_len = struct.unpack_from("<2I", lead, 4)
+        if found != version:
+            raise FormatError(f"unsupported {what} version {found}")
+        body = 12 + header_len
+        if size < body:
+            raise FormatError(f"{what} truncated inside header")
         try:
-            tensors[entry["name"]] = np.frombuffer(blob, "<f4", count, start).reshape(entry["shape"]).copy()
-        except ValueError as exc:  # an empty shape too large for numpy, like [0, 10**20]
-            raise FormatError(f"bad {what} tensor shape {entry['shape']}: {exc}") from exc
+            meta = json.loads(f.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
+            raise FormatError(f"corrupt {what} header: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{what} header is not a JSON object")
+        directory = meta.pop("tensors", None)
+        if not isinstance(directory, list):
+            raise FormatError(f"{what} header has a missing or bad 'tensors': {directory!r}")
+        tensors = {}
+        for entry in directory:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(is_count(n) for n in entry["shape"])
+                and is_count(entry.get("offset"))
+            ):
+                raise FormatError(f"bad {what} tensor entry {entry!r}")
+            name, shape = entry["name"], entry["shape"]
+            count = math.prod(shape)
+            start = body + entry["offset"]
+            if start + 4 * count > size:
+                raise FormatError(f"{what} truncated: tensor {name} out of range")
+            f.seek(start)
+            try:
+                arr = np.fromfile(f, "<f4", count).reshape(shape)
+            except ValueError as exc:  # an empty shape too large for numpy, like [0, 10**20]
+                raise FormatError(f"bad {what} tensor shape {shape}: {exc}") from exc
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{what} tensor {name} holds a NaN or an infinity")
+            tensors[name] = arr
     return meta, tensors

@@ -58,8 +58,8 @@ def receptive_field_seconds(depth: int, framing: FramingConfig | None = None) ->
 
 class Cross3D:
     """Two-branch causal 3D CNN over power-map sequences: ``stem``, one
-    sequence per branch, ``head``. Its weights are drawn from ``rng``, or left
-    uninitialised for a checkpoint load when ``rng`` is None."""
+    sequence per branch, ``head``. Its weights are drawn from ``rng``; when
+    ``rng`` is None they are read-only zeros, for a checkpoint load to replace."""
 
     kind = "cross3d"
 
@@ -352,10 +352,11 @@ def _spec_count(ckpt: Checkpoint, key: str) -> int:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: int | None = None):
-    """Rebuild the model a checkpoint describes and load its parameters; with
-    ``array`` given, a GCC baseline must fit that array's features at ``fs``,
-    which is then required. No random initialisation is drawn: the
-    checkpoint fills every weight."""
+    """Rebuild the model a checkpoint describes, with the checkpoint's tensors
+    as its weights; with ``array`` given, a GCC baseline must fit that array's
+    features at ``fs``, which is then required. No random initialisation is
+    drawn and no weight is copied: the model keeps the checkpoint's float32
+    arrays, so training it changes them too."""
     if array is not None and fs is None:
         raise TypeError("model_from_checkpoint needs fs when an array is given")
     if ckpt.kind not in MODEL_KINDS:
@@ -374,21 +375,13 @@ def model_from_checkpoint(ckpt: Checkpoint, array: MicArray | None = None, fs: i
             raise FormatError(f"baseline-gcc checkpoint takes {in_channels} input channels,"
                               f" the {array.n_mics}-sensor array at {fs} Hz gives {width}")
         model = Baseline1D("baseline-gcc", in_channels, None)
-    load_into(model, ckpt)
-    return model
-
-
-def load_into(model, ckpt: Checkpoint) -> None:
-    if ckpt.kind != model.kind or ckpt.spec != model.spec:
-        raise FormatError(
-            f"checkpoint is {ckpt.kind} {ckpt.spec}, model is {model.kind} {model.spec}"
-        )
+    if ckpt.spec != model.spec:  # also rejects keys no model reads
+        raise FormatError(f"checkpoint is {ckpt.kind} {ckpt.spec}, model is {model.kind} {model.spec}")
     params = {p.name: p for p in model.parameters()}
     if set(params) != set(ckpt.tensors):
         raise FormatError("checkpoint tensor directory does not match the model")
-    # every shape is checked before the first copy, so a bad checkpoint leaves the model as it was
     for name, arr in ckpt.tensors.items():
-        if tuple(arr.shape) != params[name].value.shape:
+        if arr.shape != params[name].value.shape:
             raise FormatError(f"tensor {name} has shape {arr.shape}, expected {params[name].value.shape}")
-    for name, arr in ckpt.tensors.items():
-        params[name].value[...] = arr
+        params[name].value = arr.astype(np.float32, copy=False)
+    return model

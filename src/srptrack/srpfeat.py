@@ -11,7 +11,8 @@ of ``FramingConfig.frames`` and windows one ``(n_ch, K)`` frame at a time into
 a single reused buffer, so no ``(n_ch, T, K)`` array is built.
 ``compute_input_tensor`` takes each frame's GCC set and SRP map from that
 loop, plus the frame's windowed mean square for the energy VAD when no mask
-is given; the GCC baseline's features walk the same loop.
+is given; the GCC baseline's features and ``EnergyVad.mask`` walk the same
+loop, so the detector alone gives the feature pass's mask bit for bit.
 
 The GCC-PHAT kernel whitens each channel's spectrum once and forms each
 pair's whitened product. The PHAT floor stays per pair: it is relative to
@@ -79,7 +80,8 @@ class FramingConfig:
 
 
 def frame_signal(channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-    """Split (n_ch, n_samples) into Hann-windowed frames (n_ch, T, K)."""
+    """Split (n_ch, n_samples) into Hann-windowed frames (n_ch, T, K), the
+    whole array at once; the package itself walks ``windowed_frames``."""
     return cfg.frames(np.atleast_2d(channels)) * np.hanning(cfg.K)
 
 
@@ -114,13 +116,11 @@ class EnergyVad:
         running_max = np.maximum.accumulate(rms)
         return rms > np.maximum(self.ABS_FLOOR, self.REL_THRESHOLD * running_max)
 
-    def mask_from_frames(self, frames: np.ndarray) -> np.ndarray:
-        """Per-frame speech mask for Hann-windowed frames (n_ch, T, K)."""
-        return self.mask_from_power(np.mean(frames ** 2, axis=(0, 2)))
-
     def mask(self, channels: np.ndarray, cfg: FramingConfig) -> np.ndarray:
-        """Per-frame speech mask for a (n_ch, n_samples) signal."""
-        return self.mask_from_frames(frame_signal(channels, cfg))
+        """Per-frame speech mask for a (n_ch, n_samples) signal, from the
+        frames and mean squares ``compute_input_tensor`` takes."""
+        power = [np.mean(frame ** 2) for frame in windowed_frames(channels, cfg)]
+        return self.mask_from_power(np.array(power))
 
 
 @dataclass(frozen=True, eq=False)

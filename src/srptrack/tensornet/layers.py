@@ -4,7 +4,9 @@ Shape conventions (no batch axis; training loops over samples):
   conv3d: (channels, time, elevation, azimuth)
   conv1d: (channels, time)
 
-Both convolutions share one flat padded layout. Each input channel is
+Both convolutions are one class body, ``_CausalConv``, generic in the
+number of spatial axes; ``CausalConv3d`` and ``CausalConv1d`` only name its
+kernel. They share one flat padded layout. Each input channel is
 zero-padded and flattened into one row: time gets (kt-1)*dilation zeros
 before its first frame, so the output at frame t only sees inputs at frames
 <= t; each spatial axis gets (k-1)/2 zeros on both sides, which preserves its
@@ -76,10 +78,10 @@ class Layer:
 
 def _he_weights(rng: np.random.Generator | None, shape: tuple, dtype) -> np.ndarray:
     """He-normal (out_ch, in_ch, *kernel) weights, with the PReLU gain of the
-    reference initialization; left uninitialised when ``rng`` is None, for a
-    checkpoint load to fill."""
+    reference initialization. When ``rng`` is None, read-only zeros that
+    allocate nothing, for a checkpoint load to replace."""
     if rng is None:
-        return np.empty(shape, dtype=dtype)
+        return np.broadcast_to(np.zeros((), dtype), shape)
     std = math.sqrt(2.0 / ((1.0 + PRELU_INIT**2) * math.prod(shape[1:])))
     return rng.normal(0.0, std, shape).astype(dtype)
 
@@ -122,93 +124,85 @@ def _correlate(x, w, dilation, causal=True):
     return out.reshape(out_ch, x.shape[1], *grid[1:])[(..., *(slice(s) for s in x.shape[2:]))]
 
 
-def _conv_forward(layer, x, dilation):
-    layer._x = x
-    return _correlate(x, layer.w.value, dilation) + layer.b.value.reshape(-1, *(1,) * (x.ndim - 1))
+class _CausalConv(Layer):
+    """Causal convolution over (channels, time, *space) with a (time,
+    *space) ``kernel_shape``; odd spatial kernels keep each spatial size."""
 
-
-def _conv_backward(layer, grad_out, dilation):
-    """Accumulate the weight and bias gradients; return the input gradient."""
-    w = layer.w.value
-    out_ch, in_ch, *kernel = w.shape
-    layer.b.grad += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
-    stack, offsets, n, grid = _stack(layer._x, kernel, dilation, True)
-    # the output gradient on the padded grid, channels last: a (n, out_ch)
-    # right operand multiplies about twice as fast as its transposed view
-    d = np.zeros((grad_out.shape[1], *grid[1:], out_ch), grad_out.dtype)
-    d[(slice(None), *(slice(s) for s in grad_out.shape[2:]))] = np.moveaxis(grad_out, 0, -1)
-    d = d.reshape(n, out_ch)
-    gw = np.stack([stack[:, offset:offset + n] @ d for offset in offsets])
-    layer.w.grad += gw.reshape(len(offsets), in_ch, -1, out_ch).transpose(3, 1, 0, 2).reshape(w.shape)
-    del stack, d, gw  # freed before the input gradient builds its own stack
-    flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-    return _correlate(grad_out, flipped, dilation, causal=False)
-
-
-class CausalConv3d(Layer):
-    def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int, int],
-                 rng: np.random.Generator | None, dtype=np.float32, name: str = "conv3d"):
-        kt, kh, kw = kernel
-        if kh % 2 == 0 or kw % 2 == 0:
+    def __init__(self, in_ch, out_ch, kernel_shape, rng, dilation, dtype, name):
+        if any(k % 2 == 0 for k in kernel_shape[1:]):
             raise ShapeError("spatial kernel sizes must be odd to preserve shape")
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.kernel = (kt, kh, kw)
-        self.name = name
-        self.w = Parameter(_he_weights(rng, (out_ch, in_ch, kt, kh, kw), dtype), f"{name}.w")
-        self.b = Parameter(np.zeros(out_ch, dtype=dtype), f"{name}.b")
-
-    def params(self):
-        return [self.w, self.b]
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 4:
-            raise ShapeError(f"{self.name}: expected (C, T, H, W), got {in_shape}")
-        c, t, h, w = in_shape
-        if c != self.in_ch:
-            raise ShapeError(f"{self.name}: expected {self.in_ch} input channels, got {c}")
-        if t < 1 or h < 1 or w < 1:
-            raise ShapeError(f"{self.name}: empty input {in_shape}")
-        return (self.out_ch, t, h, w)
-
-    def forward(self, x):
-        self.out_shape(x.shape)
-        return _conv_forward(self, x, 1)
-
-    def backward(self, grad_out):
-        return _conv_backward(self, grad_out, 1)
-
-
-class CausalConv1d(Layer):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator | None,
-                 dilation: int = 1, dtype=np.float32, name: str = "conv1d"):
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = kernel
         self.dilation = dilation
         self.name = name
-        self.w = Parameter(_he_weights(rng, (out_ch, in_ch, kernel), dtype), f"{name}.w")
+        self.w = Parameter(_he_weights(rng, (out_ch, in_ch, *kernel_shape), dtype), f"{name}.w")
         self.b = Parameter(np.zeros(out_ch, dtype=dtype), f"{name}.b")
 
     def params(self):
         return [self.w, self.b]
 
     def out_shape(self, in_shape):
-        if len(in_shape) != 2:
-            raise ShapeError(f"{self.name}: expected (C, T), got {in_shape}")
-        c, t = in_shape
+        rank = self.w.value.ndim - 2
+        if len(in_shape) != rank + 1:
+            layout = ", ".join("CTHW"[:rank + 1])
+            raise ShapeError(f"{self.name}: expected ({layout}), got {in_shape}")
+        c, *rest = in_shape
         if c != self.in_ch:
             raise ShapeError(f"{self.name}: expected {self.in_ch} input channels, got {c}")
-        if t < 1:
-            raise ShapeError(f"{self.name}: empty input")
-        return (self.out_ch, t)
+        if min(rest) < 1:
+            raise ShapeError(f"{self.name}: empty input {in_shape}")
+        return (self.out_ch, *rest)
+
+    def _conv_forward(self, x):
+        self.out_shape(x.shape)
+        self._x = x
+        return _correlate(x, self.w.value, self.dilation) + self.b.value.reshape(-1, *(1,) * (x.ndim - 1))
+
+    def _conv_backward(self, grad_out):
+        """Accumulate the weight and bias gradients; return the input gradient."""
+        w = self.w.value
+        out_ch, in_ch, *kernel = w.shape
+        self.b.grad += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
+        stack, offsets, n, grid = _stack(self._x, kernel, self.dilation, True)
+        # the output gradient on the padded grid, channels last: a (n, out_ch)
+        # right operand multiplies about twice as fast as its transposed view
+        d = np.zeros((grad_out.shape[1], *grid[1:], out_ch), grad_out.dtype)
+        d[(slice(None), *(slice(s) for s in grad_out.shape[2:]))] = np.moveaxis(grad_out, 0, -1)
+        d = d.reshape(n, out_ch)
+        gw = np.stack([stack[:, offset:offset + n] @ d for offset in offsets])
+        self.w.grad += gw.reshape(len(offsets), in_ch, -1, out_ch).transpose(3, 1, 0, 2).reshape(w.shape)
+        del stack, d, gw  # freed before the input gradient builds its own stack
+        flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
+        return _correlate(grad_out, flipped, self.dilation, causal=False)
+
+
+# Each rank keeps forward and backward in its own body: perfbench's tracer
+# wraps only the methods a class defines itself, and times each rank apart.
+class CausalConv3d(_CausalConv):
+    def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int, int],
+                 rng: np.random.Generator | None, dtype=np.float32, name: str = "conv3d"):
+        kt, kh, kw = kernel
+        self.kernel = (kt, kh, kw)
+        super().__init__(in_ch, out_ch, self.kernel, rng, 1, dtype, name)
 
     def forward(self, x):
-        self.out_shape(x.shape)
-        return _conv_forward(self, x, self.dilation)
+        return self._conv_forward(x)
 
     def backward(self, grad_out):
-        return _conv_backward(self, grad_out, self.dilation)
+        return self._conv_backward(grad_out)
+
+
+class CausalConv1d(_CausalConv):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator | None,
+                 dilation: int = 1, dtype=np.float32, name: str = "conv1d"):
+        self.kernel = kernel
+        super().__init__(in_ch, out_ch, (kernel,), rng, dilation, dtype, name)
+
+    def forward(self, x):
+        return self._conv_forward(x)
+
+    def backward(self, grad_out):
+        return self._conv_backward(grad_out)
 
 
 class PReLU(Layer):

@@ -13,7 +13,9 @@ from srptrack.errors import FormatError, ShapeError
 from srptrack.geometry import MicArray, SphericalGrid, default_array, delay_table
 from srptrack.models import (
     MODEL_KINDS,
+    Baseline1D,
     Checkpoint,
+    Cross3D,
     TrainConfig,
     baseline_gcc_features,
     baseline_max_features,
@@ -22,7 +24,6 @@ from srptrack.models import (
     build_cross3d,
     forward_track,
     load_checkpoint,
-    load_into,
     make_checkpoint,
     model_features,
     model_from_checkpoint,
@@ -410,15 +411,6 @@ class TestCheckpoints:
         payload = b"".join(arr.astype("<f4").tobytes() for arr in ckpt.tensors.values())
         assert path.read_bytes() == b"SSTC" + struct.pack("<2I", 1, len(header)) + header + payload
 
-    def test_misshapen_tensor_leaves_the_model_unchanged(self):
-        ckpt = make_checkpoint(build_cross3d(4, 8, seed=2))
-        ckpt.tensors["head.b"] = np.zeros(4, np.float32)  # the last tensor copied
-        model = build_cross3d(4, 8, seed=1)
-        with pytest.raises(FormatError, match="head.b"):
-            load_into(model, ckpt)
-        for p, q in zip(model.parameters(), build_cross3d(4, 8, seed=1).parameters()):
-            np.testing.assert_array_equal(p.value, q.value, strict=True)
-
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_pinned_layout_and_bytes(self, tmp_path, kind):
         """Parameter names, shapes and order, and the bytes of a seed-0
@@ -434,8 +426,10 @@ class TestCheckpoints:
     def test_mismatched_resolution_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
         save_checkpoint(path, make_checkpoint(build_cross3d(4, 8)))
-        with pytest.raises(FormatError):
-            load_into(build_cross3d(8, 16), load_checkpoint(path))
+        ckpt = load_checkpoint(path)
+        ckpt.spec.update(n_phi=16)  # same layers, a wider head input
+        with pytest.raises(FormatError, match="tensor mix.w has shape"):
+            model_from_checkpoint(ckpt)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
@@ -605,6 +599,61 @@ class TestCheckpoints:
         np.testing.assert_array_equal(model.backward(g), eager.backward(g))
         for p, q in zip(model.parameters(), eager.parameters(), strict=True):
             np.testing.assert_array_equal(p.grad, q.grad, strict=True)
+
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("cross3d", {"n_theta": 4, "n_phi": 8, "junk": 1}),
+            ("baseline-max", {"in_channels": 2, "junk": 1}),
+            ("baseline-gcc", {"in_channels": 858, "junk": 1}),
+            ("baseline-max", {"in_channels": 5}),
+        ],
+        ids=["cross3d-junk", "baseline-max-junk", "baseline-gcc-junk", "baseline-max-5-channels"],
+    )
+    def test_unknown_spec_keys_rejected(self, tmp_path, kind, spec):
+        """Every key the model builds from fits, but the spec is not the model's."""
+        ckpt = self._saved(tmp_path, kind)
+        with pytest.raises(FormatError, match=f"checkpoint is {kind}"):
+            model_from_checkpoint(Checkpoint(kind=kind, spec=spec, tensors=ckpt.tensors, step=0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        ckpt = make_checkpoint(build_baseline_max())
+        ckpt.tensors["l0.w"][0, 1, 2] = value
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match="tensor l0.w holds a NaN or an infinity"):
+            load_checkpoint(path)
+
+    def test_load_keeps_one_copy_of_the_weights(self, tmp_path):
+        """The model's weights are the arrays read from the file: the load
+        peaks near the weight bytes, not at twice them."""
+        import tracemalloc
+
+        model = build_baseline_gcc(default_array(), 16000)
+        weight_bytes = 4 * model.parameter_count()
+        path = tmp_path / "model.sstc"
+        save_checkpoint(path, make_checkpoint(model))
+        del model
+        tracemalloc.start()
+        try:
+            model_from_checkpoint(load_checkpoint(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * weight_bytes
+
+    @pytest.mark.parametrize("build", [lambda: Cross3D(4, 8, None),
+                                       lambda: Baseline1D("baseline-max", 2, None)], ids=["cross3d", "baseline-max"])
+    def test_weights_without_rng_are_read_only(self, build):
+        """A model built for a checkpoint holds no uninitialised memory, and
+        writing to a weight before the load replaces it fails loudly."""
+        weights = [p for p in build().parameters() if p.name.endswith(".w")]
+        assert weights
+        for p in weights:
+            assert not p.value.any()
+            with pytest.raises(ValueError, match="read-only"):
+                p.value[...] = 1.0
 
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline_gcc(default_array(), 16000, seed=11)

@@ -390,7 +390,7 @@ class TestEnergyVad:
         # the first frame is below the 1e-6 floor; later thresholds are
         # 0.05 x the running max so far (1, 1, 1, 2, 2)
         rms = np.array([5e-7, 1.0, 0.04, 0.06, 2.0, 0.09])
-        mask = EnergyVad().mask_from_frames(rms[None, :, None])  # one-sample frames: RMS is |x|
+        mask = EnergyVad().mask_from_power(rms ** 2)
         np.testing.assert_array_equal(mask, [False, True, False, True, True, False])
 
     def test_input_tensor_vad_matches_the_detector(self):
@@ -518,6 +518,16 @@ class TestFeatureDump:
         tensor = assemble_input(np.zeros((n_frames,) + grid.shape), np.ones(n_frames, dtype=bool), grid)
         save_features(path, tensor, grid, FramingConfig())
         return path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_data_rejected(self, tmp_path, value):
+        grid = SphericalGrid(2, 2)
+        tensor = assemble_input(np.zeros((3,) + grid.shape), np.ones(3, dtype=bool), grid)
+        tensor.data[0, 1, 1, 0] = value
+        path = tmp_path / "feat.srpm"
+        save_features(path, tensor, grid, FramingConfig())
+        with pytest.raises(FormatError, match="tensor data holds a NaN or an infinity"):
+            load_features(path)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -678,7 +688,7 @@ class TestMatchesPerFramePath:
         mask = rng.random(frames.shape[1]) < 0.7 if vad_given else None
         tensor = compute_input_tensor(channels, table, cfg, vad_mask=mask)
         if mask is None:
-            mask = EnergyVad().mask_from_frames(frames)
+            mask = EnergyVad().mask_from_power(np.mean(frames ** 2, axis=(0, 2)))
             assert mask.any() and not mask.all()
             np.testing.assert_array_equal(mask, energy_vad_per_frame(channels, cfg))
         expected = assemble_input(normalize_map(power_maps_windowed(frames, table, cfg.fs)), mask, table.grid)
