@@ -33,6 +33,7 @@ from .models import (
 )
 from .roomsim import read_recording
 from .scenegen import (
+    MIN_SYNTHETIC_FS,
     SceneConfig,
     sample_rng,
     synthesize_trajectory_sample,
@@ -109,6 +110,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # argparse reports the ValueError of a non-integer
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _t60(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
@@ -116,29 +124,28 @@ def _t60(text: str) -> float:
     return value
 
 
-def _array(path) -> MicArray:
-    return MicArray.from_json(path) if path else default_array()
-
-
-def _source_provider(args):
+def _source_provider(args, fs: int):
+    """The dry sources of ``--corpus``, else the synthetic source, which
+    needs ``fs`` above MIN_SYNTHETIC_FS."""
     if getattr(args, "corpus", None):
         return wav_corpus_provider(args.corpus)
+    if fs <= MIN_SYNTHETIC_FS:
+        raise FormatError(f"the synthetic source needs a framing fs above {MIN_SYNTHETIC_FS} Hz,"
+                          f" got {fs}; give dry source WAVs at {fs} Hz with --corpus")
     return synthetic_source
 
 
-def _new_model(args, fs: int):
+def _new_model(args, array: MicArray, fs: int):
     """An untrained model of kind ``--model``, seeded with ``--seed``."""
     if args.model == "cross3d":
         return build_cross3d(*args.resolution, seed=args.seed)
     if args.model == "baseline-max":
         return build_baseline_max(seed=args.seed)
-    return build_baseline_gcc(_array(args.array), fs, seed=args.seed)
+    return build_baseline_gcc(array, fs, seed=args.seed)
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    array = _array(args.array)
-    provider = _source_provider(args)
+def cmd_synth(args, cfg: _Config, array: MicArray) -> int:
+    provider = _source_provider(args, cfg.framing.fs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -152,9 +159,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    array = _array(args.array)
+def cmd_features(args, cfg: _Config, array: MicArray) -> int:
     grid = SphericalGrid(*args.resolution)
     signals, framing = read_recording(args.wav, array.n_mics, cfg.file_framing)
     tensor = compute_input_tensor(signals.channels, delay_table(array, grid), framing)
@@ -163,27 +168,25 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    array = _array(args.array)
+def cmd_train(args, cfg: _Config, array: MicArray) -> int:
+    provider = _source_provider(args, cfg.framing.fs)
     grid = SphericalGrid(*args.resolution)
-    model = _new_model(args, cfg.framing.fs)
+    model = _new_model(args, array, cfg.framing.fs)
 
     def log(epoch, batch, loss):
         print(f"epoch {epoch} batch {batch}: loss {loss:.6f}", flush=True)
 
     ckpt, losses = train(
         model, cfg.train, cfg.scene, array, grid,
-        framing=cfg.framing, source_provider=_source_provider(args), log=log,
+        framing=cfg.framing, source_provider=provider, log=log,
     )
     save_checkpoint(args.out, ckpt)
     print(f"saved checkpoint ({len(losses)} batches) to {args.out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    array = _array(args.array)
+def cmd_eval(args, cfg: _Config, array: MicArray) -> int:
+    provider = _source_provider(args, cfg.framing.fs)
     requested = tuple(args.resolution) if args.resolution else None
     cross3d: dict = {}
     baselines: dict = {}
@@ -210,15 +213,13 @@ def cmd_eval(args) -> int:
         master_seed=args.seed,
     )
     rows = run_grid(grid, cfg.scene, array, checkpoints, framing=cfg.framing,
-                    source_provider=_source_provider(args))
+                    source_provider=provider)
     emit_plot_data(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def cmd_track(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    array = _array(args.array)
+def cmd_track(args, cfg: _Config, array: MicArray) -> int:
     grid = SphericalGrid(*args.resolution) if args.resolution else None
     rows = track_file(
         args.wav, array, checkpoint_path=args.checkpoint, grid=grid,
@@ -229,9 +230,8 @@ def cmd_track(args) -> int:
     return 0
 
 
-def cmd_paramcount(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    print(_new_model(args, cfg.framing.fs).parameter_count())
+def cmd_paramcount(args, cfg: _Config, array: MicArray) -> int:
+    print(_new_model(args, array, cfg.framing.fs).parameter_count())
     return 0
 
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--array", type=str, default=None, help="array geometry JSON")
 
@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    cfg = _load_config(args.config, args.seed)  # a bad config is reported before a bad array
+    array = MicArray.from_json(args.array) if args.array else default_array()
+    return args.func(args, cfg, array)
 
 
 if __name__ == "__main__":

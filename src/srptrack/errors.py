@@ -18,7 +18,8 @@ class AllSilent(SrpTrackError):
 
 
 class TooShort(SrpTrackError):
-    """A signal is shorter than one analysis window."""
+    """A signal is shorter than one analysis window, or an analysis window
+    is shorter than the span of lags the array needs."""
 
 
 class LagRangeTooSmall(SrpTrackError):

@@ -248,10 +248,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.phase1_epochs > self.epochs:
-            raise ValueError("phase1_epochs cannot exceed epochs")
-        if min(self.epochs, self.trajectories_per_epoch, self.phase1_batch, self.phase2_batch) < 1:
-            raise ValueError("counts must be positive")
+        for name in ("epochs", "trajectories_per_epoch", "phase1_batch", "phase2_batch"):
+            value = getattr(self, name)
+            if not artifact.is_count(value) or value == 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not artifact.is_count(self.phase1_epochs) or self.phase1_epochs > self.epochs:
+            raise ValueError(f"phase1_epochs must be an integer in [0, epochs], got {self.phase1_epochs!r}")
+        if not artifact.is_count(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("traj_seconds", "phase1_lr", "phase2_lr", "phase1_snr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value <= 0 and name != "phase1_snr":
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def training_phase(cfg: TrainConfig, epoch: int) -> tuple[int, float, float | None]:

@@ -24,6 +24,7 @@ from .srpfeat import EnergyVad, FramingConfig
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
 _WALL_MARGIN_FRACTION = 0.1  # of each room dimension, kept clear around the array
 _AMP_SAFETY = 0.999
+MIN_SYNTHETIC_FS = 6800  # Hz; the synthetic source's 3400 Hz lowpass needs a rate above it
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +154,8 @@ def _lowpass_taps(fs: int) -> np.ndarray:
     """63-tap Kaiser (beta 9) lowpass at 3400 Hz with unit DC gain, built as
     SciPy's ``firwin(63, 3400.0, fs=fs, window=("kaiser", 9.0))`` builds
     it: a windowed sinc scaled so its taps sum to 1."""
-    if fs <= 6800:
-        raise ValueError(f"the 3400 Hz source lowpass needs fs above 6800 Hz, got {fs}")
+    if fs <= MIN_SYNTHETIC_FS:
+        raise ValueError(f"the 3400 Hz source lowpass needs fs above {MIN_SYNTHETIC_FS} Hz, got {fs}")
     cutoff = 3400.0 / (0.5 * fs)
     m = np.arange(63) - 31.0
     taps = cutoff * np.sinc(cutoff * m) * np.kaiser(63, 9.0)

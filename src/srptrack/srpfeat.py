@@ -146,7 +146,13 @@ def _lag_basis(k: int, lag_range: int) -> np.ndarray:
     half spectrum viewed as interleaved real and imaginary parts, times this
     basis, gives lags -lag_range..+lag_range of its length-``k`` inverse
     ``irfft``. As in ``irfft``, the imaginary parts of the DC and Nyquist
-    bins are ignored."""
+    bins are ignored. TooShort when ``k`` is below 2 * lag_range: a lag
+    beyond +-k/2 would wrap around the length-``k`` circular correlation
+    onto another lag of the range. At 2 * lag_range == k only +k/2 and -k/2
+    share a circular lag, which is the same lag read twice."""
+    if 2 * lag_range > k:
+        raise TooShort(f"frames of K={k} samples are too short for the array's lags -L..L with L={lag_range}:"
+                       f" K must be at least 2L = {2 * lag_range}")
     bins = np.arange(k // 2 + 1)[:, None]
     lags = np.arange(-lag_range, lag_range + 1)[None, :]
     # reduce b * t modulo k first, so the angles stay accurate for large bins

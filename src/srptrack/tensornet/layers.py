@@ -265,18 +265,17 @@ class MaxPoolAxis(Layer):
 
     def forward(self, x):
         self.out_shape(x.shape)
-        moved = np.moveaxis(x, self.axis, -1)
-        self._moved_shape = moved.shape
-        grouped = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // self.size, self.size))
-        self._argmax = grouped.argmax(axis=-1)
-        out = np.take_along_axis(grouped, self._argmax[..., None], axis=-1)[..., 0]
-        return np.moveaxis(out, -1, self.axis)
+        # the pooled axis split in place into (groups, size); each pick kept in the fewest bytes
+        a = self.axis
+        grouped = x.reshape(x.shape[:a] + (-1, self.size) + x.shape[a + 1:])
+        self._argmax = grouped.argmax(axis=a + 1, keepdims=True).astype(np.min_scalar_type(self.size - 1))
+        return np.take_along_axis(grouped, self._argmax, axis=a + 1).squeeze(a + 1)
 
     def backward(self, grad_out):
-        gmoved = np.moveaxis(grad_out, self.axis, -1)
-        grouped = np.zeros(gmoved.shape[:-1] + (gmoved.shape[-1], self.size), dtype=grad_out.dtype)
-        np.put_along_axis(grouped, self._argmax[..., None], gmoved[..., None], axis=-1)
-        return np.moveaxis(grouped.reshape(self._moved_shape), -1, self.axis)
+        a = self.axis
+        grouped = np.zeros(grad_out.shape[:a + 1] + (self.size,) + grad_out.shape[a + 1:], dtype=grad_out.dtype)
+        np.put_along_axis(grouped, self._argmax, np.expand_dims(grad_out, a + 1), axis=a + 1)
+        return grouped.reshape(grad_out.shape[:a] + (-1,) + grad_out.shape[a + 1:])
 
 
 class Sequential(Layer):

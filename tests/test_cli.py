@@ -58,6 +58,13 @@ class TestParamcount:
         assert main(["paramcount", "--model", "baseline-gcc", "--config", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "18716676"
 
+    @pytest.mark.parametrize("kind", ["cross3d", "baseline-max", "baseline-gcc"])
+    def test_every_kind_checks_the_array(self, tmp_path, kind):
+        array = tmp_path / "array.json"
+        array.write_text('{"name": "no positions"}')
+        with pytest.raises(FormatError):
+            main(["paramcount", "--model", kind, "--resolution", "4x8", "--array", str(array)])
+
 
 class TestSynthFeaturesTrack:
     def test_synth_writes_wav_and_metadata(self, tmp_path, config_path):
@@ -206,6 +213,20 @@ class TestConfigFiles:
             ('{"scene": {"room_min": [0.0, 3.0, 2.5]}}', "bad value in section 'scene': room_min must be positive"),
             ('{"scene": {"rir_t_max": Infinity}}', "bad value in section 'scene': rir_t_max must be"),
             ('{"scene": {"rir_t_max": -0.1}}', "bad value in section 'scene': rir_t_max must be"),
+            ('{"train": {"epochs": 2.5}}', "bad value in section 'train': epochs must be"),
+            ('{"train": {"phase1_batch": true}}', "bad value in section 'train': phase1_batch must be"),
+            ('{"train": {"trajectories_per_epoch": -5}}', "bad value in section 'train': trajectories_per_epoch"),
+            ('{"train": {"phase1_epochs": -1}}', "bad value in section 'train': phase1_epochs must be"),
+            ('{"train": {"phase1_epochs": 1.0}}', "bad value in section 'train': phase1_epochs must be"),
+            ('{"train": {"phase1_lr": "x"}}', "bad value in section 'train': phase1_lr must be"),
+            ('{"train": {"phase2_lr": 0}}', "bad value in section 'train': phase2_lr must be"),
+            ('{"train": {"phase2_lr": Infinity}}', "bad value in section 'train': phase2_lr must be"),
+            ('{"train": {"traj_seconds": -1.0}}', "bad value in section 'train': traj_seconds must be"),
+            ('{"train": {"traj_seconds": false}}', "bad value in section 'train': traj_seconds must be"),
+            ('{"train": {"phase1_snr": NaN}}', "bad value in section 'train': phase1_snr must be"),
+            ('{"train": {"phase1_snr": null}}', "bad value in section 'train': phase1_snr must be"),
+            ('{"train": {"seed": -1}}', "bad value in section 'train': seed must be"),
+            ('{"train": {"seed": 1.5}}', "bad value in section 'train': seed must be"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
@@ -213,7 +234,10 @@ class TestConfigFiles:
              "framing-zero-fs", "framing-negative-fs", "framing-float-fs", "scene-nan-snr", "scene-inf-snr",
              "scene-inf-t60", "scene-negative-t60", "scene-snr-not-a-pair", "scene-nan-room",
              "scene-nan-duration", "scene-zero-duration", "scene-null-duration", "scene-zero-room",
-             "scene-inf-rir-t-max", "scene-negative-rir-t-max"],
+             "scene-inf-rir-t-max", "scene-negative-rir-t-max", "train-float-epochs", "train-bool-batch",
+             "train-negative-trajectories", "train-negative-phase1", "train-float-phase1", "train-string-lr",
+             "train-zero-lr", "train-inf-lr", "train-negative-seconds", "train-bool-seconds", "train-nan-snr",
+             "train-null-snr", "train-negative-seed", "train-float-seed"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -259,6 +283,52 @@ class TestCountArguments:
             main([*command, "--out", str(out)])
         assert exc.value.code == 2 and command[-2] in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeedArgument:
+    @pytest.mark.parametrize(
+        "command",
+        [["synth"], ["train"], ["eval", "--t60", "0.2", "--snr", "30"], ["paramcount", "--model", "cross3d"]],
+        ids=lambda c: c[0],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "-1", *([] if command[0] == "paramcount" else ["--out", str(out)])])
+        assert exc.value.code == 2 and "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+LOW_RATE_CONFIG = {**TOY_CONFIG, "framing": {"fs": 6000, "K": 512, "hop": 256}}
+
+
+class TestSyntheticSourceRate:
+    @pytest.mark.parametrize(
+        "command",
+        [["synth"], ["train", "--resolution", "4x8"], ["eval", "--t60", "0.2", "--snr", "30", "--trajectories", "1"]],
+        ids=lambda c: c[0],
+    )
+    def test_synthetic_source_needs_fs_above_6800(self, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(LOW_RATE_CONFIG))
+        out = tmp_path / "out"
+        with pytest.raises(FormatError, match="synthetic source needs a framing fs above 6800 Hz, got 6000.*--corpus"):
+            main([*command, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_corpus_at_6khz(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(LOW_RATE_CONFIG))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        noise = np.random.default_rng(60).normal(scale=0.1, size=(1, 6000)).astype(np.float32)
+        for k in range(2):
+            MicSignals(channels=noise, fs=6000).to_wav(corpus / f"dry_{k}.wav")
+        out = tmp_path / "scenes"
+        assert main(["synth", "--config", str(path), "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert MicSignals.from_wav(out / "scene_0000.wav").fs == 6000
+        meta = json.loads((out / "scene_0000.json").read_text())
+        assert len(meta["vad_mask"]) == (9000 - 512) // 256 + 1
 
 
 class TestSceneArguments:

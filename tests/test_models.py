@@ -200,6 +200,13 @@ class TestForward:
         out2 = model.forward(x2)
         np.testing.assert_array_equal(out2[:, : cut + 1], base[:, : cut + 1])
 
+    def test_pool_picks_take_one_byte(self):
+        model = build_cross3d(4, 8, seed=2)
+        model.forward(np.random.default_rng(1).normal(size=(3, 10, 4, 8)).astype(np.float32))
+        pools = [layer for branch in model.branches for layer in branch.layers if isinstance(layer, MaxPoolAxis)]
+        assert len(pools) == 2 * model.depth
+        assert all(pool._argmax.itemsize == 1 for pool in pools)
+
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(3).normal(size=(3, 8, 4, 8))
         out1 = build_cross3d(4, 8, seed=7).forward(x)

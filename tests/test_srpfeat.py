@@ -347,6 +347,26 @@ class TestSrpMap:
 
         assert default_lag_range(default_array(), 16000) == 6
 
+    def test_frames_shorter_than_the_lag_span_raise(self):
+        from srptrack.geometry import default_array
+        from srptrack.models import baseline_gcc_features
+
+        square = MicArray(positions=np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0]], float), name="square")
+        assert default_lag_range(square, 16000) == 132
+        channels = np.random.default_rng(35).normal(size=(4, 2048))
+        table = delay_table(square, SphericalGrid(4, 8))
+        for k in (128, 263):
+            cfg = FramingConfig(K=k, hop=64)
+            with pytest.raises(TooShort, match=f"K={k} .*L=132"):
+                compute_input_tensor(channels, table, cfg)
+            with pytest.raises(TooShort, match=f"K={k} .*L=132"):
+                baseline_gcc_features(channels, square, cfg)
+        assert compute_input_tensor(channels, table, FramingConfig(K=264, hop=64)).n_frames == 28
+        nao = default_array()
+        tensor = compute_input_tensor(np.random.default_rng(36).normal(size=(12, 8192)),
+                                      delay_table(nao, SphericalGrid(4, 8)), FramingConfig())
+        assert tensor.n_frames == 2 and np.isfinite(tensor.data).all()
+
 
 class TestNormalizeMap:
     def test_simple_values(self):
