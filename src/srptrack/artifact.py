@@ -42,8 +42,13 @@ def write(path, magic: bytes, version: int, meta: dict, tensors: dict) -> None:
 def read(path, magic: bytes, version: int, what: str) -> tuple[dict, dict]:
     """(metadata, name -> float32 array) of a file ``write`` made with this
     ``magic`` and ``version``; FormatError naming ``what`` for anything else,
-    a NaN or infinite value included."""
-    with open(path, "rb") as f:
+    a NaN or infinite value included, and naming ``path`` when it cannot be
+    opened."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    with f:
         size = os.fstat(f.fileno()).st_size
         lead = f.read(12)
         if lead[:4] != magic:

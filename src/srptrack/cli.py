@@ -56,12 +56,14 @@ class _Config(NamedTuple):
 
 def _load_config(path, seed: int) -> _Config:
     """Every section's config, from the file or the defaults; the training
-    seed defaults to ``seed``. FormatError for bad JSON, an unknown section or
-    key, or a value the section's config rejects."""
+    seed defaults to ``seed``. FormatError for a file that cannot be read, bad
+    JSON, an unknown section or key, or a value the section's config rejects."""
     cfg = {}
     if path is not None:
         try:
             cfg = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except ValueError as exc:
             raise FormatError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):

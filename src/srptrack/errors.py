@@ -35,7 +35,7 @@ class ShapeError(SrpTrackError):
 
 
 class FormatError(SrpTrackError):
-    """A file does not match the expected on-disk format."""
+    """A file cannot be opened or does not match the expected on-disk format."""
 
 
 class EmptySelection(SrpTrackError):

@@ -123,6 +123,8 @@ class MicArray:
             with open(path) as f:
                 obj = json.load(f)
             return cls(positions=np.array(obj["positions_m"], dtype=float), name=obj.get("name", "array"))
+        except OSError as exc:
+            raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:  # bad JSON or text, no key, wrong layout or shape
             raise FormatError(f"{path} is not an array geometry file: {exc!r}") from exc
 

@@ -18,8 +18,12 @@ over all usable cores (a static source is one set on one worker thread),
 while the calling thread convolves the segments and overlap-adds them in
 trajectory order, so the result is the same for any number of threads. A
 segment is convolved with its RIR set by real FFTs of ``scipy.fft``, in the
-steps SciPy's ``fftconvolve`` takes, so the package does not import SciPy's
-signal module (which loads ``scipy.stats`` and costs most of a process start).
+steps SciPy's ``fftconvolve`` takes.
+
+Rendering is the only user of SciPy in the package: the three functions that
+call ``scipy.fft`` import it themselves, and WAV files are read and written
+with numpy and ``struct``. So a process that renders nothing, such as
+``srptrack track``, ``features`` or ``paramcount``, never loads SciPy.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.io import wavfile
 
 from .errors import AllSilent, FormatError, ImageGridTooLarge, NonPhysicalT60Warning, OutOfRoom
 from .geometry import SPEED_OF_SOUND, as_vec3
@@ -49,6 +51,10 @@ _MAX_BETA = 1.0 - 1e-9
 # the cap), every image within reach tens of bytes of float64 and index
 # temporaries, and the largest default draw, 3x3x2.5 m at T60 1.3 s, needs 4.1 M
 MAX_GRID_IMAGES = 2**26
+
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+# a WAVE_FORMAT_EXTENSIBLE sub-format GUID is a format tag in 4 bytes, then these 12
+_WAVE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,30 +104,93 @@ class MicSignals:
         return self.channels.shape[1]
 
     def to_wav(self, path) -> None:
-        wavfile.write(path, int(self.fs), self.channels.T.astype(np.float32))
+        """Write 32-bit float samples, with the chunks ``scipy.io.wavfile.write``
+        gives them: ``fmt `` with an empty extension, ``fact``, then ``data``."""
+        data = np.ascontiguousarray(self.channels.T, dtype="<f4")
+        n_frames, n_ch = data.shape
+        fs = int(self.fs)
+        fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, n_ch, fs, 4 * n_ch * fs, 4 * n_ch, 32, 0)
+        head = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"fact" + struct.pack("<II", 4, n_frames)
+                + b"data" + struct.pack("<I", data.nbytes))
+        if len(head) + data.nbytes > 0xFFFFFFFF:
+            raise FormatError(f"{n_frames} frames of {n_ch} channels do not fit in a RIFF file")
+        with open(path, "wb") as f:
+            f.write(b"RIFF" + struct.pack("<I", len(head) + data.nbytes) + head)
+            data.tofile(f)
 
     @classmethod
     def from_wav(cls, path) -> "MicSignals":
-        """Read a WAV file; PCM samples are scaled to [-1, 1). A data chunk
-        shorter than its header says is an error, not a shorter signal."""
+        """Read a RIFF WAV file of PCM samples in 1 to 4 bytes or of 32 or 64-bit
+        IEEE floats, WAVE_FORMAT_EXTENSIBLE included. PCM is read as a
+        left-justified integer (24-bit as int32, 8-bit unsigned around 128)
+        and scaled to [-1, 1); floats are rounded to float32. Chunks other
+        than ``fmt `` and ``data`` are skipped. Anything else is a
+        FormatError: a path that cannot be opened, another container (RIFX
+        and RF64 included), another encoding or sample size, no ``fmt ``
+        chunk before ``data``, zero channels or a zero rate, a block align
+        that is not a whole sample per channel, or a data chunk shorter
+        than its header says."""
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-                fs, data = wavfile.read(path)
-        except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
-            raise FormatError(f"{path} is not a readable WAV file: {exc}") from exc
-        if data.ndim == 1:
-            data = data[:, None]
-        if data.dtype == np.uint8:
-            data = (data.astype(np.float32) - 128.0) / 128.0
-        elif data.dtype == np.int16:
-            data = data.astype(np.float32) / 32768.0
-        elif data.dtype == np.int32:
-            data = data.astype(np.float32) / 2147483648.0
-        elif data.dtype.kind != "f":
-            raise FormatError(f"{path} holds {data.dtype} samples; expected uint8, int16, int32 or float")
-        # one C-contiguous row per channel: astype alone keeps the file's interleaved layout
-        return cls(channels=np.ascontiguousarray(data.T, dtype=np.float32), fs=int(fs))
+            f = open(path, "rb")
+        except OSError as exc:
+            raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        with f:
+            def bad(why: str) -> FormatError:
+                return FormatError(f"{path} is not a readable WAV file: {why}")
+
+            form = f.read(12)
+            if form[:4] in (b"RIFX", b"RF64"):
+                raise bad(f"{form[:4].decode()} files are not supported")
+            if len(form) < 12 or form[:4] != b"RIFF" or form[8:] != b"WAVE":
+                raise bad("no RIFF/WAVE header")
+            fmt = None
+            while True:
+                head = f.read(8)
+                if len(head) < 8:
+                    raise bad("no data chunk")
+                chunk, size = head[:4], struct.unpack("<I", head[4:])[0]
+                if chunk == b"data":
+                    break
+                if chunk == b"fmt ":
+                    fmt = f.read(size)
+                else:
+                    f.seek(size, 1)
+                f.seek(size % 2, 1)  # the pad byte after an odd-sized chunk
+            if fmt is None:
+                raise bad("no 'fmt ' chunk before the data chunk")
+            if len(fmt) < 16:
+                raise bad(f"a 'fmt ' chunk of {len(fmt)} bytes, fewer than 16")
+            tag, n_ch, fs, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
+            if tag == _WAVE_EXTENSIBLE and fmt[28:40] == _WAVE_GUID_TAIL:
+                tag = struct.unpack_from("<I", fmt, 24)[0]
+            if n_ch == 0 or fs == 0:
+                raise bad(f"{n_ch} channels at {fs} Hz")
+            width, rest = divmod(align, n_ch)
+            if rest or not width:
+                raise bad(f"a block align of {align} bytes is not one whole sample for each of {n_ch} channels")
+            if tag == _WAVE_PCM and width > 4:
+                raise bad(f"{width}-byte PCM samples (int{8 * width}) are not supported; the most is 4 bytes")
+            pcm = tag == _WAVE_PCM and 0 < bits <= 8 * width and (bits <= 8) == (width == 1)
+            if not (pcm or (tag == _WAVE_FLOAT and bits == 8 * width and bits in (32, 64))):
+                raise bad(f"format tag {tag:#06x} with {bits}-bit samples in {width} bytes is not supported;"
+                          f" expected PCM (1) in 1 to 4 bytes or IEEE float (3) in 4 or 8 bytes")
+            n = size // align * n_ch  # the samples of the whole frames
+            available = os.fstat(f.fileno()).st_size - f.tell()
+            if available < size:
+                raise bad(f"Reached EOF prematurely: the data chunk holds {available} of its {size} bytes")
+            if width == 3:  # 24-bit PCM, left-justified in an int32 whose low byte is 0
+                wide = np.zeros((n, 4), np.uint8)
+                wide[:, 1:] = np.fromfile(f, np.uint8, 3 * n).reshape(n, 3)
+                samples = wide.view("<i4")
+            else:
+                samples = np.fromfile(f, f"<f{width}" if not pcm else "u1" if width == 1 else f"<i{width}", n)
+        # one C-contiguous row per channel, converted and transposed in one copy
+        rows = np.ascontiguousarray(samples.reshape(-1, n_ch).T, dtype=np.float32)
+        if pcm:
+            if width == 1:
+                rows -= 128.0
+            rows /= 2.0 ** (8 * samples.itemsize - 1)
+        return cls(channels=rows, fs=fs)
 
 
 def read_recording(wav_path, n_channels: int, framing: FramingConfig | None = None):
@@ -173,6 +242,8 @@ def _worker_count() -> int:
 
 @lru_cache(maxsize=8)
 def _kernel_spectra(n_fft: int) -> np.ndarray:
+    from scipy import fft as sp_fft
+
     spectra = sp_fft.rfft(_KERNEL_PHASES, n=n_fft, axis=1)
     spectra.flags.writeable = False
     return spectra
@@ -188,6 +259,8 @@ def _deposit_to_rirs(hist: np.ndarray, n_taps: int) -> np.ndarray:
     with an 81-tap sub-kernel, and the 16 results are summed in the frequency
     domain.
     """
+    from scipy import fft as sp_fft
+
     n_mics = hist.shape[0]
     n_fft = sp_fft.next_fast_len(n_taps + 2 * SINC_HALF_WIDTH + 1, real=True)
     spectra = _kernel_spectra(n_fft)
@@ -323,6 +396,8 @@ def _convolve_segment(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
     so the result has the same bits: a length-1 operand is a plain product,
     otherwise both are zero-padded to the next fast real FFT length,
     multiplied in the frequency domain and cropped."""
+    from scipy import fft as sp_fft
+
     if len(segment) == 1 or rirs.shape[1] == 1:
         return segment[None] * rirs
     n = len(segment) + rirs.shape[1] - 1

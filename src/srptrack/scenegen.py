@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FormatError
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig
@@ -221,14 +222,14 @@ def wav_corpus_provider(directory):
     trimmed to the requested duration; activity comes from the energy VAD.
     Each file is read with ``read_recording``, so an empty, multichannel or
     non-finite file, or one at another rate than the framing, is a
-    FormatError.
+    FormatError, as is a directory that is missing or holds no WAVs.
 
     A source provider is called as ``provider(duration, framing, rng)`` and
     returns the dry signal at ``framing.fs`` with its per-frame activity mask.
     """
     paths = sorted(Path(directory).glob("*.wav"))
     if not paths:
-        raise FileNotFoundError(f"no .wav files under {directory}")
+        raise FormatError(f"no .wav files under {directory}")
 
     def provider(duration: float, framing: FramingConfig, rng: np.random.Generator):
         n = int(round(duration * framing.fs))

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.io import wavfile
 from scipy.signal import fftconvolve, firwin, lfilter
 
 from srptrack.errors import DegenerateDirection
@@ -488,3 +489,20 @@ def conv1d_loop_backward(weight: np.ndarray, x: np.ndarray, grad_out: np.ndarray
         gw[:, :, j] += grad_out @ xp[:, seg].T
         gxp[:, seg] += weight[:, :, j].T @ grad_out
     return gxp[:, pad:], gw, gb
+
+
+def wav_rows_scipy(path) -> tuple[int, np.ndarray]:
+    """(fs, float32 rows) of a WAV file read by ``scipy.io.wavfile`` and scaled
+    as ``MicSignals.from_wav`` did before the package read WAVs itself; the
+    scaling is verbatim."""
+    fs, data = wavfile.read(path)
+    if data.ndim == 1:
+        data = data[:, None]
+    if data.dtype == np.uint8:
+        data = (data.astype(np.float32) - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        data = data.astype(np.float32) / 32768.0
+    elif data.dtype == np.int32:
+        data = data.astype(np.float32) / 2147483648.0
+    assert data.dtype.kind == "f", data.dtype
+    return int(fs), np.ascontiguousarray(data.T, dtype=np.float32)

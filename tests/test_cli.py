@@ -407,3 +407,27 @@ class TestTrainEval:
             ])
             outs.append(path.read_text())
         assert outs[0] == outs[1]
+
+
+class TestMissingPaths:
+    @pytest.mark.parametrize(
+        "case", ["config", "array", "wav", "checkpoint", "corpus-missing", "corpus-empty"]
+    )
+    def test_missing_path_is_a_format_error(self, tmp_path, case):
+        wav = tmp_path / "scene.wav"
+        MicSignals(channels=np.zeros((12, 16000), dtype=np.float32), fs=16000).to_wav(wav)
+        (tmp_path / "empty").mkdir()
+        missing = tmp_path / "missing"
+        out = str(tmp_path / "out")
+        argv, named = {
+            "config": (["synth", "--config", f"{missing}.json", "--out", out], "missing.json: No such file"),
+            "array": (["paramcount", "--model", "cross3d", "--array", f"{missing}.json"], "missing.json: No such file"),
+            "wav": (["track", "--wav", f"{missing}.wav", "--out", out], "missing.wav: No such file"),
+            "checkpoint": (["track", "--wav", str(wav), "--checkpoint", f"{missing}.sstc", "--out", out],
+                           "checkpoint .*missing.sstc: No such file"),
+            "corpus-missing": (["synth", "--corpus", str(missing), "--out", out], "no .wav files under .*missing$"),
+            "corpus-empty": (["synth", "--corpus", str(tmp_path / "empty"), "--out", out], "no .wav files under .*empty$"),
+        }[case]
+        with pytest.raises(FormatError, match=named):
+            main(argv)
+        assert not (tmp_path / "out").exists()

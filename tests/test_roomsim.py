@@ -1,7 +1,9 @@
 """Tests for srptrack.roomsim."""
 
 import math
+import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from oracles import (
     power_maps_windowed,
     rirs_for_point_oversampled,
     schroeder_t60,
+    wav_rows_scipy,
 )
 
 FS = 16000
@@ -417,6 +420,35 @@ class TestAddNoise:
             add_noise(sig, snr_db, np.ones(n_mask, dtype=bool), np.random.default_rng(0), FramingConfig())
 
 
+# the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE sub-format GUID; its first 4 are the format tag
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def riff_chunk(name: bytes, payload: bytes) -> bytes:
+    """One chunk: its id, its size, its payload and a pad byte after an odd payload."""
+    return name + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def write_wav_by_hand(path, data: bytes, *, channels=1, bits=16, tag=1, width=None, align=None,
+                      extensible=False, before_data=b"", after_data=b"", form=b"RIFF", fs=FS):
+    """A WAV file built with struct: the ``fmt `` chunk, the ``before_data``
+    chunks, the data chunk holding ``data``, then ``after_data``. ``width``
+    is the bytes per sample (by default the fewest that hold ``bits``) and
+    ``align`` the block align (by default ``channels * width``)."""
+    width = width or -(-bits // 8)
+    align = channels * width if align is None else align
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, fs, fs * align, align, bits)
+    if extensible:
+        fmt += struct.pack("<HHII", 22, bits, 0, tag) + GUID_TAIL
+    body = b"WAVE" + riff_chunk(b"fmt ", fmt) + before_data + riff_chunk(b"data", data) + after_data
+    path.write_bytes(form + struct.pack("<I", len(body)) + body)
+    return path
+
+
+def pcm24_bytes(values) -> bytes:
+    return b"".join(int(v).to_bytes(3, "little", signed=True) for v in np.ravel(values))
+
+
 class TestWavRoundTrip:
     def test_float32_bit_exact(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -470,7 +502,7 @@ class TestWavRoundTrip:
         with pytest.raises(FormatError, match="Reached EOF prematurely"):
             MicSignals.from_wav(cut)
 
-    def test_unknown_chunk_skipped_with_a_warning(self, tmp_path):
+    def test_unknown_chunk_skipped_without_a_warning(self, tmp_path):
         rng = np.random.default_rng(47)
         sig = MicSignals(channels=rng.normal(size=(2, 500)).astype(np.float32), fs=FS)
         path = tmp_path / "extra.wav"
@@ -479,15 +511,176 @@ class TestWavRoundTrip:
         blob += b"zzzz" + (4).to_bytes(4, "little") + b"\0\1\2\3"
         blob[4:8] = (len(blob) - 8).to_bytes(4, "little")  # RIFF size covers the new chunk
         path.write_bytes(bytes(blob))
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             back = MicSignals.from_wav(path)
         np.testing.assert_array_equal(back.channels, sig.channels)
+
+    def test_24bit_pcm_is_left_justified(self, tmp_path):
+        # read as the int32 v * 2**8, then scaled by 2**-31
+        frames = np.array([[-2**23, 0], [1, 2**23 - 1], [-1, 2**22]])
+        path = write_wav_by_hand(tmp_path / "i24.wav", pcm24_bytes(frames), channels=2, bits=24)
+        channels = MicSignals.from_wav(path).channels
+        assert channels.dtype == np.float32
+        np.testing.assert_array_equal(channels, frames.T / 2**23)
+
+    @pytest.mark.parametrize("tag,bits,dtype,scale", [(1, 16, "<i2", 2**15), (1, 32, "<i4", 2**31),
+                                                      (3, 32, "<f4", 1), (3, 64, "<f8", 1)],
+                             ids=["pcm16", "pcm32", "float32", "float64"])
+    def test_extensible_format(self, tmp_path, tag, bits, dtype, scale):
+        rows = np.array([[-3, 0, 5], [7, -128, 64]])
+        path = write_wav_by_hand(tmp_path / "ext.wav", rows.T.astype(dtype).tobytes(), channels=2,
+                                 bits=bits, tag=tag, extensible=True)
+        np.testing.assert_array_equal(MicSignals.from_wav(path).channels, rows / scale)
+
+    def test_float64_rounded_to_float32(self, tmp_path):
+        values = np.array([0.1, 1 / 3, -2.5e-8, 1e10, -0.7])
+        path = write_wav_by_hand(tmp_path / "f64.wav", values.astype("<f8").tobytes(), bits=64, tag=3)
+        channels = MicSignals.from_wav(path).channels
+        assert channels.dtype == np.float32
+        np.testing.assert_array_equal(channels, [values.astype(np.float32)])
+
+    def test_list_chunk_before_data_skipped(self, tmp_path):
+        rows = np.array([[0.5, -0.25], [1.0, 0.125]], dtype=np.float32)
+        info = riff_chunk(b"LIST", b"INFO" + riff_chunk(b"ISFT", b"srptrack\0"))
+        path = write_wav_by_hand(tmp_path / "list.wav", rows.T.tobytes(), channels=2, bits=32, tag=3,
+                                 before_data=info)
+        np.testing.assert_array_equal(MicSignals.from_wav(path).channels, rows)
+
+    def test_odd_length_chunk_and_its_pad_byte_skipped(self, tmp_path):
+        rows = np.array([[-32768, 16384, 1]])
+        junk = riff_chunk(b"JUNK", b"abc")
+        assert len(junk) == 12  # 8 bytes of header, 3 of payload, 1 pad byte
+        path = write_wav_by_hand(tmp_path / "odd.wav", rows.T.astype("<i2").tobytes(), before_data=junk)
+        np.testing.assert_array_equal(MicSignals.from_wav(path).channels, rows / 2**15)
 
     def test_int64_samples_rejected(self, tmp_path):
         path = tmp_path / "i64.wav"
         wavfile.write(path, FS, np.zeros((100, 2), dtype=np.int64))
         with pytest.raises(FormatError, match="int64"):
             MicSignals.from_wav(path)
+
+    @pytest.mark.parametrize("form", [b"RIFX", b"RF64"], ids=["rifx", "rf64"])
+    def test_other_containers_rejected(self, tmp_path, form):
+        path = write_wav_by_hand(tmp_path / "form.wav", b"\0\0", form=form)
+        with pytest.raises(FormatError, match=f"{form.decode()} files are not supported"):
+            MicSignals.from_wav(path)
+
+    @pytest.mark.parametrize(
+        "fmt,data,match",
+        [
+            (dict(tag=6, bits=8), b"\0" * 4, "format tag 0x0006 with 8-bit samples"),
+            (dict(tag=3, bits=16), b"\0" * 4, "format tag 0x0003 with 16-bit samples in 2 bytes"),
+            (dict(tag=3, bits=32, width=8), b"\0" * 16, "format tag 0x0003 with 32-bit samples in 8 bytes"),
+            (dict(bits=64), b"\0" * 16, r"8-byte PCM samples \(int64\)"),
+            (dict(bits=40, width=5), b"\0" * 10, r"5-byte PCM samples \(int40\)"),
+            (dict(bits=16, width=1), b"\0" * 4, "16-bit samples in 1 bytes"),
+            (dict(bits=8, width=2), b"\0" * 4, "8-bit samples in 2 bytes"),
+            (dict(bits=0, width=2), b"\0" * 4, "0-bit samples"),
+            (dict(channels=0), b"\0" * 4, "0 channels at 16000 Hz"),
+            (dict(fs=0), b"\0" * 4, "1 channels at 0 Hz"),
+            (dict(channels=2, align=3), b"\0" * 6, "block align of 3 bytes"),
+            (dict(align=0), b"\0" * 4, "block align of 0 bytes"),
+        ],
+        ids=["alaw", "float16", "float32-in-8", "pcm64", "pcm40", "pcm16-in-1", "pcm8-in-2", "pcm0",
+             "no-channels", "zero-rate", "align-3-for-2", "align-0"],
+    )
+    def test_unsupported_encoding_rejected(self, tmp_path, fmt, data, match):
+        path = write_wav_by_hand(tmp_path / "enc.wav", data, **fmt)
+        with pytest.raises(FormatError, match=match):
+            MicSignals.from_wav(path)
+
+    def test_unknown_extensible_subformat_rejected(self, tmp_path):
+        path = write_wav_by_hand(tmp_path / "ext.wav", b"\0" * 4, bits=16, extensible=True)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(GUID_TAIL)] ^= 1  # not the PCM GUID any more
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="format tag 0xfffe"):
+            MicSignals.from_wav(path)
+
+    def test_data_before_fmt_rejected(self, tmp_path):
+        body = b"WAVE" + riff_chunk(b"data", b"\0" * 4) + riff_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, FS, 2 * FS, 2, 16))
+        path = tmp_path / "late.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(FormatError, match="no 'fmt ' chunk before the data chunk"):
+            MicSignals.from_wav(path)
+
+    def test_to_wav_writes_the_bytes_scipy_writes(self, tmp_path):
+        # float64 rows are rounded to float32, as they were before
+        channels = np.random.default_rng(49).normal(size=(3, 1001))
+        MicSignals(channels=channels, fs=FS).to_wav(tmp_path / "ours.wav")
+        wavfile.write(tmp_path / "scipy.wav", FS, channels.T.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fs, rows = wav_rows_scipy(tmp_path / "ours.wav")
+        assert fs == FS
+        np.testing.assert_array_equal(rows, channels.astype(np.float32))
+        np.testing.assert_array_equal(MicSignals.from_wav(tmp_path / "ours.wav").channels, rows)
+
+
+def _random_samples(rng, n_frames, channels, tag, width):
+    """Sample bytes of every value a format can hold: random bytes for PCM,
+    normal floats (no NaN) for IEEE float."""
+    if tag == 3:
+        return rng.normal(scale=0.5, size=n_frames * channels).astype(f"<f{width}").tobytes()
+    return rng.integers(0, 256, size=n_frames * channels * width, dtype=np.uint8).tobytes()
+
+
+# name: the fmt chunk's keywords for write_wav_by_hand
+ORACLE_FORMATS = {
+    "pcm8": dict(bits=8),
+    "pcm16": dict(bits=16),
+    "pcm24": dict(bits=24),
+    "pcm32": dict(bits=32),
+    "pcm12-in-2": dict(bits=12, width=2),
+    "pcm20-in-3": dict(bits=20, width=3),
+    "pcm20-in-4": dict(bits=20, width=4),
+    "float32": dict(tag=3, bits=32),
+    "float64": dict(tag=3, bits=64),
+    "extensible-pcm8": dict(bits=8, extensible=True),
+    "extensible-pcm16": dict(bits=16, extensible=True),
+    "extensible-pcm24": dict(bits=24, extensible=True),
+    "extensible-pcm32": dict(bits=32, extensible=True),
+    "extensible-float32": dict(tag=3, bits=32, extensible=True),
+    "extensible-float64": dict(tag=3, bits=64, extensible=True),
+}
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("name", list(ORACLE_FORMATS))
+def test_wav_rows_match_scipy_reader(tmp_path, name, channels):
+    """Every format SciPy reads comes back with the bits of scipy.io.wavfile
+    plus the scaling the package applied to its output."""
+    fmt = ORACLE_FORMATS[name]
+    width = fmt.get("width") or fmt["bits"] // 8
+    rng = np.random.default_rng(sorted(ORACLE_FORMATS).index(name) + 100 * channels)
+    data = _random_samples(rng, 257, channels, fmt.get("tag", 1), width)
+    path = write_wav_by_hand(tmp_path / f"{name}.wav", data, channels=channels, **fmt)
+    fs, expected = wav_rows_scipy(path)
+    got = MicSignals.from_wav(path)
+    assert got.fs == fs == FS and got.channels.dtype == np.float32 and got.channels.flags.c_contiguous
+    assert got.channels.shape == expected.shape == (channels, 257)
+    np.testing.assert_array_equal(got.channels.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        dict(before_data=riff_chunk(b"JUNK", b"x" * 7) + riff_chunk(b"fact", struct.pack("<I", 257))),
+        dict(before_data=riff_chunk(b"bext", b"odd")),
+        dict(after_data=riff_chunk(b"LIST", b"INFO")),
+    ],
+    ids=["junk-odd-and-fact", "unknown-odd", "list-after-data"],
+)
+def test_skipped_chunks_match_scipy_reader(tmp_path, layout):
+    data = np.random.default_rng(51).integers(0, 256, size=257 * 2 * 2, dtype=np.uint8).tobytes()
+    path = write_wav_by_hand(tmp_path / "chunks.wav", data, channels=2, **layout)
+    with warnings.catch_warnings():
+        # SciPy warns about a chunk it does not know; the rows are what is compared
+        warnings.simplefilter("ignore")
+        _, expected = wav_rows_scipy(path)
+    np.testing.assert_array_equal(MicSignals.from_wav(path).channels.view(np.uint32), expected.view(np.uint32))
 
 
 class TestReadRecording:

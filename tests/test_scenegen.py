@@ -338,7 +338,7 @@ class TestWavCorpusProvider:
             wav_corpus_provider(tmp_path)(0.5, FramingConfig(), np.random.default_rng(0))
 
     def test_missing_dir_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FormatError, match="no .wav files under"):
             wav_corpus_provider(tmp_path / "empty")
 
 
