@@ -17,6 +17,7 @@ from .errors import (
     OutOfRoom,
     ShapeError,
     SrpTrackError,
+    TapeError,
     TooShort,
 )
 from .geometry import (
@@ -48,6 +49,7 @@ __all__ = [
     "ShapeError",
     "SphericalGrid",
     "SrpTrackError",
+    "TapeError",
     "TooShort",
     "angular_error",
     "default_array",

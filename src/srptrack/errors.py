@@ -34,6 +34,11 @@ class ShapeError(SrpTrackError):
     """Tensor or layer shapes are inconsistent."""
 
 
+class TapeError(SrpTrackError):
+    """A backward pass has no matching entry on the tape of a forward pass:
+    none was kept, the tape is used up, or its next entry is another layer's."""
+
+
 class FormatError(SrpTrackError):
     """A file cannot be opened or does not match the expected on-disk format."""
 

@@ -12,6 +12,8 @@ the per-frame map-maximum coordinates or the stacked pairwise GCC values.
 Every model declares its layers once, as ``tensornet.Sequential`` chains
 (Cross3D: ``stem``, one per branch, ``head``); the chains give the parameters
 in checkpoint order, the feature widths, and the forward and backward passes.
+A model holds only its weights: backward state lives on the tape that
+``train`` passes to ``forward``, and tracking passes none.
 """
 
 from __future__ import annotations
@@ -86,13 +88,14 @@ class Cross3D:
         # features per frame: each branch's channels x pooled grid, side by side;
         # a grid the branches cannot pool raises ShapeError here
         one_frame = self.stem.out_shape((3, 1, n_theta, n_phi))
-        widths = [math.prod(branch.out_shape(one_frame)) for branch in self.branches]
+        self._pooled = [(c, h, w) for c, _, h, w in (branch.out_shape(one_frame) for branch in self.branches)]
+        widths = [math.prod(shape) for shape in self._pooled]
         self._split = widths[0]
         self.head = Sequential(
             CausalConv1d(sum(widths), HEAD_CHANNELS, 5, rng, dilation=2, dtype=dtype, name="mix"),
             PReLU(None, dtype, "mix_act"),
             CausalConv1d(HEAD_CHANNELS, 3, 5, rng, dilation=2, dtype=dtype, name="head"),
-            Tanh(),
+            Tanh("head_act"),
         )
 
     def parameters(self):
@@ -105,20 +108,26 @@ class Cross3D:
     def spec(self) -> dict:
         return {"n_theta": self.n_theta, "n_phi": self.n_phi}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """(3, T) raw outputs. With a ``tape``, each layer appends to it what
+        ``backward`` needs; without one, nothing is kept."""
         if x.shape[0] != 3 or x.shape[2:] != (self.n_theta, self.n_phi):
             raise ShapeError(f"expected (3, T, {self.n_theta}, {self.n_phi}), got {x.shape}")
-        h = self.stem.forward(np.ascontiguousarray(x, dtype=self.dtype))
-        ys = [branch.forward(h) for branch in self.branches]
-        self._shapes = [y.shape for y in ys]
+        h = self.stem.forward(np.ascontiguousarray(x, dtype=self.dtype), tape)
+        ys = [branch.forward(h, tape) for branch in self.branches]
         feats = [y.transpose(0, 2, 3, 1).reshape(-1, y.shape[1]) for y in ys]  # (C * H * W, T)
-        return self.head.forward(np.concatenate(feats))
+        return self.head.forward(np.concatenate(feats), tape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grads = np.split(self.head.backward(grad_out), [self._split])
-        ga, gb = (branch.backward(g.reshape(c, h, w, t).transpose(0, 3, 1, 2))
-                  for branch, g, (c, t, h, w) in zip(self.branches, grads, self._shapes))
-        return self.stem.backward(ga + gb)
+    def backward(self, grad_out: np.ndarray, tape: list | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate every parameter gradient from the ``tape`` of one
+        forward; return the input gradient, or None if ``input_grad`` is false."""
+        grads = np.split(self.head.backward(grad_out, tape), [self._split])
+        t = grad_out.shape[1]
+        # the tape holds branch b's entries above branch a's
+        gb, ga = (branch.backward(g.reshape(c, h, w, t).transpose(0, 3, 1, 2), tape)
+                  for branch, g, (c, h, w) in reversed(list(zip(self.branches, grads, self._pooled))))
+        return self.stem.backward(ga + gb, tape, input_grad)
 
     def features_from(self, tensor: InputTensor) -> np.ndarray:
         # kept for perfbench's warm-up; the package picks inputs in model_features
@@ -144,7 +153,7 @@ class Baseline1D:
             dilation = 2 if i >= len(BASELINE_CHANNELS) - 2 else 1
             conv = CausalConv1d(prev, ch, 5, rng, dilation=dilation, dtype=dtype, name=f"l{i}")
             if i == len(BASELINE_CHANNELS) - 1:
-                act = Tanh()
+                act = Tanh(f"l{i}_act")
             else:  # the head-width layer shares one slope, as Cross3D's mix_act does
                 act = PReLU(None if ch == HEAD_CHANNELS else ch, dtype, f"l{i}_act")
             self.layers.append((conv, act))
@@ -161,13 +170,14 @@ class Baseline1D:
     def spec(self) -> dict:
         return {"in_channels": self.in_channels}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[0] != self.in_channels:
             raise ShapeError(f"expected ({self.in_channels}, T), got {x.shape}")
-        return self.net.forward(np.ascontiguousarray(x, dtype=self.dtype))
+        return self.net.forward(np.ascontiguousarray(x, dtype=self.dtype), tape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_out)
+    def backward(self, grad_out: np.ndarray, tape: list | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
+        return self.net.backward(grad_out, tape, input_grad)
 
 
 def build_cross3d(n_theta: int, n_phi: int, seed: int = 0, dtype=np.float32) -> Cross3D:
@@ -316,9 +326,11 @@ def train(
                 feats, target = _sample_training_pair(
                     model, epoch_cfg, framing, array, delays, rng, source_provider
                 )
-                out = model.forward(feats)
+                tape = []
+                out = model.forward(feats, tape)
                 loss, gout = euclidean_distance_loss(out, target.astype(out.dtype))
-                model.backward(gout / batch_size)
+                # the input gradient is not needed: skip its correlation in the first layer
+                model.backward(gout / batch_size, tape, input_grad=False)
                 batch_loss += loss / batch_size
             optimizer.step()
             losses.append(batch_loss)

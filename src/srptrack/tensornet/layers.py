@@ -4,6 +4,12 @@ Shape conventions (no batch axis; training loops over samples):
   conv3d: (channels, time, elevation, azimuth)
   conv1d: (channels, time)
 
+Backward state belongs to the call, not the layer. ``forward(x, tape)``
+appends one entry per layer to ``tape``, a list, holding the layer, its
+output shape and what its backward needs; ``backward(grad_out, tape)`` pops
+those entries in reverse. Without a tape a forward keeps nothing, so an
+inference pass frees each activation once the next layer has run.
+
 Both convolutions are one class body, ``_CausalConv``, generic in the
 number of spatial axes; ``CausalConv3d`` and ``CausalConv1d`` only name its
 kernel. They share one flat padded layout. Each input channel is
@@ -18,20 +24,22 @@ is a single product. Outputs are computed on the padded grid and the pad
 columns are cropped once.
 
 Backward: the weight gradient of each tap outside the last kernel axis is
-one product of a stack slice and the output gradient laid on the padded grid,
-with the stack rebuilt from the stored input. The input gradient is the same
-correlation run on the output
-gradient, with the kernel flipped on every axis, input and output channels
-swapped, and time padded after the frames instead of before.
+one product of a stack slice and the output gradient laid on the padded
+grid, with the stack rebuilt from the input the tape kept. The input
+gradient is the same correlation run on the output gradient, with the
+kernel flipped on every axis, input and output channels swapped, and time
+padded after the frames instead of before; a backward asked for no input
+gradient skips it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, TapeError
 
 PRELU_INIT = 0.25
 
@@ -61,7 +69,12 @@ class Parameter:
 
 
 class Layer:
-    """Base layer: parameters plus forward/backward/out_shape."""
+    """Base layer: parameters plus forward/backward/out_shape.
+
+    ``forward(x, tape=None)`` records on ``tape`` what ``backward`` needs.
+    ``backward(grad_out, tape, input_grad=True)`` accumulates the parameter
+    gradients and returns the input gradient, or None if ``input_grad`` is
+    false."""
 
     def params(self) -> list[Parameter]:
         return []
@@ -69,11 +82,31 @@ class Layer:
     def out_shape(self, in_shape: tuple) -> tuple:
         raise NotImplementedError
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, tape: list | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
         raise NotImplementedError
+
+    def _record(self, tape, out, *saved):
+        """Return ``out``; on a tape, first append this call's entry."""
+        if tape is not None:
+            tape.append((self, out.shape, saved))
+        return out
+
+    def _replay(self, grad_out, tape):
+        """Pop and return what this layer's forward saved on ``tape``, after
+        checking that the entry is this layer's and fits ``grad_out``."""
+        if not tape:
+            raise TapeError(f"{self.name}: backward needs the tape of a forward that kept one")
+        layer, shape, saved = tape[-1]
+        if layer is not self:
+            raise TapeError(f"{self.name}: the tape's last entry is {layer.name}'s")
+        if grad_out.shape != shape:
+            raise ShapeError(f"{self.name}: gradient {grad_out.shape} for output {shape}")
+        tape.pop()
+        return saved
 
 
 def _he_weights(rng: np.random.Generator | None, shape: tuple, dtype) -> np.ndarray:
@@ -153,17 +186,18 @@ class _CausalConv(Layer):
             raise ShapeError(f"{self.name}: empty input {in_shape}")
         return (self.out_ch, *rest)
 
-    def _conv_forward(self, x):
+    def _conv_forward(self, x, tape):
         self.out_shape(x.shape)
-        self._x = x
-        return _correlate(x, self.w.value, self.dilation) + self.b.value.reshape(-1, *(1,) * (x.ndim - 1))
+        out = _correlate(x, self.w.value, self.dilation) + self.b.value.reshape(-1, *(1,) * (x.ndim - 1))
+        return self._record(tape, out, x)
 
-    def _conv_backward(self, grad_out):
+    def _conv_backward(self, grad_out, tape, input_grad):
         """Accumulate the weight and bias gradients; return the input gradient."""
+        x, = self._replay(grad_out, tape)
         w = self.w.value
         out_ch, in_ch, *kernel = w.shape
         self.b.grad += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
-        stack, offsets, n, grid = _stack(self._x, kernel, self.dilation, True)
+        stack, offsets, n, grid = _stack(x, kernel, self.dilation, True)
         # the output gradient on the padded grid, channels last: a (n, out_ch)
         # right operand multiplies about twice as fast as its transposed view
         d = np.zeros((grad_out.shape[1], *grid[1:], out_ch), grad_out.dtype)
@@ -171,7 +205,9 @@ class _CausalConv(Layer):
         d = d.reshape(n, out_ch)
         gw = np.stack([stack[:, offset:offset + n] @ d for offset in offsets])
         self.w.grad += gw.reshape(len(offsets), in_ch, -1, out_ch).transpose(3, 1, 0, 2).reshape(w.shape)
-        del stack, d, gw  # freed before the input gradient builds its own stack
+        del x, stack, d, gw  # freed before the input gradient builds its own stack
+        if not input_grad:
+            return None
         flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
         return _correlate(grad_out, flipped, self.dilation, causal=False)
 
@@ -185,11 +221,11 @@ class CausalConv3d(_CausalConv):
         self.kernel = (kt, kh, kw)
         super().__init__(in_ch, out_ch, self.kernel, rng, 1, dtype, name)
 
-    def forward(self, x):
-        return self._conv_forward(x)
+    def forward(self, x, tape=None):
+        return self._conv_forward(x, tape)
 
-    def backward(self, grad_out):
-        return self._conv_backward(grad_out)
+    def backward(self, grad_out, tape=None, input_grad=True):
+        return self._conv_backward(grad_out, tape, input_grad)
 
 
 class CausalConv1d(_CausalConv):
@@ -198,11 +234,11 @@ class CausalConv1d(_CausalConv):
         self.kernel = kernel
         super().__init__(in_ch, out_ch, (kernel,), rng, dilation, dtype, name)
 
-    def forward(self, x):
-        return self._conv_forward(x)
+    def forward(self, x, tape=None):
+        return self._conv_forward(x, tape)
 
-    def backward(self, grad_out):
-        return self._conv_backward(grad_out)
+    def backward(self, grad_out, tape=None, input_grad=True):
+        return self._conv_backward(grad_out, tape, input_grad)
 
 
 class PReLU(Layer):
@@ -227,19 +263,21 @@ class PReLU(Layer):
             return self.a.value
         return self.a.value.reshape((-1,) + (1,) * (ndim - 1))
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         self.out_shape(x.shape)
-        self._neg = x < 0
-        self._x = x
-        return np.where(self._neg, self._slopes(x.ndim) * x, x)
+        neg = x < 0
+        return self._record(tape, np.where(neg, self._slopes(x.ndim) * x, x), neg, x)
 
-    def backward(self, grad_out):
-        masked = np.where(self._neg, grad_out * self._x, 0.0)
+    def backward(self, grad_out, tape=None, input_grad=True):
+        neg, x = self._replay(grad_out, tape)
+        masked = np.where(neg, grad_out * x, 0.0)
         if self.per_channel:
             self.a.grad += masked.reshape(masked.shape[0], -1).sum(axis=1)
         else:
             self.a.grad += masked.sum()
-        return np.where(self._neg, self._slopes(grad_out.ndim) * grad_out, grad_out)
+        if not input_grad:
+            return None
+        return np.where(neg, self._slopes(grad_out.ndim) * grad_out, grad_out)
 
 
 class MaxPoolAxis(Layer):
@@ -263,23 +301,34 @@ class MaxPoolAxis(Layer):
         out[self.axis] //= self.size
         return tuple(out)
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         self.out_shape(x.shape)
-        # the pooled axis split in place into (groups, size); each pick kept in the fewest bytes
         a = self.axis
+        if tape is None:
+            # the values a take at the argmax gives, with no picks to keep: the
+            # elementwise maximum of each group's strided lanes, many times
+            # faster than a reduction over a short last axis
+            lanes = (x[(slice(None),) * a + (slice(i, None, self.size),)] for i in range(self.size))
+            return functools.reduce(np.maximum, lanes)
+        # the pooled axis split in place into (groups, size); each pick kept in the fewest bytes
         grouped = x.reshape(x.shape[:a] + (-1, self.size) + x.shape[a + 1:])
-        self._argmax = grouped.argmax(axis=a + 1, keepdims=True).astype(np.min_scalar_type(self.size - 1))
-        return np.take_along_axis(grouped, self._argmax, axis=a + 1).squeeze(a + 1)
+        picks = grouped.argmax(axis=a + 1, keepdims=True).astype(np.min_scalar_type(self.size - 1))
+        return self._record(tape, np.take_along_axis(grouped, picks, axis=a + 1).squeeze(a + 1), picks)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, tape=None, input_grad=True):
+        picks, = self._replay(grad_out, tape)
+        if not input_grad:
+            return None
         a = self.axis
         grouped = np.zeros(grad_out.shape[:a + 1] + (self.size,) + grad_out.shape[a + 1:], dtype=grad_out.dtype)
-        np.put_along_axis(grouped, self._argmax, np.expand_dims(grad_out, a + 1), axis=a + 1)
+        np.put_along_axis(grouped, picks, np.expand_dims(grad_out, a + 1), axis=a + 1)
         return grouped.reshape(grad_out.shape[:a] + (-1,) + grad_out.shape[a + 1:])
 
 
 class Sequential(Layer):
-    """Layers run in order; backward runs them in reverse order."""
+    """Layers run in order; backward runs them in reverse order, and only
+    the first is asked for no input gradient. Its layers keep the entries on
+    the tape; it keeps none of its own."""
 
     def __init__(self, *layers: Layer):
         self.layers = layers
@@ -292,27 +341,34 @@ class Sequential(Layer):
             in_shape = layer.out_shape(in_shape)
         return in_shape
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, tape)
         return x
 
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
+    def backward(self, grad_out, tape=None, input_grad=True):
+        first, *rest = self.layers
+        for layer in reversed(rest):
+            grad_out = layer.backward(grad_out, tape)
+        return first.backward(grad_out, tape, input_grad)
 
 
 class Tanh(Layer):
+    def __init__(self, name: str = "tanh"):
+        self.name = name
+
     def out_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x):
-        self._y = np.tanh(x)
-        return self._y
+    def forward(self, x, tape=None):
+        y = np.tanh(x)
+        return self._record(tape, y, y)
 
-    def backward(self, grad_out):
-        return grad_out * (1.0 - self._y**2)
+    def backward(self, grad_out, tape=None, input_grad=True):
+        y, = self._replay(grad_out, tape)
+        if not input_grad:
+            return None
+        return grad_out * (1.0 - y**2)
 
 
 def euclidean_distance_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

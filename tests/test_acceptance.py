@@ -221,9 +221,10 @@ class TestCriterion7Gradients:
         target /= np.linalg.norm(target, axis=0, keepdims=True)
         for p in model.parameters():
             p.zero_grad()
-        out = model.forward(x)
+        tape = []
+        out = model.forward(x, tape)
         _, gout = euclidean_distance_loss(out, target)
-        model.backward(gout)
+        model.backward(gout, tape)
         h = 1e-6
         worst = 0.0
         for p in model.parameters():

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srptrack.errors import FormatError, ShapeError
+from srptrack.errors import FormatError, ShapeError, TapeError
 from srptrack.geometry import MicArray, SphericalGrid, default_array, delay_table
 from srptrack.models import (
     MODEL_KINDS,
@@ -52,9 +53,10 @@ def train_on_fixed_batch(model, batch, steps: int, lr: float, stop_below: float 
         optimizer.zero_grad()
         total = 0.0
         for feats, target in batch:
-            out = model.forward(feats)
+            tape = []
+            out = model.forward(feats, tape)
             loss, gout = euclidean_distance_loss(out, target.astype(out.dtype))
-            model.backward(gout / len(batch))
+            model.backward(gout / len(batch), tape)
             total += loss / len(batch)
         optimizer.step()
         losses.append(total)
@@ -147,10 +149,11 @@ def measure_receptive_field(model, n_theta, n_phi, t):
     """Frames with a nonzero input gradient for the last output frame."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, t, n_theta, n_phi))
-    model.forward(x)
+    tape = []
+    model.forward(x, tape)
     probe = np.zeros((3, t), dtype=model.dtype)
     probe[:, t - 1] = 1.0
-    gin = model.backward(probe)
+    gin = model.backward(probe, tape)
     frames = np.nonzero(np.abs(gin).sum(axis=(0, 2, 3)) > 0)[0]
     assert frames.max() == t - 1
     return t - frames.min()
@@ -173,10 +176,11 @@ class TestReceptiveField:
         rng = np.random.default_rng(0)
         t = 41
         x = rng.normal(size=(2, t))
-        model.forward(x)
+        tape = []
+        model.forward(x, tape)
         probe = np.zeros((3, t), dtype=model.dtype)
         probe[:, t - 1] = 1.0
-        gin = model.backward(probe)
+        gin = model.backward(probe, tape)
         frames = np.nonzero(np.abs(gin).sum(axis=0) > 0)[0]
         assert t - frames.min() == 37
 
@@ -202,10 +206,11 @@ class TestForward:
 
     def test_pool_picks_take_one_byte(self):
         model = build_cross3d(4, 8, seed=2)
-        model.forward(np.random.default_rng(1).normal(size=(3, 10, 4, 8)).astype(np.float32))
-        pools = [layer for branch in model.branches for layer in branch.layers if isinstance(layer, MaxPoolAxis)]
-        assert len(pools) == 2 * model.depth
-        assert all(pool._argmax.itemsize == 1 for pool in pools)
+        tape = []
+        model.forward(np.random.default_rng(1).normal(size=(3, 10, 4, 8)).astype(np.float32), tape)
+        picks = [saved[0] for layer, _, saved in tape if isinstance(layer, MaxPoolAxis)]
+        assert len(picks) == 2 * model.depth
+        assert all(pick.itemsize == 1 for pick in picks)
 
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(3).normal(size=(3, 8, 4, 8))
@@ -241,39 +246,41 @@ class TestForward:
         x = rng.normal(size=(3, 20, 16, 32)).astype(np.float32)
         probe = rng.normal(size=(3, 20)).astype(np.float32)
 
-        def one_pass(before_backward=lambda: None):
+        def one_pass(before_backward=lambda tape: None):
             for p in model.parameters():
                 p.zero_grad()
-            out = model.forward(x).copy()
-            before_backward()
-            model.backward(probe)
+            tape = []
+            out = model.forward(x, tape).copy()
+            before_backward(tape)
+            model.backward(probe, tape)
             return out, [p.grad.copy() for p in model.parameters()]
 
-        out, grads = one_pass()
+        # the first pass's tape is spent; its entries are still held here
+        first = []
+        out, grads = one_pass(first.extend)
         # An activation within float32 rounding of 0 can take the other PReLU
         # slope in one of the two passes (one element of branch_b2 here), and
         # so can a near-tie pick another pooled element; either changes the
         # gradient upstream far beyond rounding. The reference backward pass
-        # reuses the first pass's choices.
-        layers = [layer for seq in (model.stem, *model.branches, model.head) for layer in seq.layers]
-        acts = [layer for layer in layers if isinstance(layer, PReLU)]
-        pools = [layer for layer in layers if isinstance(layer, MaxPoolAxis)]
-        signs, picks = [a._neg for a in acts], [p._argmax for p in pools]
+        # reuses the first pass's choices: the PReLU signs and the pool picks
+        # of its tape, each in the place of its own.
+        choices = {layer: saved[0] for layer, _, saved in first if isinstance(layer, (PReLU, MaxPoolAxis))}
+        assert len(choices) == 2 + 4 * model.depth
 
-        def same_choices():
-            for act, sign in zip(acts, signs):
-                act._neg = sign
-            for pool, pick in zip(pools, picks):
-                pool._argmax = pick
+        def same_choices(tape):
+            for i, (layer, shape, saved) in enumerate(tape):
+                if layer in choices:
+                    tape[i] = (layer, shape, (choices[layer], *saved[1:]))
 
+        # the old conv layers keep their input on the layer and nothing on the tape
         def old_forward(oracle):
-            def forward(layer, x):
+            def forward(layer, x, tape=None):
                 layer.old_input = x
                 return oracle(layer, x)
             return forward
 
         def old_backward(oracle):
-            def backward(layer, grad_out):
+            def backward(layer, grad_out, tape=None, input_grad=True):
                 gx, gw, gb = oracle(layer, layer.old_input, grad_out)
                 layer.w.grad += gw
                 layer.b.grad += gb
@@ -303,6 +310,98 @@ class TestForward:
             model.forward(np.zeros((3, 10, 8, 8)))
 
 
+def _layers(model):
+    seqs = (model.stem, *model.branches, model.head) if model.kind == "cross3d" else (model.net,)
+    return [layer for seq in seqs for layer in seq.layers]
+
+
+def _model_and_input(kind, t, rng):
+    """The seed-0 model of ``kind`` and a float32 input of ``t`` frames for it."""
+    shape = {"cross3d": (3, t, 4, 8), "baseline-max": (2, t), "baseline-gcc": (858, t)}[kind]
+    return PINNED_CHECKPOINTS[kind][0](), rng.normal(size=shape).astype(np.float32)
+
+
+class TestTape:
+    """A forward without a tape keeps nothing; a backward replays the tape
+    of one forward and refuses a gradient that does not fit it."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_inference_keeps_no_arrays(self, kind):
+        model, x = _model_and_input(kind, 6, np.random.default_rng(30))
+        tracemalloc.start()
+        try:
+            out = model.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024, f"{held} bytes held after the forward"
+        arrays = [f"{type(obj).__name__}.{name}" for obj in (model, *_layers(model))
+                  for name, value in vars(obj).items() if isinstance(value, np.ndarray)]
+        assert arrays == []
+
+    def test_cross3d_inference_peak(self):
+        """One 20 s file's Cross3D 16x32 forward (103 frames): 48.7 MB with
+        every activation freed once the next layer has run, 80.4 MB when each
+        layer kept its input for a backward."""
+        model = build_cross3d(16, 32, seed=0)
+        x = np.random.default_rng(31).normal(size=(3, 103, 16, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_wrong_gradient_shape_is_refused(self, kind):
+        model, x = _model_and_input(kind, 6, np.random.default_rng(32))
+        last = _layers(model)[-1].name
+        tape = []
+        out = model.forward(x, tape)
+        for shape in ((3, 1), (3, 7), (1, 6), (3, 6, 1)):
+            with pytest.raises(ShapeError, match=last):
+                model.backward(np.ones(shape, out.dtype), tape)
+        assert not any("grad" in vars(p) for p in model.parameters())
+        # the tape is intact: the right gradient still runs the whole pass
+        assert model.backward(np.ones_like(out), tape).shape == x.shape
+        assert tape == []
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_backward_without_a_kept_forward_is_refused(self, kind):
+        model, x = _model_and_input(kind, 6, np.random.default_rng(33))
+        last = _layers(model)[-1].name
+        g = np.ones((3, 6), np.float32)
+        with pytest.raises(TapeError, match=last):
+            model.backward(g)
+        model.forward(x)
+        with pytest.raises(TapeError, match=last):
+            model.backward(g)
+        tape = []
+        model.forward(x, tape)
+        model.backward(g, tape)
+        with pytest.raises(TapeError, match=last):  # the tape is used up
+            model.backward(g, tape)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_no_input_gradient_keeps_parameter_gradients(self, kind):
+        """What ``train`` asks for: the same parameter gradients, bit for
+        bit, without the first layer's input gradient."""
+        model, x = _model_and_input(kind, 6, np.random.default_rng(34))
+        probe = np.random.default_rng(35).normal(size=(3, 6)).astype(np.float32)
+        grads = []
+        for input_grad in (True, False):
+            for p in model.parameters():
+                p.zero_grad()
+            tape = []
+            model.forward(x, tape)
+            gin = model.backward(probe, tape, input_grad=input_grad)
+            assert (gin is None) == (not input_grad)
+            grads.append([p.grad.copy() for p in model.parameters()])
+        for p, full, skipped in zip(model.parameters(), *grads):
+            np.testing.assert_array_equal(skipped, full, strict=True, err_msg=p.name)
+
+
 class TestEndToEndGradient:
     def test_tiny_cross3d_finite_differences(self):
         model = build_cross3d(4, 8, seed=4, dtype=np.float64)
@@ -316,9 +415,10 @@ class TestEndToEndGradient:
 
         for p in model.parameters():
             p.zero_grad()
-        out = model.forward(x)
+        tape = []
+        out = model.forward(x, tape)
         _, gout = euclidean_distance_loss(out, target)
-        model.backward(gout)
+        model.backward(gout, tape)
 
         h = 1e-6
         rng_pick = np.random.default_rng(6)
@@ -595,15 +695,17 @@ class TestCheckpoints:
         rng = np.random.default_rng(25)
         x = rng.normal(size={"cross3d": (3, 6, 4, 8), "baseline-max": (2, 6), "baseline-gcc": (858, 6)}[kind])
         model = model_from_checkpoint(ckpt)
-        out = model.forward(x)
+        tape = []
+        out = model.forward(x, tape)
         assert not any("grad" in vars(p) for p in model.parameters())
         # backward fills the same gradients as zero slots allocated up front
         eager = model_from_checkpoint(ckpt)
         for p in eager.parameters():
             p.zero_grad()
-        np.testing.assert_array_equal(eager.forward(x), out)
+        eager_tape = []
+        np.testing.assert_array_equal(eager.forward(x, eager_tape), out)
         g = rng.normal(size=out.shape).astype(out.dtype)
-        np.testing.assert_array_equal(model.backward(g), eager.backward(g))
+        np.testing.assert_array_equal(model.backward(g, tape), eager.backward(g, eager_tape))
         for p, q in zip(model.parameters(), eager.parameters(), strict=True):
             np.testing.assert_array_equal(p.grad, q.grad, strict=True)
 

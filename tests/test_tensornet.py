@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srptrack.errors import ShapeError
+from srptrack.errors import ShapeError, SrpTrackError, TapeError
 from srptrack.tensornet import (
     Adam,
     CausalConv1d,
@@ -13,6 +13,7 @@ from srptrack.tensornet import (
     MaxPoolAxis,
     Parameter,
     PReLU,
+    Sequential,
     Tanh,
     euclidean_distance_loss,
 )
@@ -37,8 +38,9 @@ def fd_check(layer, x, rng, rtol=1e-4, h=1e-6):
 
     for p in layer.params():
         p.zero_grad()
-    layer.forward(x)
-    gx = layer.backward(probe)
+    tape = []
+    layer.forward(x, tape)
+    gx = layer.backward(probe, tape)
 
     def compare(analytic, array):
         flat = array.reshape(-1)
@@ -147,9 +149,95 @@ class TestForwardSemantics:
     def test_maxpool_gradient_routes_to_single_element(self):
         pool = MaxPoolAxis(axis=1, size=2)
         x = np.array([[1.0, 3.0, 0.5, 0.2]])
-        pool.forward(x)
-        gx = pool.backward(np.array([[1.0, 1.0]]))
+        tape = []
+        pool.forward(x, tape)
+        gx = pool.backward(np.array([[1.0, 1.0]]), tape)
         np.testing.assert_array_equal(gx, [[0.0, 1.0, 1.0, 0.0]])
+
+
+def _tape_layers():
+    """(layer, input) of every kind, in float64."""
+    rng = np.random.default_rng(11)
+    return [
+        (CausalConv3d(2, 3, (2, 3, 3), rng, dtype=np.float64, name="c3"), rng.normal(size=(2, 4, 3, 4))),
+        (CausalConv1d(2, 3, 3, rng, dilation=2, dtype=np.float64, name="c1"), rng.normal(size=(2, 6))),
+        (PReLU(3, dtype=np.float64, name="act"), rng.normal(size=(3, 4))),
+        (MaxPoolAxis(axis=1, size=2, name="pool"), rng.normal(size=(3, 6))),
+        (Tanh("squash"), rng.normal(size=(2, 5))),
+    ]
+
+
+class TestTape:
+    """Backward state lives on the caller's tape: a forward without one
+    keeps nothing, and a backward checks the entry it pops."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_forward_without_tape_keeps_nothing(self, index):
+        layer, x = _tape_layers()[index]
+        before = dict(vars(layer))
+        layer.forward(x)
+        assert vars(layer) == before
+        assert not any(isinstance(v, np.ndarray) for v in vars(layer).values())
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_backward_needs_its_entry(self, index):
+        layer, x = _tape_layers()[index]
+        out = layer.forward(x)
+        with pytest.raises(TapeError, match=layer.name):
+            layer.backward(np.ones_like(out))
+        tape = []
+        layer.forward(x, tape)
+        layer.backward(np.ones_like(out), tape)
+        assert tape == []
+        with pytest.raises(TapeError, match=layer.name):  # exhausted
+            layer.backward(np.ones_like(out), tape)
+        assert issubclass(TapeError, SrpTrackError)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_wrong_gradient_shape_names_the_layer(self, index):
+        layer, x = _tape_layers()[index]
+        tape = []
+        out = layer.forward(x, tape)
+        for shape in (out.shape[:-1] + (1,), out.shape[:-1] + (out.shape[-1] + 1,), out.shape + (1,)):
+            with pytest.raises(ShapeError, match=layer.name):
+                layer.backward(np.ones(shape), tape)
+        # the rejected gradient left the entry for a right one
+        assert layer.backward(np.ones_like(out), tape).shape == x.shape
+
+    def test_entry_of_another_layer_is_refused(self):
+        layers = _tape_layers()
+        (a, x), (b, _) = layers[2], layers[4]
+        tape = []
+        out = Sequential(a, b).forward(x, tape)
+        with pytest.raises(TapeError, match="act"):
+            a.backward(out, tape)
+
+    def test_pool_without_tape_matches_the_pick(self):
+        """Max over the group axis and a take at the argmax give equal
+        values, ties included; of a tie between 0.0 and -0.0 either may
+        come out, and the two compare equal."""
+        rng = np.random.default_rng(12)
+        x = rng.integers(-2, 3, size=(4, 6, 12)).astype(np.float32)
+        x[0, 0, :2] = [-0.0, 0.0]
+        for axis, size in ((0, 2), (1, 2), (1, 3), (2, 2), (2, 4)):
+            pool = MaxPoolAxis(axis=axis, size=size)
+            np.testing.assert_array_equal(pool.forward(x), pool.forward(x, []), strict=True)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_no_input_gradient_keeps_parameter_gradients(self, index):
+        layer, x = _tape_layers()[index]
+        probe = np.random.default_rng(13).normal(size=layer.out_shape(x.shape))
+        grads = []
+        for input_grad in (True, False):
+            for p in layer.params():
+                p.zero_grad()
+            tape = []
+            layer.forward(x, tape)
+            gx = layer.backward(probe, tape, input_grad)
+            assert (gx is None) == (not input_grad) and tape == []
+            grads.append([p.grad.copy() for p in layer.params()])
+        for full, skipped in zip(*grads):
+            np.testing.assert_array_equal(skipped, full, strict=True)
 
 
 class TestCausality:
@@ -338,8 +426,9 @@ def _forward_backward(layer, x, probe):
     """(output, input gradient, weight gradient, bias gradient) of one pass."""
     for p in layer.params():
         p.zero_grad()
-    out = layer.forward(x)
-    gx = layer.backward(probe)
+    tape = []
+    out = layer.forward(x, tape)
+    gx = layer.backward(probe, tape)
     return out, gx, layer.w.grad, layer.b.grad
 
 
@@ -429,8 +518,9 @@ def test_conv3d_peak_memory_stays_a_few_inputs():
     x = rng.normal(size=(32, 20, 16, 32)).astype(np.float32)
     tracemalloc.start()
     try:
-        out = layer.forward(x)
-        layer.backward(np.ones_like(out))
+        tape = []
+        out = layer.forward(x, tape)
+        layer.backward(np.ones_like(out), tape)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
