@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySelection, FormatError
+from . import artifact
+from .errors import EmptySelection, FormatError, ShapeError
 from .geometry import (
     DEFAULT_GRID,
     MicArray,
@@ -58,10 +60,18 @@ class ExperimentGrid:
     def __post_init__(self):
         if not (self.t60s and self.snrs and self.resolutions):
             raise ValueError("grid axes must be nonempty")
-        finite = all(math.isfinite(v) for v in (*self.t60s, *self.snrs))
-        if self.trajectories_per_cell < 1 or not finite or min(self.t60s) < 0:
-            raise ValueError(f"need trajectories_per_cell >= 1, finite T60s >= 0 and finite SNRs,"
+        finite = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                     for v in (*self.t60s, *self.snrs))
+        count = artifact.is_count(self.trajectories_per_cell) and self.trajectories_per_cell >= 1
+        if not count or not finite or min(self.t60s) < 0:
+            raise ValueError(f"need an integer trajectories_per_cell >= 1, finite T60s >= 0 and finite SNRs,"
                              f" got {self.trajectories_per_cell} and {self.t60s} and {self.snrs}")
+        if not artifact.is_count(self.master_seed):
+            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        for resolution in self.resolutions:
+            if not isinstance(resolution, (tuple, list)) or len(resolution) != 2:
+                raise ValueError(f"each resolution must be an (n_theta, n_phi) pair, got {resolution!r}")
+            SphericalGrid(*resolution)  # raises ValueError for a count that is not an integer >= 2
 
 
 def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, framing: FramingConfig,
@@ -103,6 +113,15 @@ def run_grid(
     """
     framing = framing or FramingConfig()
     checkpoints = checkpoints or {}
+    # every model is checked before the first scene is rendered
+    resolutions = [tuple(r) for r in grid.resolutions]
+    for resolution, models in checkpoints.items():
+        if tuple(resolution) not in resolutions:
+            raise ValueError(f"models filed under resolution {resolution!r}, which the grid lacks")
+        for name, model in models.items():
+            if model.kind == "cross3d" and (model.n_theta, model.n_phi) != tuple(resolution):
+                raise ShapeError(f"{name} is a {model.n_theta}x{model.n_phi} cross3d model,"
+                                 f" filed under {resolution[0]}x{resolution[1]}")
     rows = []
     cells = itertools.product(grid.resolutions, grid.t60s, grid.snrs)
     for cell_index, (resolution, t60, snr) in enumerate(cells):
@@ -157,6 +176,8 @@ def track_file(
     early frames never change when the file is truncated later. Without
     ``framing`` the default framing runs at the file's rate.
     """
+    if vad_mode not in ("energy", "all"):
+        raise ValueError(f"unknown vad mode {vad_mode!r}")
     signals, framing = read_recording(wav_path, array.n_mics, framing)
     model = None
     if checkpoint_path is not None:
@@ -169,8 +190,6 @@ def track_file(
     if grid is None:
         grid = SphericalGrid(*DEFAULT_GRID)
 
-    if vad_mode not in ("energy", "all"):
-        raise ValueError(f"unknown vad mode {vad_mode!r}")
     # None: the energy VAD runs on the frames the maps are computed from
     vad_mask = None if vad_mode == "energy" else np.ones(framing.n_frames(signals.n_samples), dtype=bool)
     tensor, tracks = track_signal(signals.channels, array, grid, framing, vad_mask,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,8 +154,11 @@ class SphericalGrid:
     phis: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        # numpy integers count; bools and floats, even whole ones, do not
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2
+                   for n in (self.n_theta, self.n_phi)):
+            raise ValueError(f"grid needs an integer of at least 2 points per axis,"
+                             f" got {self.n_theta!r} x {self.n_phi!r}")
         object.__setattr__(self, "thetas", np.linspace(0.0, math.pi, self.n_theta))
         object.__setattr__(self, "phis", -math.pi + np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi))
 

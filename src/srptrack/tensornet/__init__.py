@@ -11,7 +11,8 @@ A layer holds only its parameters. ``forward(x, tape)`` appends to the
 list ``tape`` what the backward pass needs, with the output's shape;
 ``backward(grad_out, tape)`` pops it, and raises ShapeError for a gradient
 of another shape and TapeError when the tape holds no entry of this layer.
-A forward without a tape, as in tracking, keeps nothing. ``backward(...,
+A forward without a tape, as in tracking, keeps nothing, and computes the
+same output as one with a tape, bit for bit. ``backward(...,
 input_grad=False)`` skips the first layer's input gradient, which training
 never reads.
 """

@@ -8,7 +8,8 @@ Backward state belongs to the call, not the layer. ``forward(x, tape)``
 appends one entry per layer to ``tape``, a list, holding the layer, its
 output shape and what its backward needs; ``backward(grad_out, tape)`` pops
 those entries in reverse. Without a tape a forward keeps nothing, so an
-inference pass frees each activation once the next layer has run.
+inference pass frees each activation once the next layer has run; with or
+without one it computes the same output.
 
 Both convolutions are one class body, ``_CausalConv``, generic in the
 number of spatial axes; ``CausalConv3d`` and ``CausalConv1d`` only name its
@@ -34,7 +35,6 @@ gradient skips it.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -281,11 +281,13 @@ class PReLU(Layer):
 
 
 class MaxPoolAxis(Layer):
-    """Non-overlapping max over one axis; never applied to the time axis."""
+    """Non-overlapping max over one axis; never applied to the time axis. A
+    forward computes the same output with or without a tape; on one it also
+    keeps, in one byte, which element of each group the backward routes to."""
 
     def __init__(self, axis: int, size: int, name: str = "maxpool"):
-        if size < 1:
-            raise ShapeError("pool size must be >= 1")
+        if not 1 <= size <= 256:
+            raise ShapeError(f"pool size must be in [1, 256], as each pick takes one byte; got {size}")
         self.axis = axis
         self.size = size
         self.name = name
@@ -303,17 +305,17 @@ class MaxPoolAxis(Layer):
 
     def forward(self, x, tape=None):
         self.out_shape(x.shape)
-        a = self.axis
-        if tape is None:
-            # the values a take at the argmax gives, with no picks to keep: the
-            # elementwise maximum of each group's strided lanes, many times
-            # faster than a reduction over a short last axis
-            lanes = (x[(slice(None),) * a + (slice(i, None, self.size),)] for i in range(self.size))
-            return functools.reduce(np.maximum, lanes)
-        # the pooled axis split in place into (groups, size); each pick kept in the fewest bytes
-        grouped = x.reshape(x.shape[:a] + (-1, self.size) + x.shape[a + 1:])
-        picks = grouped.argmax(axis=a + 1, keepdims=True).astype(np.min_scalar_type(self.size - 1))
-        return self._record(tape, np.take_along_axis(grouped, picks, axis=a + 1).squeeze(a + 1), picks)
+        # the running maximum of each group's strided lanes, many times faster than a
+        # reduction over a short axis; on a tape, each pick is the last lane strictly
+        # above the maximum before it, so a tie keeps the earlier lane, as argmax does
+        lanes = [x[(slice(None),) * self.axis + (slice(i, None, self.size),)] for i in range(self.size)]
+        out, picks = lanes[0], np.zeros(lanes[0].shape, np.uint8)
+        for i, lane in enumerate(lanes[1:], 1):
+            if tape is not None:
+                above = lane > out
+                picks = above.view(np.uint8) if i == 1 else np.where(above, i, picks)
+            out = np.maximum(out, lane)
+        return self._record(tape, out, np.expand_dims(picks, self.axis + 1))
 
     def backward(self, grad_out, tape=None, input_grad=True):
         picks, = self._replay(grad_out, tape)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from srptrack.errors import EmptySelection, FormatError
+from srptrack import evaluate
+from srptrack.errors import EmptySelection, FormatError, ShapeError
 from srptrack.evaluate import (
     ExperimentGrid,
     PLOT_CSV_HEADER,
@@ -114,11 +115,41 @@ class TestRunGrid:
             ({"t60s": (math.inf,)}, r"got 50 and \(inf,\)"),
             ({"snrs": (math.nan,)}, r"and \(nan,\)$"),
             ({"snrs": (30.0, -math.inf)}, r"and \(30\.0, -inf\)$"),
+            ({"resolutions": ((4, 8), (1, 8))}, "integer of at least 2 points"),
+            ({"resolutions": ((4, 8.0),)}, "integer of at least 2 points"),
+            ({"resolutions": ((True, 8),)}, "integer of at least 2 points"),
+            ({"resolutions": ((4, 8, 2),)}, r"\(n_theta, n_phi\) pair, got \(4, 8, 2\)"),
+            ({"resolutions": ("4x8",)}, "pair, got '4x8'"),
+            ({"trajectories_per_cell": 1.5}, "got 1.5 and"),
+            ({"trajectories_per_cell": True}, "got True and"),
+            ({"t60s": (True,)}, r"got 50 and \(True,\)"),
+            ({"snrs": ("30",)}, r"and \('30',\)$"),
+            ({"master_seed": -1}, "master_seed must be a non-negative integer, got -1"),
+            ({"master_seed": 2.0}, "master_seed must be a non-negative integer, got 2.0"),
+            ({"master_seed": False}, "master_seed must be a non-negative integer, got False"),
         ],
     )
     def test_bad_counts_and_t60s_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExperimentGrid(**{"t60s": (0.2,), "snrs": (30.0,), "resolutions": ((4, 8),), **kwargs})
+
+    @pytest.fixture
+    def no_render(self, monkeypatch):
+        def render(*args, **kwargs):
+            raise AssertionError("a scene was rendered")
+        monkeypatch.setattr(evaluate, "synthesize_trajectory_sample", render)
+
+    def test_models_under_a_missing_resolution_rejected_before_rendering(self, no_render):
+        grid = ExperimentGrid(t60s=(0.2,), snrs=(30.0,), resolutions=((4, 8),), trajectories_per_cell=1)
+        models = {(4, 8): {"cross3d": build_cross3d(4, 8)}, (8, 16): {"cross3d": build_cross3d(8, 16)}}
+        with pytest.raises(ValueError, match=r"resolution \(8, 16\), which the grid lacks"):
+            run_grid(grid, _toy_scene_cfg(), default_array(), checkpoints=models)
+
+    def test_cross3d_under_another_resolution_rejected_before_rendering(self, no_render):
+        grid = ExperimentGrid(t60s=(0.2,), snrs=(30.0,), resolutions=((4, 8),), trajectories_per_cell=1)
+        models = {(4, 8): {"baseline-max": build_baseline_max(), "wide": build_cross3d(8, 16)}}
+        with pytest.raises(ShapeError, match="wide is a 8x16 cross3d model, filed under 4x8"):
+            run_grid(grid, _toy_scene_cfg(), default_array(), checkpoints=models)
 
 
 class TestSceneErrors:
@@ -264,6 +295,11 @@ class TestTrackFile:
         path, array, grid, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8), duration=1.0)
         with pytest.raises(ValueError, match="unknown vad mode 'none'"):
             track_file(path, array, grid=grid, vad_mode="none")
+
+    def test_unknown_vad_mode_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown vad mode 'none'"):
+            track_file(tmp_path / "missing.wav", default_array(), checkpoint_path=tmp_path / "missing.sstc",
+                       vad_mode="none")
 
     def test_all_silent_wav(self, tmp_path):
         sig = MicSignals(channels=np.zeros((12, 32000), dtype=np.float32), fs=16000)

@@ -192,6 +192,17 @@ class TestSphericalGrid:
         # periodic azimuth: +pi is not duplicated
         assert g.phis[-1] == pytest.approx(math.pi - math.pi / 4)
 
+    @pytest.mark.parametrize("counts", [(16, 32.5), (16.0, 32), (True, 32), (16, np.float64(32)), (16, "32"),
+                                        (1, 32), (16, np.int64(1))])
+    def test_counts_must_be_integers_of_at_least_2(self, counts):
+        with pytest.raises(ValueError, match="integer of at least 2 points per axis"):
+            SphericalGrid(*counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = SphericalGrid(np.int64(4), np.int32(8))
+        assert g.shape == (4, 8)
+        np.testing.assert_array_equal(g.unit_vectors(), SphericalGrid(4, 8).unit_vectors())
+
     def test_4x8_distinct_directions(self):
         assert SphericalGrid(4, 8).n_distinct_directions == 18
 

@@ -368,6 +368,13 @@ class TestTape:
         assert tape == []
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_tape_changes_nothing_computed(self, kind):
+        model, x = _model_and_input(kind, 6, np.random.default_rng(36))
+        free, taped = model.forward(x), model.forward(x, [])
+        np.testing.assert_array_equal(taped, free, strict=True)
+        np.testing.assert_array_equal(np.signbit(taped), np.signbit(free))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_backward_without_a_kept_forward_is_refused(self, kind):
         model, x = _model_and_input(kind, 6, np.random.default_rng(33))
         last = _layers(model)[-1].name

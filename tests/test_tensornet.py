@@ -213,15 +213,30 @@ class TestTape:
             a.backward(out, tape)
 
     def test_pool_without_tape_matches_the_pick(self):
-        """Max over the group axis and a take at the argmax give equal
-        values, ties included; of a tie between 0.0 and -0.0 either may
-        come out, and the two compare equal."""
+        """A tape changes what the pool keeps, never what it computes: with
+        and without one the outputs are equal element for element, the sign
+        of every 0.0 / -0.0 tie included."""
         rng = np.random.default_rng(12)
-        x = rng.integers(-2, 3, size=(4, 6, 12)).astype(np.float32)
-        x[0, 0, :2] = [-0.0, 0.0]
-        for axis, size in ((0, 2), (1, 2), (1, 3), (2, 2), (2, 4)):
-            pool = MaxPoolAxis(axis=axis, size=size)
-            np.testing.assert_array_equal(pool.forward(x), pool.forward(x, []), strict=True)
+        x = rng.integers(-2, 3, size=(12, 12, 12)).astype(np.float32)
+        zeros = x == 0
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        for axis in range(3):
+            for size in range(1, 5):
+                pool = MaxPoolAxis(axis=axis, size=size)
+                free, taped = pool.forward(x), pool.forward(x, [])
+                np.testing.assert_array_equal(taped, free, strict=True)
+                np.testing.assert_array_equal(np.signbit(taped), np.signbit(free))
+
+    def test_pool_picks_route_to_the_first_maximum(self):
+        x = np.array([[1.0, 3.0, 3.0, 2.0, 5.0, 5.0, 5.0, 0.0]])
+        pool = MaxPoolAxis(axis=1, size=4)
+        tape = []
+        pool.forward(x, tape)
+        np.testing.assert_array_equal(pool.backward(np.ones((1, 2)), tape), [[0, 1, 0, 0, 1, 0, 0, 0]])
+
+    def test_pool_size_beyond_one_byte_picks_rejected(self):
+        with pytest.raises(ShapeError, match="256"):
+            MaxPoolAxis(axis=0, size=257)
 
     @pytest.mark.parametrize("index", range(5))
     def test_no_input_gradient_keeps_parameter_gradients(self, index):
