@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 
@@ -23,6 +24,11 @@ from .errors import FormatError
 def is_count(value) -> bool:
     """A JSON value that is a non-negative integer (``true`` is not one)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number (``true`` is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def write(path, magic: bytes, version: int, meta: dict, tensors: dict) -> None:

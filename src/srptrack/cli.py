@@ -126,6 +126,17 @@ def _t60(text: str) -> float:
     return value
 
 
+class _Distinct(argparse.Action):
+    """Store a list option's values, refusing a value given twice: a repeated
+    grid value would evaluate one cell twice under one row label."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentError(self, f"{value!r} is given twice")
+        setattr(namespace, self.dest, values)
+
+
 def _source_provider(args, fs: int):
     """The dry sources of ``--corpus``, else the synthetic source, which
     needs ``fs`` above MIN_SYNTHETIC_FS."""
@@ -166,7 +177,7 @@ def cmd_features(args, cfg: _Config, array: MicArray) -> int:
     signals, framing = read_recording(args.wav, array.n_mics, cfg.file_framing)
     tensor = compute_input_tensor(signals.channels, delay_table(array, grid), framing)
     save_features(args.out, tensor, grid, framing)
-    print(f"wrote {tensor.data.shape} features to {args.out}")
+    print(f"wrote {tensor.maps.shape} maps to {args.out}")
     return 0
 
 
@@ -192,18 +203,22 @@ def cmd_eval(args, cfg: _Config, array: MicArray) -> int:
     requested = tuple(args.resolution) if args.resolution else None
     cross3d: dict = {}
     baselines: dict = {}
+    paths: dict = {}  # (resolution or None for a baseline, row name) -> checkpoint path
     for path in args.checkpoint or []:
         model = model_from_checkpoint(load_checkpoint(path), array=array, fs=cfg.framing.fs)
         name = f"{model.kind}:{Path(path).stem}"
-        if model.kind == "cross3d":
-            res = (model.spec["n_theta"], model.spec["n_phi"])
-            if requested and res not in requested:
-                wanted = " ".join(f"{t}x{p}" for t, p in requested)
-                raise FormatError(f"{path} is a {res[0]}x{res[1]} cross3d checkpoint,"
-                                  f" not one of --resolution {wanted}")
-            cross3d.setdefault(res, {})[name] = model
-        else:
+        res = (model.spec["n_theta"], model.spec["n_phi"]) if model.kind == "cross3d" else None
+        if (res, name) in paths:
+            raise FormatError(f"{paths[res, name]} and {path} would both give the rows of {name}")
+        paths[res, name] = path
+        if res is None:
             baselines[name] = model
+        elif requested and res not in requested:
+            wanted = " ".join(f"{t}x{p}" for t, p in requested)
+            raise FormatError(f"{path} is a {res[0]}x{res[1]} cross3d checkpoint,"
+                              f" not one of --resolution {wanted}")
+        else:
+            cross3d.setdefault(res, {})[name] = model
     # baselines run at every resolution of the sweep, since baseline-max reads the map maximum
     resolutions = requested or tuple(cross3d) or (DEFAULT_GRID,)
     checkpoints = {res: {**baselines, **cross3d.get(res, {})} for res in resolutions}
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=str, default=None, help="directory of dry source WAVs")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", help="compute the SRP-PHAT input tensor for a WAV")
+    p = sub.add_parser("features", help="dump the SRP-PHAT maps, VAD and argmax DOAs of a WAV")
     common(p)
     p.add_argument("--wav", required=True)
     p.add_argument("--resolution", type=_resolution, default=DEFAULT_GRID)
@@ -270,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="RMSAE sweep over T60/SNR/resolution cells")
     common(p)
-    p.add_argument("--t60", type=_t60, nargs="+", required=True)
-    p.add_argument("--snr", type=_finite_float, nargs="+", required=True)
-    p.add_argument("--resolution", type=_resolution, nargs="+", default=None)
+    p.add_argument("--t60", type=_t60, nargs="+", required=True, action=_Distinct)
+    p.add_argument("--snr", type=_finite_float, nargs="+", required=True, action=_Distinct)
+    p.add_argument("--resolution", type=_resolution, nargs="+", default=None, action=_Distinct)
     p.add_argument("--trajectories", type=_positive_int, default=50)
     p.add_argument("--checkpoint", type=str, nargs="*", default=None)
     p.add_argument("--corpus", type=str, default=None)

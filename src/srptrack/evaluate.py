@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +59,7 @@ class ExperimentGrid:
     def __post_init__(self):
         if not (self.t60s and self.snrs and self.resolutions):
             raise ValueError("grid axes must be nonempty")
-        finite = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                     for v in (*self.t60s, *self.snrs))
+        finite = all(artifact.is_finite_number(v) for v in (*self.t60s, *self.snrs))
         count = artifact.is_count(self.trajectories_per_cell) and self.trajectories_per_cell >= 1
         if not count or not finite or min(self.t60s) < 0:
             raise ValueError(f"need an integer trajectories_per_cell >= 1, finite T60s >= 0 and finite SNRs,"
@@ -72,6 +70,12 @@ class ExperimentGrid:
             if not isinstance(resolution, (tuple, list)) or len(resolution) != 2:
                 raise ValueError(f"each resolution must be an (n_theta, n_phi) pair, got {resolution!r}")
             SphericalGrid(*resolution)  # raises ValueError for a count that is not an integer >= 2
+        # a repeated value would evaluate one cell twice under one row label
+        for axis, values in (("t60s", self.t60s), ("snrs", self.snrs),
+                             ("resolutions", [tuple(r) for r in self.resolutions])):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{axis} repeats {repeats[0]!r}")
 
 
 def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, framing: FramingConfig,

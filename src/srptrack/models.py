@@ -1,6 +1,6 @@
 """The Cross3D tracker, its 1D-CNN baselines, training and checkpoints.
 
-Cross3D consumes the 3 x T x Ntheta x Nphi input tensor with a 3D stem, two
+Cross3D consumes the 3 x T x Ntheta x Nphi input of ``features_from`` with a 3D stem, two
 parallel convolutional branches that pool perpendicular spherical axes (so
 each branch keeps positional information about the other axis), and a causal
 dilated 1D head that maps the concatenated per-frame features to a unit
@@ -130,8 +130,12 @@ class Cross3D:
         return self.stem.backward(ga + gb, tape, input_grad)
 
     def features_from(self, tensor: InputTensor) -> np.ndarray:
-        # kept for perfbench's warm-up; the package picks inputs in model_features
-        return tensor.data
+        """The (3, T, n_theta, n_phi) input in the model's dtype: the maps, then
+        each frame's map-maximum coordinates repeated over the grid."""
+        x = np.empty((3,) + tensor.maps.shape, dtype=self.dtype)
+        x[0] = tensor.maps
+        x[1:] = baseline_max_features(tensor)[:, :, None, None]
+        return x
 
 
 class Baseline1D:
@@ -199,36 +203,32 @@ def build_baseline_gcc(array: MicArray, fs: int, seed: int = 0, dtype=np.float32
 
 
 def baseline_max_features(tensor: InputTensor) -> np.ndarray:
-    """(2, T) map-maximum coordinates in [0, 1]; zero on silent frames."""
-    return np.stack([tensor.data[1, :, 0, 0], tensor.data[2, :, 0, 0]])
+    """(2, T) map-maximum coordinates of every frame, theta / pi and (phi + pi) / 2 pi."""
+    theta, phi = tensor.argmax_doa.T
+    return np.stack([theta / np.pi, (phi + np.pi) / (2.0 * np.pi)])
 
 
-def baseline_gcc_features(
-    channels: np.ndarray,
-    array: MicArray,
-    cfg: FramingConfig,
-    vad_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """(n_pairs * n_lags, T) stacked GCC-PHAT values; silent frames zeroed."""
+def baseline_gcc_features(channels: np.ndarray, array: MicArray, cfg: FramingConfig) -> np.ndarray:
+    """(n_pairs * n_lags, T) stacked GCC-PHAT values of every frame."""
     lag_range = default_lag_range(array, cfg.fs)
-    feats = np.stack([gcc_set(frame, lag_range).pair_lags.reshape(-1)
-                      for frame in windowed_frames(channels, cfg)], axis=1)
-    if vad_mask is not None:
-        feats[:, ~np.asarray(vad_mask, dtype=bool)] = 0.0
-    return feats
+    return np.stack([gcc_set(frame, lag_range).pair_lags.reshape(-1)
+                     for frame in windowed_frames(channels, cfg)], axis=1)
 
 
 def model_features(model, tensor: InputTensor, channels: np.ndarray, array: MicArray,
                    cfg: FramingConfig) -> np.ndarray:
-    """The features ``model`` tracks from, the one place each kind picks its
-    input: the whole tensor for Cross3D, the map-maximum coordinates for the
-    max baseline, the stacked GCCs of ``channels`` for the GCC baseline.
-    Frames silent in ``tensor.vad`` are zero in every case."""
+    """The (channels, T, ...) input ``model`` tracks from, the one place each kind
+    picks its input (``Cross3D.features_from``, the map-maximum coordinates for
+    the max baseline, the stacked GCCs of ``channels`` for the GCC baseline)
+    and the one place it is zeroed on the frames silent in ``tensor.vad``."""
     if model.kind == "baseline-gcc":
-        return baseline_gcc_features(channels, array, cfg, vad_mask=tensor.vad)
-    if model.kind == "baseline-max":
-        return baseline_max_features(tensor)
-    return tensor.data
+        feats = baseline_gcc_features(channels, array, cfg)
+    elif model.kind == "baseline-max":
+        feats = baseline_max_features(tensor)
+    else:
+        feats = model.features_from(tensor)
+    feats[:, ~tensor.vad] = 0.0
+    return feats
 
 
 def forward_track(model, features: np.ndarray):
@@ -268,7 +268,7 @@ class TrainConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("traj_seconds", "phase1_lr", "phase2_lr", "phase1_snr"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not artifact.is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             if value <= 0 and name != "phase1_snr":
                 raise ValueError(f"{name} must be positive, got {value!r}")

@@ -10,13 +10,13 @@ like an infinite dataset while staying reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .errors import FormatError
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
@@ -40,19 +40,24 @@ class SceneConfig:
     rir_t_max: float | None = None  # None: full T60
 
     def __post_init__(self):
+        for name in ("room_min", "room_max"):
+            value = getattr(self, name)
+            if not all(map(artifact.is_finite_number, np.asarray(value, dtype=object).ravel())):
+                raise ValueError(f"{name} must hold finite numbers, got {value!r}")
         rmin = as_vec3(self.room_min)
         rmax = as_vec3(self.room_max)
         if np.any(rmin <= 0) or np.any(rmin > rmax):
             raise ValueError("room_min must be positive and <= room_max componentwise")
         for name, (lo, hi) in (("snr_range", self.snr_range), ("t60_range", self.t60_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (artifact.is_finite_number(lo) and artifact.is_finite_number(hi) and lo <= hi):
                 raise ValueError(f"{name} must be a finite, nonempty range, got {(lo, hi)}")
         if self.t60_range[0] < 0:
             raise ValueError(f"t60_range must be nonnegative, got {self.t60_range}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
+        if not (artifact.is_finite_number(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and positive, got {self.duration}")
-        if self.rir_t_max is not None and not (math.isfinite(self.rir_t_max) and self.rir_t_max > 0):
-            raise ValueError(f"rir_t_max must be finite and positive, got {self.rir_t_max}")
+        t_max = self.rir_t_max
+        if t_max is not None and not (artifact.is_finite_number(t_max) and t_max > 0):
+            raise ValueError(f"rir_t_max must be finite and positive, got {t_max}")
         object.__setattr__(self, "room_min", rmin)
         object.__setattr__(self, "room_max", rmax)
         object.__setattr__(self, "snr_range", tuple(self.snr_range))

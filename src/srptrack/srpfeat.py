@@ -1,10 +1,11 @@
-"""Framing, GCC-PHAT, SRP-PHAT power maps and network input assembly.
+"""Framing, GCC-PHAT, SRP-PHAT power maps and the per-frame features.
 
 A power map is the steered response power evaluated on a spherical grid,
 computed from the pairwise generalized cross-correlations with phase-transform
 weighting. Fractional steering delays are approximated to the nearest sample;
 no interpolation is performed. Maps are plain arrays: one frame gives an
 ``(n_theta, n_phi)`` map, a signal a ``(T, n_theta, n_phi)`` stack.
+``InputTensor`` keeps a signal's normalized maps, VAD mask and argmax DOAs.
 
 The feature pass streams: ``windowed_frames`` walks the zero-copy frame view
 of ``FramingConfig.frames`` and windows one ``(n_ch, K)`` frame at a time into
@@ -37,7 +38,7 @@ from .errors import FormatError, LagRangeTooSmall, TooShort
 from .geometry import SPEED_OF_SOUND, DelayTable, MicArray, SphericalGrid
 
 _FEATURE_MAGIC = b"SRPM"
-_FEATURE_VERSION = 2
+_FEATURE_VERSION = 3
 
 # relative floor for the PHAT denominator, keeps silent frames finite
 _PHAT_EPS_REL = 1e-12
@@ -249,21 +250,21 @@ def normalize_map(maps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InputTensor:
-    """Network input: channel 0 holds the normalized maps, channels 1-2 the
-    per-frame map-argmax elevation/azimuth scaled to [0, 1]. Silent frames are
-    all-zero in every channel."""
+    """The features of T frames, each kept once: normalized maps, VAD mask and
+    argmax DOAs. Silent frames keep their maps; ``models.model_features``
+    zeroes them in a model's input."""
 
-    data: np.ndarray  # (3, T, n_theta, n_phi)
+    maps: np.ndarray  # (T, n_theta, n_phi) float64, normalized
     vad: np.ndarray  # (T,) bool
     argmax_doa: np.ndarray  # (T, 2) theta, phi of each frame's map maximum
 
     @property
     def n_frames(self) -> int:
-        return self.data.shape[1]
+        return self.maps.shape[0]
 
 
 def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> InputTensor:
-    """Stack T normalized maps into the 3-channel network input tensor."""
+    """T normalized maps on ``grid`` with their VAD mask and argmax DOAs."""
     maps = np.asarray(maps, dtype=float)
     t = maps.shape[0]
     if maps.shape[1:] != grid.shape:
@@ -274,11 +275,7 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     # ties break to the lowest row-major index: argmax takes the first maximum
     i, j = np.divmod(maps.reshape(t, grid.n_theta * grid.n_phi).argmax(axis=1), grid.n_phi)
     argmax = np.stack([grid.thetas[i], grid.phis[j]], axis=1)
-    data = np.zeros((3, t) + grid.shape)
-    data[0, vad] = maps[vad]
-    data[1, vad] = (argmax[vad, 0] / np.pi)[:, None, None]
-    data[2, vad] = ((argmax[vad, 1] + np.pi) / (2.0 * np.pi))[:, None, None]
-    return InputTensor(data=data, vad=vad, argmax_doa=argmax)
+    return InputTensor(maps=maps, vad=vad, argmax_doa=argmax)
 
 
 def compute_input_tensor(
@@ -288,7 +285,7 @@ def compute_input_tensor(
     vad_mask: np.ndarray | None = None,
 ) -> InputTensor:
     """Full feature pipeline: frame -> GCC -> map, frame by frame, then
-    normalize -> tensor.
+    normalize, then each map's argmax.
 
     ``vad_mask`` takes priority (e.g. the oracle mask of a simulated scene);
     otherwise the energy detector runs on the same frames as the maps.
@@ -306,22 +303,22 @@ def compute_input_tensor(
 
 def save_features(path, tensor: InputTensor, grid: SphericalGrid, cfg: FramingConfig) -> None:
     """Write the feature dump, one SRPM file: the grid, framing, VAD mask and
-    argmax DOAs in its header, the input tensor as its float32 tensor ``data``."""
+    argmax DOAs in its header, every frame's map, silent ones too, as float32 ``maps``."""
     meta = {
         "grid": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
         "framing": {"K": cfg.K, "hop": cfg.hop, "fs": cfg.fs},
         "vad": tensor.vad.astype(int).tolist(),
         "argmax_doa": tensor.argmax_doa.tolist(),
     }
-    artifact.write(path, _FEATURE_MAGIC, _FEATURE_VERSION, meta, {"data": tensor.data})
+    artifact.write(path, _FEATURE_MAGIC, _FEATURE_VERSION, meta, {"maps": tensor.maps})
 
 
 def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
     meta, tensors = artifact.read(path, _FEATURE_MAGIC, _FEATURE_VERSION, "feature dump")
-    data = tensors.get("data")
-    if list(tensors) != ["data"] or data.ndim != 4 or data.shape[0] != 3:
-        raise FormatError(f"feature dump tensors {list(tensors)} are not one (3, T, n_theta, n_phi) 'data'")
-    _, t, n_theta, n_phi = data.shape
+    maps = tensors.get("maps")
+    if list(tensors) != ["maps"] or maps.ndim != 3:
+        raise FormatError(f"feature dump tensors {list(tensors)} are not one (T, n_theta, n_phi) 'maps'")
+    t, n_theta, n_phi = maps.shape
     try:
         same_grid = meta["grid"] == {"n_theta": n_theta, "n_phi": n_phi}
         grid = SphericalGrid(n_theta, n_phi)
@@ -333,4 +330,4 @@ def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
     if not same_grid or vad.shape != (t,) or argmax.shape != (t, 2):
         raise FormatError(f"header grid {meta['grid']}, vad {vad.shape} and argmax {argmax.shape}"
                           f" do not match the dump's {t} frames on {n_theta}x{n_phi}")
-    return InputTensor(data=data.astype(float), vad=vad, argmax_doa=argmax), grid, cfg
+    return InputTensor(maps=maps.astype(float), vad=vad, argmax_doa=argmax), grid, cfg

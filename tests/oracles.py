@@ -241,7 +241,7 @@ def normalize_map_single(values: np.ndarray) -> np.ndarray:
 
 
 def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
-    """(data, vad, argmax_doa) of the old per-frame compute_input_tensor."""
+    """(maps, vad, argmax_doa) of the old per-frame compute_input_tensor."""
     grid = delays.grid
     lag_range = max(
         int(np.ceil(delays.array.aperture * cfg.fs / 343.0)),
@@ -254,17 +254,10 @@ def input_tensor_per_frame(channels, delays, cfg, vad_mask=None):
         for i in range(frames.shape[1])
     ])
     vad = np.asarray(energy_vad_per_frame(channels, cfg) if vad_mask is None else vad_mask, dtype=bool)
-    t = maps.shape[0]
-    data = np.zeros((3, t) + grid.shape)
-    argmax = np.zeros((t, 2))
-    for i in range(t):
-        (theta, phi), _ = grid_argmax(maps[i], grid)
-        argmax[i] = (theta, phi)
-        if vad[i]:
-            data[0, i] = maps[i]
-            data[1, i] = theta / np.pi
-            data[2, i] = (phi + np.pi) / (2.0 * np.pi)
-    return data, vad, argmax
+    argmax = np.zeros((maps.shape[0], 2))
+    for i, pmap in enumerate(maps):
+        argmax[i], _ = grid_argmax(pmap, grid)
+    return maps, vad, argmax
 
 
 # The feature pass as it stood before it streamed frame by frame: the whole

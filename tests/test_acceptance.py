@@ -14,7 +14,7 @@ import pytest
 from srptrack.cli import main as cli_main
 from srptrack.evaluate import rmsae
 from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table, sphere_to_unit
-from srptrack.models import TrainConfig, build_cross3d, train
+from srptrack.models import TrainConfig, build_cross3d, model_features, train
 from srptrack.roomsim import Room, _rirs_for_point, add_noise, render_moving_source
 from srptrack.scenegen import (
     SceneConfig,
@@ -258,14 +258,13 @@ def _toy_scene_cfg(duration=5.0):
     )
 
 
-def _feature_target_pair(scene_cfg, framing, array, grid, delays, rng):
+def _feature_target_pair(model, scene_cfg, framing, array, delays, rng):
     signals, scene = synthesize_trajectory_sample(
         scene_cfg, synthetic_source, rng, array=array, framing=framing
     )
-    tensor = compute_input_tensor(
-        signals.channels.astype(float), delays, framing, vad_mask=scene.vad_mask
-    )
-    return tensor.data, scene.gt_units().T
+    channels = signals.channels.astype(float)
+    tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
+    return model_features(model, tensor, channels, array, framing), scene.gt_units().T
 
 
 class TestCriterion8Trainability:
@@ -278,11 +277,11 @@ class TestCriterion8Trainability:
         from dataclasses import replace
 
         cfg = replace(cfg, snr_range=(30.0, 30.0), t60_range=(0.2, 0.4))
+        model = build_cross3d(8, 16, seed=81)
         batch = [
-            _feature_target_pair(cfg, framing, array, grid, delays, sample_rng(80, k))
+            _feature_target_pair(model, cfg, framing, array, delays, sample_rng(80, k))
             for k in range(2)
         ]
-        model = build_cross3d(8, 16, seed=81)
         losses = train_on_fixed_batch(model, batch, steps=500, lr=1e-3, stop_below=0.1)
         ok = losses[-1] < 0.1 and len(losses) <= 500
         with capsys.disabled():
@@ -297,11 +296,11 @@ class TestCriterion8Trainability:
         delays = delay_table(array, grid)
         scene_cfg = _toy_scene_cfg()
         heldout_cfg = _toy_scene_cfg()
+        model = build_cross3d(8, 16, seed=82)
         heldout = [
-            _feature_target_pair(heldout_cfg, framing, array, grid, delays, sample_rng(999, k))
+            _feature_target_pair(model, heldout_cfg, framing, array, delays, sample_rng(999, k))
             for k in range(4)
         ]
-        model = build_cross3d(8, 16, seed=82)
         loss_init = evaluate_loss(model, heldout)
         train_cfg = TrainConfig(
             epochs=2,
@@ -332,14 +331,14 @@ class TestCriterion9Determinism:
             signals, scene = synthesize_trajectory_sample(
                 cfg, synthetic_source, rng, array=array, framing=framing
             )
-            tensor = compute_input_tensor(
-                signals.channels.astype(float), delays, framing, vad_mask=scene.vad_mask
-            )
+            channels = signals.channels.astype(float)
+            tensor = compute_input_tensor(channels, delays, framing, vad_mask=scene.vad_mask)
             model = build_cross3d(4, 8, seed=91)
-            out = model.forward(tensor.data)
-            batch = [(tensor.data, scene.gt_units().T)]
+            feats = model_features(model, tensor, channels, array, framing)
+            out = model.forward(feats)
+            batch = [(feats, scene.gt_units().T)]
             train_on_fixed_batch(model, batch, steps=2, lr=1e-4)
-            return signals.channels, tensor.data, out, model.parameters()[0].value.copy()
+            return signals.channels, feats, out, model.parameters()[0].value.copy()
 
         a = run_once()
         b = run_once()

@@ -99,18 +99,18 @@ class TestSynthFeaturesTrack:
         from srptrack.srpfeat import load_features
 
         tensor, grid, cfg = load_features(feat)
-        assert tensor.data.shape[0] == 3
+        assert tensor.maps.shape[1:] == (4, 8)
         assert grid.shape == (4, 8)
 
         track = tmp_path / "track.csv"
         assert main(["track", "--wav", wav, "--resolution", "8x16", "--out", str(track)]) == 0
         lines = track.read_text().strip().splitlines()
         assert lines[0] == "time_s,azimuth_deg,elevation_deg,vad,degenerate"
-        assert len(lines) == 1 + tensor.data.shape[1]
+        assert len(lines) == 1 + tensor.n_frames
 
         assert main(["track", "--wav", wav, "--resolution", "4x8", "--vad", "all", "--out", str(track)]) == 0
         rows = track.read_text().strip().splitlines()[1:]
-        assert len(rows) == tensor.data.shape[1]
+        assert len(rows) == tensor.n_frames
         assert all(row.split(",")[3] == "1" for row in rows)
 
     def test_track_rejects_bad_inputs(self, tmp_path):
@@ -227,6 +227,8 @@ class TestConfigFiles:
             ('{"train": {"phase1_snr": null}}', "bad value in section 'train': phase1_snr must be"),
             ('{"train": {"seed": -1}}', "bad value in section 'train': seed must be"),
             ('{"train": {"seed": 1.5}}', "bad value in section 'train': seed must be"),
+            ('{"scene": {"duration": true}}', "bad value in section 'scene': duration must be"),
+            ('{"scene": {"room_min": [true, 3, 2.5]}}', "bad value in section 'scene': room_min must hold"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
@@ -237,7 +239,8 @@ class TestConfigFiles:
              "scene-inf-rir-t-max", "scene-negative-rir-t-max", "train-float-epochs", "train-bool-batch",
              "train-negative-trajectories", "train-negative-phase1", "train-float-phase1", "train-string-lr",
              "train-zero-lr", "train-inf-lr", "train-negative-seconds", "train-bool-seconds", "train-nan-snr",
-             "train-null-snr", "train-negative-seed", "train-float-seed"],
+             "train-null-snr", "train-negative-seed", "train-float-seed", "scene-bool-duration",
+             "scene-bool-room"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -344,6 +347,25 @@ class TestSceneArguments:
         assert not out.exists()
 
 
+class TestRepeatedEvalValues:
+    @pytest.mark.parametrize("flag,values", [("--t60", ["0.2", "0.2"]), ("--snr", ["30", "30.0"]),
+                                             ("--resolution", ["4x8", "2x4", "4X8"])],
+                             ids=["t60", "snr", "resolution"])
+    def test_repeat_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag, values):
+        from srptrack import evaluate
+
+        def render(*args, **kwargs):
+            raise AssertionError("a scene was rendered")
+
+        monkeypatch.setattr(evaluate, "synthesize_trajectory_sample", render)
+        out = tmp_path / "out.csv"
+        args = {"--t60": ["0.2"], "--snr": ["30"], "--trajectories": ["1"], flag: values}
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *(v for key, vals in args.items() for v in (key, *vals)), "--out", str(out)])
+        assert exc.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_train_then_eval_and_track(self, tmp_path, config_path):
         ckpt = tmp_path / "model.sstc"
@@ -396,6 +418,45 @@ class TestTrainEval:
         rows = [line.split(",")[:2] for line in csv_out.read_text().strip().splitlines()[1:]]
         assert sorted(rows) == [["baseline-max:max", "2x4"], ["baseline-max:max", "4x8"],
                                 ["srp-argmax", "2x4"], ["srp-argmax", "4x8"]]
+
+    def test_eval_refuses_two_checkpoints_with_one_row_name(self, tmp_path, config_path, monkeypatch):
+        import re
+
+        from srptrack import evaluate
+        from srptrack.models import build_baseline_max, build_cross3d, make_checkpoint, save_checkpoint
+
+        a, b, c = (tmp_path / d / "m.sstc" for d in "abc")
+        for path, model in ((a, build_baseline_max(seed=1)), (b, build_baseline_max(seed=2)),
+                            (c, build_cross3d(4, 8))):
+            path.parent.mkdir()
+            save_checkpoint(path, make_checkpoint(model))
+
+        def render(*args, **kwargs):
+            raise AssertionError("a scene was rendered")
+
+        monkeypatch.setattr(evaluate, "synthesize_trajectory_sample", render)
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--config", config_path, "--t60", "0.2", "--snr", "30", "--trajectories", "1",
+                "--out", str(out), "--checkpoint"]
+        for first, second, name in ((a, b, "baseline-max:m"), (c, c, "cross3d:m")):
+            with pytest.raises(FormatError, match=re.escape(f"{first} and {second} would both give the rows of {name}")):
+                main([*args, str(first), str(second)])
+        assert not out.exists()
+
+    def test_eval_takes_one_cross3d_name_at_two_resolutions(self, tmp_path, config_path):
+        """Rows carry the resolution, so same-named Cross3D checkpoints of two grids do not clash."""
+        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
+
+        paths = [tmp_path / d / "m.sstc" for d in ("small", "large")]
+        for path, res in zip(paths, ((2, 4), (4, 8))):
+            path.parent.mkdir()
+            save_checkpoint(path, make_checkpoint(build_cross3d(*res)))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", config_path, "--t60", "0.2", "--snr", "30", "--trajectories", "1",
+                     "--checkpoint", *map(str, paths), "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in out.read_text().strip().splitlines()[1:]]
+        assert sorted(rows) == [["cross3d:m", "2x4"], ["cross3d:m", "4x8"], ["srp-argmax", "2x4"],
+                                ["srp-argmax", "4x8"]]
 
     def test_eval_deterministic(self, tmp_path, config_path):
         outs = []

@@ -30,6 +30,7 @@ from srptrack.models import (
     forward_track,
     load_checkpoint,
     make_checkpoint,
+    model_features,
     model_from_checkpoint,
     save_checkpoint,
 )
@@ -127,6 +128,11 @@ class TestRunGrid:
             ({"master_seed": -1}, "master_seed must be a non-negative integer, got -1"),
             ({"master_seed": 2.0}, "master_seed must be a non-negative integer, got 2.0"),
             ({"master_seed": False}, "master_seed must be a non-negative integer, got False"),
+            # a repeated value would evaluate one cell twice under one row label
+            ({"t60s": (0.2, 0.4, 0.2)}, r"t60s repeats 0\.2"),
+            ({"snrs": (30, 30.0)}, "snrs repeats 30"),
+            ({"snrs": (0.0, -0.0)}, "snrs repeats -0.0"),
+            ({"resolutions": ((4, 8), [4, 8])}, r"resolutions repeats \(4, 8\)"),
         ],
     )
     def test_bad_counts_and_t60s_rejected(self, kwargs, match):
@@ -166,7 +172,7 @@ class TestSceneErrors:
         srp_units = np.array([doa_to_unit_from_pair(t, p) for t, p in tensor.argmax_doa])
         np.testing.assert_allclose(errors["srp-argmax"], angular_errors_per_frame(srp_units, gt),
                                    rtol=0, atol=1e-12)
-        units, _ = forward_track(model, tensor.data)
+        units, _ = forward_track(model, model_features(model, tensor, signals.channels, scene.array, framing))
         np.testing.assert_allclose(errors["cross3d"], angular_errors_per_frame(units, gt),
                                    rtol=0, atol=1e-12)
 
@@ -395,10 +401,11 @@ class TestTrackFile:
             vad = np.ones_like(vad)
         tensor = compute_input_tensor(channels, delay_table(array, grid), framing, vad_mask=vad)
         features = {
-            "cross3d": tensor.data,
-            "baseline-max": baseline_max_features(tensor),
-            "baseline-gcc": baseline_gcc_features(channels, array, framing, vad_mask=vad),
-        }[kind]
+            "cross3d": lambda: model.features_from(tensor),
+            "baseline-max": lambda: baseline_max_features(tensor),
+            "baseline-gcc": lambda: baseline_gcc_features(channels, array, framing),
+        }[kind]()
+        features[:, ~vad] = 0.0
         units, degenerate = forward_track(model, features)
         assert len(rows) == len(units)
         for i, row in enumerate(rows):

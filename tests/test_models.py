@@ -453,8 +453,23 @@ class TestBaselineFeatures:
         tensor = assemble_input(maps, vad, grid)
         feats = baseline_max_features(tensor)
         assert feats.shape == (2, 3)
+        np.testing.assert_array_equal(feats[:, 1], feats[:, 0])  # a silent frame keeps its coordinates
+        feats = model_features(build_baseline_max(), tensor, None, default_array(), FramingConfig())
         np.testing.assert_array_equal(feats[:, 1], 0.0)
         assert feats[0, 0] == pytest.approx(grid.thetas[2] / np.pi)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross3d_features_lay_out_maps_and_coordinates(self, dtype):
+        """Channel 0 holds the maps, channels 1-2 each frame's map-maximum
+        coordinates on every cell, in the model's dtype; silent frames too."""
+        grid = SphericalGrid(4, 8)
+        rng = np.random.default_rng(6)
+        tensor = assemble_input(rng.normal(size=(4,) + grid.shape), np.array([True, False, True, False]), grid)
+        x = Cross3D(4, 8, None, dtype).features_from(tensor)
+        assert x.dtype == dtype and x.shape == (3, 4, 4, 8)
+        np.testing.assert_array_equal(x[0], tensor.maps.astype(dtype))
+        coords = baseline_max_features(tensor).astype(dtype)
+        np.testing.assert_array_equal(x[1:], np.broadcast_to(coords[:, :, None, None], (2, 4, 4, 8)))
 
     def test_gcc_features_shape_and_silence(self):
         array = default_array()
@@ -462,7 +477,8 @@ class TestBaselineFeatures:
         rng = np.random.default_rng(7)
         channels = rng.normal(size=(12, 4096))
         vad = np.array([True, True, False, True, True])
-        feats = baseline_gcc_features(channels, array, cfg, vad_mask=vad)
+        tensor = assemble_input(np.zeros((5, 4, 8)), vad, SphericalGrid(4, 8))
+        feats = model_features(build_baseline_gcc(array, cfg.fs), tensor, channels, array, cfg)
         assert feats.shape == (858, 5)
         np.testing.assert_array_equal(feats[:, 2], 0.0)
         assert np.any(feats[:, 0] != 0.0)
@@ -475,13 +491,13 @@ class TestBaselineFeatures:
         channels = rng.normal(size=(12, 4096))
         vad = np.array([True, False, True, True, False])
         tensor = assemble_input(rng.random((5,) + grid.shape), vad, grid)
-        np.testing.assert_array_equal(
-            model_features(build_baseline_gcc(array, cfg.fs), tensor, channels, array, cfg),
-            baseline_gcc_features(channels, array, cfg, vad_mask=vad))
-        np.testing.assert_array_equal(
-            model_features(build_baseline_max(), tensor, channels, array, cfg),
-            baseline_max_features(tensor))
-        assert model_features(build_cross3d(4, 8), tensor, channels, array, cfg) is tensor.data
+        cross3d = build_cross3d(4, 8)
+        for model, expected in ((build_baseline_gcc(array, cfg.fs), baseline_gcc_features(channels, array, cfg)),
+                                (build_baseline_max(), baseline_max_features(tensor)),
+                                (cross3d, cross3d.features_from(tensor))):
+            expected[:, ~vad] = 0.0
+            np.testing.assert_array_equal(model_features(model, tensor, channels, array, cfg), expected,
+                                          strict=True)
 
     def test_float32_channels_as_stored(self):
         """Framing promotes float32 samples exactly, so features of channels as
@@ -492,11 +508,11 @@ class TestBaselineFeatures:
         table = delay_table(array, SphericalGrid(16, 32))
         stored = compute_input_tensor(channels, table, cfg)
         promoted = compute_input_tensor(channels.astype(float), table, cfg)
-        for name in ("data", "vad", "argmax_doa"):
+        for name in ("maps", "vad", "argmax_doa"):
             np.testing.assert_array_equal(getattr(stored, name), getattr(promoted, name), strict=True)
         np.testing.assert_array_equal(
-            baseline_gcc_features(channels, array, cfg, vad_mask=stored.vad),
-            baseline_gcc_features(channels.astype(float), array, cfg, vad_mask=stored.vad), strict=True)
+            baseline_gcc_features(channels, array, cfg),
+            baseline_gcc_features(channels.astype(float), array, cfg), strict=True)
 
 
 class TestCheckpoints:

@@ -38,6 +38,25 @@ from oracles import (
 )
 
 
+class TestSceneConfigChecks:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"duration": True}, "duration must be finite and positive, got True"),
+        ({"rir_t_max": True}, "rir_t_max must be finite and positive, got True"),
+        ({"snr_range": (True, 30)}, r"snr_range must be a finite, nonempty range, got \(True, 30\)"),
+        ({"t60_range": (0.2, True)}, r"t60_range must be a finite, nonempty range, got \(0\.2, True\)"),
+        ({"room_min": [True, 3, 2.5]}, r"room_min must hold finite numbers, got \[True, 3, 2\.5\]"),
+        ({"room_max": [10.0, "8", 6.0]}, "room_max must hold finite numbers"),
+    ], ids=["duration", "rir-t-max", "snr-range", "t60-range", "room-min", "room-max-string"])
+    def test_bools_are_not_numbers(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SceneConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SceneConfig(room_min=np.array([3, 3, 2], dtype=np.int64), snr_range=(np.float32(5.0), 30),
+                          t60_range=(np.float64(0.2), 1.0), duration=np.int64(2), rir_t_max=np.float32(0.1))
+        np.testing.assert_array_equal(cfg.room_min, [3.0, 3.0, 2.0])
+
+
 class TestSampleScene:
     def test_degenerate_ranges_deterministic(self):
         cfg = SceneConfig(
@@ -414,6 +433,6 @@ class TestFrameViewsMatchIndexGathers:
         np.testing.assert_array_equal(scene.vad_mask, ref_scene.vad_mask)
         np.testing.assert_array_equal(scene.vad_energy_mask, ref_scene.vad_energy_mask)
         # the streamed features against the per-frame oracle, on the gathered scene
-        data, vad, _ = input_tensor_per_frame(ref_sig.channels, table, FramingConfig())
-        np.testing.assert_allclose(tensor.data, data, atol=1e-12, rtol=0)
+        maps, vad, _ = input_tensor_per_frame(ref_sig.channels, table, FramingConfig())
+        np.testing.assert_allclose(tensor.maps, maps, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(tensor.vad, vad)

@@ -365,7 +365,7 @@ class TestSrpMap:
         nao = default_array()
         tensor = compute_input_tensor(np.random.default_rng(36).normal(size=(12, 8192)),
                                       delay_table(nao, SphericalGrid(4, 8)), FramingConfig())
-        assert tensor.n_frames == 2 and np.isfinite(tensor.data).all()
+        assert tensor.n_frames == 2 and np.isfinite(tensor.maps).all()
 
 
 class TestNormalizeMap:
@@ -456,36 +456,52 @@ class TestAssembleInput:
         return np.stack(maps)
 
     def test_all_silent_all_zero(self):
+        """Silent frames keep their maps; every model's input is zero there."""
+        from srptrack.geometry import default_array
+        from srptrack.models import Cross3D, build_baseline_gcc, build_baseline_max, model_features
+
         grid = SphericalGrid(4, 8)
         maps = self._maps(grid, [(1, 2), (2, 3)])
         tensor = assemble_input(maps, np.array([False, False]), grid)
-        np.testing.assert_array_equal(tensor.data, 0.0)
+        np.testing.assert_array_equal(tensor.maps, maps)
+        array, cfg = default_array(), FramingConfig()
+        channels = np.random.default_rng(11).normal(size=(12, cfg.K + cfg.hop))
+        for model in (Cross3D(4, 8, None, np.float64), build_baseline_max(), build_baseline_gcc(array, cfg.fs)):
+            np.testing.assert_array_equal(model_features(model, tensor, channels, array, cfg), 0.0)
 
     def test_argmax_channels(self):
+        from srptrack.models import baseline_max_features
+
         grid = SphericalGrid(3, 4)
         # theta = pi/2 is row 1; phi = 0 is column 2
         maps = self._maps(grid, [(1, 2)])
         tensor = assemble_input(maps, np.array([True]), grid)
-        np.testing.assert_allclose(tensor.data[1, 0], 0.5)
-        np.testing.assert_allclose(tensor.data[2, 0], 0.5)
-        np.testing.assert_allclose(tensor.data[0, 0], maps[0])
+        coords = baseline_max_features(tensor)
+        np.testing.assert_allclose(coords[0, 0], 0.5)
+        np.testing.assert_allclose(coords[1, 0], 0.5)
+        np.testing.assert_allclose(tensor.maps[0], maps[0])
 
     def test_channels_in_unit_range(self):
+        from srptrack.models import Cross3D
+
         grid = SphericalGrid(8, 16)
         rng = np.random.default_rng(12)
         maps = rng.normal(size=(6,) + grid.shape)
-        tensor = assemble_input(maps, np.ones(6, dtype=bool), grid)
-        assert tensor.data[1].min() >= 0.0 and tensor.data[1].max() <= 1.0
-        assert tensor.data[2].min() >= 0.0 and tensor.data[2].max() <= 1.0
+        x = Cross3D(8, 16, None, np.float64).features_from(assemble_input(maps, np.ones(6, dtype=bool), grid))
+        assert x[1].min() >= 0.0 and x[1].max() <= 1.0
+        assert x[2].min() >= 0.0 and x[2].max() <= 1.0
 
     def test_tensor_shape_16x32(self):
+        from srptrack.models import Cross3D
+
         grid = SphericalGrid(16, 32)
         maps = np.zeros((103,) + grid.shape)
         tensor = assemble_input(maps, np.ones(103, dtype=bool), grid)
-        assert tensor.data.shape == (3, 103, 16, 32)
+        assert tensor.maps.shape == (103, 16, 32)
+        assert Cross3D(16, 32, None).features_from(tensor).shape == (3, 103, 16, 32)
 
 
-def _srpm(header, payload=b"", version=2):
+def _srpm(header, payload=b"", version=3):
     """A feature dump file with this JSON ``header`` and ``payload``."""
     text = json.dumps(header).encode()
     return b"SRPM" + struct.pack("<2I", version, len(text)) + text + payload
@@ -503,7 +519,7 @@ class TestFeatureDump:
         save_features(path, tensor, grid, cfg)
         assert list(tmp_path.iterdir()) == [path]  # one self-describing file
         back, grid2, cfg2 = load_features(path)
-        np.testing.assert_array_equal(back.data, tensor.data.astype(np.float32))
+        np.testing.assert_array_equal(back.maps, tensor.maps.astype(np.float32))
         np.testing.assert_array_equal(back.vad, vad)
         np.testing.assert_array_equal(back.argmax_doa, tensor.argmax_doa)
         np.testing.assert_array_equal(grid2.thetas, grid.thetas)
@@ -532,6 +548,16 @@ class TestFeatureDump:
         with pytest.raises(FormatError, match="unsupported feature dump version 1"):
             load_features(path)
 
+    def test_version_2_dump_rejected(self, tmp_path):
+        """Version 2 held the dense (3, T, n_theta, n_phi) input as ``data``."""
+        path = tmp_path / "feat.srpm"
+        header = {"grid": {"n_theta": 2, "n_phi": 2}, "framing": {"K": 4096, "hop": 3072, "fs": 16000},
+                  "vad": [1], "argmax_doa": [[0.0, 0.0]],
+                  "tensors": [{"name": "data", "shape": [3, 1, 2, 2], "offset": 0}]}
+        path.write_bytes(_srpm(header, bytes(4 * 12), version=2))
+        with pytest.raises(FormatError, match="unsupported feature dump version 2"):
+            load_features(path)
+
     @staticmethod
     def _dump(path, n_frames=1):
         grid = SphericalGrid(2, 2)
@@ -543,10 +569,10 @@ class TestFeatureDump:
     def test_non_finite_data_rejected(self, tmp_path, value):
         grid = SphericalGrid(2, 2)
         tensor = assemble_input(np.zeros((3,) + grid.shape), np.ones(3, dtype=bool), grid)
-        tensor.data[0, 1, 1, 0] = value
+        tensor.maps[1, 1, 0] = value
         path = tmp_path / "feat.srpm"
         save_features(path, tensor, grid, FramingConfig())
-        with pytest.raises(FormatError, match="tensor data holds a NaN or an infinity"):
+        with pytest.raises(FormatError, match="tensor maps holds a NaN or an infinity"):
             load_features(path)
 
     @pytest.mark.parametrize(
@@ -571,10 +597,10 @@ class TestFeatureDump:
             pytest.param(lambda h, p: _srpm([h], p), id="header-not-an-object"),
             pytest.param(lambda h, p: _srpm(dict(h, framing=dict(h["framing"], window="hann")), p),
                          id="framing-with-window"),
-            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], name="maps")]), p),
-                         id="no-data-tensor"),
-            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], shape=[12])]), p),
-                         id="data-not-4d"),
+            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], name="data")]), p),
+                         id="no-maps-tensor"),
+            pytest.param(lambda h, p: _srpm(dict(h, tensors=[dict(h["tensors"][0], shape=[1, 2, 2, 1])]), p),
+                         id="maps-not-3d"),
         ],
     )
     def test_malformed_dump_rejected(self, tmp_path, corrupt):
@@ -617,7 +643,7 @@ class TestComputePowerMaps:
         dry = rng.normal(size=4096)
         channels = plane_wave_frames(dry, arr.positions, u, fs)
         t = cfg.n_frames(4096)
-        maps = compute_input_tensor(channels, table, cfg, vad_mask=np.ones(t, dtype=bool)).data[0]
+        maps = compute_input_tensor(channels, table, cfg, vad_mask=np.ones(t, dtype=bool)).maps
         assert maps.shape == (t,) + grid.shape
         for pmap in maps:
             _, idx = grid_argmax(pmap, grid)
@@ -643,7 +669,7 @@ class TestComputePowerMaps:
         k = 4 * lag_range + 2
         channels = np.random.default_rng(n_theta).normal(size=(arr.n_mics, k))
         tensor = compute_input_tensor(channels, table, FramingConfig(K=k, hop=k, fs=fs), vad_mask=[True])
-        assert tensor.data.shape == (3, 1, n_theta, n_phi)
+        assert tensor.maps.shape == (1, n_theta, n_phi)
 
     def test_table_beyond_the_aperture_raises(self):
         arr = _toy_array(3)
@@ -660,8 +686,8 @@ class TestMatchesPerFramePath:
 
     def _assert_same(self, channels, table, cfg, vad_mask=None):
         tensor = compute_input_tensor(channels, table, cfg, vad_mask=vad_mask)
-        data, vad, argmax = input_tensor_per_frame(channels, table, cfg, vad_mask=vad_mask)
-        np.testing.assert_allclose(tensor.data, data, atol=1e-12, rtol=0)
+        maps, vad, argmax = input_tensor_per_frame(channels, table, cfg, vad_mask=vad_mask)
+        np.testing.assert_allclose(tensor.maps, maps, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(tensor.vad, vad)
         np.testing.assert_array_equal(tensor.argmax_doa, argmax)
 
@@ -682,7 +708,7 @@ class TestMatchesPerFramePath:
         channels = np.random.default_rng(70).normal(size=(12, cfg.K + 4 * cfg.hop))
         table = delay_table(default_array(), SphericalGrid(16, 32))
         first, second = (compute_input_tensor(channels, table, cfg) for _ in range(2))
-        for name in ("data", "vad", "argmax_doa"):
+        for name in ("maps", "vad", "argmax_doa"):
             np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
     @pytest.mark.parametrize("n_mics", [2, 3, 4])
@@ -712,7 +738,7 @@ class TestMatchesPerFramePath:
             assert mask.any() and not mask.all()
             np.testing.assert_array_equal(mask, energy_vad_per_frame(channels, cfg))
         expected = assemble_input(normalize_map(power_maps_windowed(frames, table, cfg.fs)), mask, table.grid)
-        np.testing.assert_allclose(tensor.data, expected.data, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(tensor.maps, expected.maps, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(tensor.vad, expected.vad)
         np.testing.assert_array_equal(tensor.argmax_doa, expected.argmax_doa)
 
@@ -723,10 +749,8 @@ class TestMatchesPerFramePath:
         cfg = FramingConfig()
         array = default_array()
         channels = np.random.default_rng(72).normal(size=(12, cfg.K + 5 * cfg.hop)).astype(np.float32)
-        vad = np.array([True, False, True, True, False, True])
         expected = gcc_features_windowed(frame_signal(channels, cfg), default_lag_range(array, cfg.fs))
-        expected[:, ~vad] = 0.0
-        np.testing.assert_array_equal(baseline_gcc_features(channels, array, cfg, vad_mask=vad), expected)
+        np.testing.assert_array_equal(baseline_gcc_features(channels, array, cfg), expected)
 
 
 class TestStreamingMemory:

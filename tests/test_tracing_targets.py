@@ -2,28 +2,34 @@
 method moved into a base class no longer resolves and its metric silently
 goes missing. Every target must resolve on the package as it stands, and
 the layer counts the tracer attaches to a model's forward must be the
-model's own."""
+model's own. perfbench's warm-up must run on the package as it stands too,
+calling it the way the workloads do."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from srptrack.geometry import default_array
-from srptrack.models import build_baseline_gcc, build_baseline_max, build_cross3d
+from srptrack.geometry import SphericalGrid, default_array, delay_table
+from srptrack.models import build_baseline_gcc, build_baseline_max, build_cross3d, model_features
+from srptrack.srpfeat import FramingConfig, compute_input_tensor
 from srptrack.tensornet import CausalConv1d, CausalConv3d, Sequential
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """A perfbench module, executed from its file without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _tracing()
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("path", [path for path, _, _ in tracing.TARGETS])
@@ -51,3 +57,18 @@ def test_model_children_match_the_layers(build, counts):
     model = build()
     assert _conv_counts(model) == counts
     assert tracing._model_children((model,), {}, None) == counts
+
+
+def test_workload_warm_up_runs():
+    array = default_array()
+    _load("workloads")._warm_up(array, (4, 8), [build_cross3d(4, 8), build_baseline_gcc(array, 16000)])
+
+
+def test_cross3d_features_from_is_its_model_input_when_all_voiced():
+    array, framing = default_array(), FramingConfig()
+    channels = np.random.default_rng(3).normal(size=(array.n_mics, framing.K + 2 * framing.hop))
+    tensor = compute_input_tensor(channels, delay_table(array, SphericalGrid(4, 8)), framing,
+                                  vad_mask=np.ones(3, dtype=bool))
+    model = build_cross3d(4, 8)
+    np.testing.assert_array_equal(model.features_from(tensor),
+                                  model_features(model, tensor, channels, array, framing), strict=True)
