@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import FormatError
+from .errors import FormatError, ImageGridTooLarge
 from .evaluate import ExperimentGrid, emit_plot_data, run_grid, track_file, write_track_csv
 from .geometry import DEFAULT_GRID, MicArray, SphericalGrid, default_array, delay_table
 from .models import (
@@ -83,7 +83,7 @@ def _load_config(path, seed: int) -> _Config:
         section.update(cfg.get(name, {}))
         try:
             built[name] = config(**section)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ImageGridTooLarge) as exc:
             raise FormatError(f"{path}: bad value in section {name!r}: {exc}") from exc
     return _Config(**built, file_framing=built["framing"] if cfg.get("framing") else None)
 

@@ -126,12 +126,13 @@ def run_grid(
             if model.kind == "cross3d" and (model.n_theta, model.n_phi) != tuple(resolution):
                 raise ShapeError(f"{name} is a {model.n_theta}x{model.n_phi} cross3d model,"
                                  f" filed under {resolution[0]}x{resolution[1]}")
+    # so is every cell's scene config, which refuses a T60 no room can render
+    cells = list(itertools.product(grid.resolutions, grid.t60s, grid.snrs))
+    cfgs = [replace(scene_cfg, t60_range=(t60, t60), snr_range=(snr, snr)) for _, t60, snr in cells]
     rows = []
-    cells = itertools.product(grid.resolutions, grid.t60s, grid.snrs)
-    for cell_index, (resolution, t60, snr) in enumerate(cells):
+    for cell_index, ((resolution, t60, snr), cfg) in enumerate(zip(cells, cfgs)):
         sph = SphericalGrid(*resolution)
         models = checkpoints.get(tuple(resolution), {})
-        cfg = replace(scene_cfg, t60_range=(t60, t60), snr_range=(snr, snr))
         pooled: dict[str, list] = {}
         vads: list = []
         for k in range(grid.trajectories_per_cell):

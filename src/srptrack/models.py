@@ -141,8 +141,8 @@ class Cross3D:
 class Baseline1D:
     """Seven causal 1D convolutions; input is either the map-maximum
     coordinates (2 channels) or the stacked GCC lags of every sensor pair.
-    Weights come from ``rng`` as for ``Cross3D``. The (conv, activation)
-    pairs are ``layers`` and run as one sequence."""
+    Weights come from ``rng`` as for ``Cross3D``. Each convolution and its
+    activation run in ``net``, one sequence."""
 
     def __init__(self, kind: str, in_channels: int, rng: np.random.Generator | None,
                  dtype=np.float32):
@@ -151,18 +151,18 @@ class Baseline1D:
         self.kind = kind
         self.in_channels = in_channels
         self.dtype = dtype
-        self.layers = []
+        layers = []
         prev = in_channels
         for i, ch in enumerate(BASELINE_CHANNELS):
             dilation = 2 if i >= len(BASELINE_CHANNELS) - 2 else 1
-            conv = CausalConv1d(prev, ch, 5, rng, dilation=dilation, dtype=dtype, name=f"l{i}")
+            layers.append(CausalConv1d(prev, ch, 5, rng, dilation=dilation, dtype=dtype, name=f"l{i}"))
             if i == len(BASELINE_CHANNELS) - 1:
-                act = Tanh(f"l{i}_act")
+                layers.append(Tanh(f"l{i}_act"))
             else:  # the head-width layer shares one slope, as Cross3D's mix_act does
-                act = PReLU(None if ch == HEAD_CHANNELS else ch, dtype, f"l{i}_act")
-            self.layers.append((conv, act))
+                layers.append(PReLU(None if ch == HEAD_CHANNELS else ch, dtype, f"l{i}_act"))
             prev = ch
-        self.net = Sequential(*(layer for pair in self.layers for layer in pair))
+        self.net = Sequential(*layers)
+        self.layers = self.net.layers[::2]  # its seven convolutions
 
     def parameters(self):
         return self.net.params()

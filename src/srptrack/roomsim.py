@@ -221,6 +221,15 @@ def image_counts(dims, t_max: float) -> np.ndarray:
     return np.ceil(SPEED_OF_SOUND * t_max / (2.0 * dims)).astype(int)
 
 
+def check_image_grid(dims, t_max: float) -> None:
+    """Raise ImageGridTooLarge if a room of ``dims`` needs more than
+    ``MAX_GRID_IMAGES`` grid images per parity block to cover ``t_max``."""
+    grid_images = int(np.prod(2 * image_counts(dims, t_max) + 1))
+    if grid_images > MAX_GRID_IMAGES:
+        raise ImageGridTooLarge(f"room {as_vec3(dims)} m at t_max {t_max} s needs {grid_images} grid images"
+                                f" per parity block, more than {MAX_GRID_IMAGES}")
+
+
 def _polyphase_kernel() -> np.ndarray:
     """Sub-kernel per oversampling phase: row r, column k + 40 is the
     Hann-windowed sinc at oversampled offset ``16 k - r`` (0 past its ends)."""
@@ -357,10 +366,7 @@ def render_moving_source(
             raise OutOfRoom(f"{what} {points[~inside][0]} outside room {room.dims}")
     if t_max is None:
         t_max = _default_t_max(room, fs)
-    grid_images = int(np.prod(2 * image_counts(room.dims, t_max) + 1))
-    if grid_images > MAX_GRID_IMAGES:
-        raise ImageGridTooLarge(f"room {room.dims} m at t_max {t_max} s needs {grid_images} grid images"
-                                f" per parity block, more than {MAX_GRID_IMAGES}")
+    check_image_grid(room.dims, t_max)
     if hop is None:
         hop = int(math.ceil(len(dry) / n_points))
     if hop * (n_points - 1) >= len(dry):

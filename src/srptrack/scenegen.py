@@ -19,7 +19,7 @@ import numpy as np
 from . import artifact
 from .errors import FormatError
 from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
-from .roomsim import MicSignals, Room, add_noise, read_recording, render_moving_source
+from .roomsim import MicSignals, Room, add_noise, check_image_grid, read_recording, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig
 
 _WALL_CLEARANCE = 1e-3  # m, keeps sampled endpoints strictly inside
@@ -58,6 +58,11 @@ class SceneConfig:
         t_max = self.rir_t_max
         if t_max is not None and not (artifact.is_finite_number(t_max) and t_max > 0):
             raise ValueError(f"rir_t_max must be finite and positive, got {t_max}")
+        # the smallest room at the longest RIR has the most images; an
+        # anechoic room's RIR ends with its direct paths
+        t_max = self.t60_range[1] if t_max is None else t_max
+        if t_max > 0:
+            check_image_grid(rmin, t_max)
         object.__setattr__(self, "room_min", rmin)
         object.__setattr__(self, "room_max", rmax)
         object.__setattr__(self, "snr_range", tuple(self.snr_range))

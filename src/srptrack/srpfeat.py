@@ -272,9 +272,11 @@ def assemble_input(maps: np.ndarray, vad: np.ndarray, grid: SphericalGrid) -> In
     vad = np.asarray(vad, dtype=bool)
     if vad.shape != (t,):
         raise ValueError("vad mask length must match the number of maps")
-    # ties break to the lowest row-major index: argmax takes the first maximum
+    # ties break to the lowest row-major index: argmax takes the first maximum;
+    # a pole is one direction, so a maximum on the first or last row has azimuth 0
     i, j = np.divmod(maps.reshape(t, grid.n_theta * grid.n_phi).argmax(axis=1), grid.n_phi)
-    argmax = np.stack([grid.thetas[i], grid.phis[j]], axis=1)
+    phi = np.where((i == 0) | (i == grid.n_theta - 1), 0.0, grid.phis[j])
+    argmax = np.stack([grid.thetas[i], phi], axis=1)
     return InputTensor(maps=maps, vad=vad, argmax_doa=argmax)
 
 

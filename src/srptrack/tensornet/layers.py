@@ -27,10 +27,12 @@ columns are cropped once.
 Backward: the weight gradient of each tap outside the last kernel axis is
 one product of a stack slice and the output gradient laid on the padded
 grid, with the stack rebuilt from the input the tape kept. The input
-gradient is the same correlation run on the output gradient, with the
-kernel flipped on every axis, input and output channels swapped, and time
-padded after the frames instead of before; a backward asked for no input
-gradient skips it.
+gradient is the adjoint of the forward correlation, and it reuses it: the
+output gradient reversed along time and every spatial axis, correlated
+causally with input and output channels swapped, then reversed back.
+Reversal turns the time padding before the frames into padding after them
+and mirrors each kernel tap, while symmetric spatial padding is its own
+mirror; a backward asked for no input gradient skips it.
 """
 
 from __future__ import annotations
@@ -119,11 +121,11 @@ def _he_weights(rng: np.random.Generator | None, shape: tuple, dtype) -> np.ndar
     return rng.normal(0.0, std, shape).astype(dtype)
 
 
-def _stack(x, kernel, dilation, causal):
+def _stack(x, kernel, dilation):
     """Zero-pad ``x`` (C, time, *space) into one flat row per channel, time
-    padded before its frames if ``causal`` and after them otherwise, and
-    stack the row's copies shifted by each tap of the last kernel axis into
-    one (C * kw, span) operand, rows ordered (channel, tap). Also returns the
+    padded before its frames and each spatial axis on both sides, and stack
+    the row's copies shifted by each tap of the last kernel axis into one
+    (C * kw, span) operand, rows ordered (channel, tap). Also returns the
     flat offset of every other tap, the number of output positions on the
     padded grid, and that grid."""
     c, t, *space = x.shape
@@ -134,8 +136,7 @@ def _stack(x, kernel, dilation, causal):
     n = t * math.prod(grid[1:])
     span = n + offsets[-1]
     rows = np.zeros((c, span + (kernel[-1] - 1) * steps[-1]), x.dtype)
-    lead = grid[0] - t if causal else 0
-    inner = [slice(lead, lead + t)] + [slice(k // 2, k // 2 + m) for k, m in zip(kernel[1:], space)]
+    inner = [slice(grid[0] - t, grid[0])] + [slice(k // 2, k // 2 + m) for k, m in zip(kernel[1:], space)]
     rows[:, :math.prod(grid)].reshape(c, *grid)[(slice(None), *inner)] = x
     stack = np.empty((c, kernel[-1], span), x.dtype)
     for j in range(kernel[-1]):
@@ -143,13 +144,13 @@ def _stack(x, kernel, dilation, causal):
     return stack.reshape(-1, span), offsets, n, grid
 
 
-def _correlate(x, w, dilation, causal=True):
-    """Correlate ``x`` (in_ch, time, *space) with ``w`` (out_ch, in_ch,
-    *kernel), no bias: one matrix product per tap outside the last kernel
-    axis, on a contiguous slice of the stack, computed on the padded grid and
-    cropped to (out_ch, time, *space) once."""
+def _correlate(x, w, dilation):
+    """Causally correlate ``x`` (in_ch, time, *space) with ``w`` (out_ch,
+    in_ch, *kernel), no bias: one matrix product per tap outside the last
+    kernel axis, on a contiguous slice of the stack, computed on the padded
+    grid and cropped to (out_ch, time, *space) once."""
     out_ch, in_ch, *kernel = w.shape
-    stack, offsets, n, grid = _stack(x, kernel, dilation, causal)
+    stack, offsets, n, grid = _stack(x, kernel, dilation)
     taps = w.reshape(out_ch, in_ch, len(offsets), -1).transpose(2, 0, 1, 3).reshape(len(offsets), out_ch, -1)
     out = taps[0] @ stack[:, :n]
     for tap, offset in zip(taps[1:], offsets[1:]):
@@ -197,7 +198,7 @@ class _CausalConv(Layer):
         w = self.w.value
         out_ch, in_ch, *kernel = w.shape
         self.b.grad += grad_out.sum(axis=tuple(range(1, grad_out.ndim)))
-        stack, offsets, n, grid = _stack(x, kernel, self.dilation, True)
+        stack, offsets, n, grid = _stack(x, kernel, self.dilation)
         # the output gradient on the padded grid, channels last: a (n, out_ch)
         # right operand multiplies about twice as fast as its transposed view
         d = np.zeros((grad_out.shape[1], *grid[1:], out_ch), grad_out.dtype)
@@ -208,8 +209,8 @@ class _CausalConv(Layer):
         del x, stack, d, gw  # freed before the input gradient builds its own stack
         if not input_grad:
             return None
-        flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-        return _correlate(grad_out, flipped, self.dilation, causal=False)
+        reverse = (slice(None),) + (slice(None, None, -1),) * (grad_out.ndim - 1)
+        return _correlate(grad_out[reverse], w.swapaxes(0, 1), self.dilation)[reverse]
 
 
 # Each rank keeps forward and backward in its own body: perfbench's tracer
@@ -242,25 +243,24 @@ class CausalConv1d(_CausalConv):
 
 
 class PReLU(Layer):
-    """y = x for x >= 0 else a*x, with one slope per channel or one shared."""
+    """y = x for x >= 0 else a*x. ``a`` holds one slope per channel, or, with
+    ``n_channels`` None, one shared slope of shape (); both run one rule, the
+    slopes laid along the channel axis."""
 
     def __init__(self, n_channels: int | None, dtype=np.float32, name: str = "prelu"):
-        self.per_channel = n_channels is not None
         self.name = name
-        shape = (n_channels,) if self.per_channel else ()
+        shape = () if n_channels is None else (n_channels,)
         self.a = Parameter(np.full(shape, PRELU_INIT, dtype=dtype), f"{name}.a")
 
     def params(self):
         return [self.a]
 
     def out_shape(self, in_shape):
-        if self.per_channel and in_shape[0] != self.a.value.shape[0]:
-            raise ShapeError(f"{self.name}: {self.a.value.shape[0]} slopes vs {in_shape[0]} channels")
+        if self.a.size not in (1, in_shape[0]):
+            raise ShapeError(f"{self.name}: {self.a.size} slopes vs {in_shape[0]} channels")
         return in_shape
 
     def _slopes(self, ndim):
-        if not self.per_channel:
-            return self.a.value
         return self.a.value.reshape((-1,) + (1,) * (ndim - 1))
 
     def forward(self, x, tape=None):
@@ -271,10 +271,7 @@ class PReLU(Layer):
     def backward(self, grad_out, tape=None, input_grad=True):
         neg, x = self._replay(grad_out, tape)
         masked = np.where(neg, grad_out * x, 0.0)
-        if self.per_channel:
-            self.a.grad += masked.reshape(masked.shape[0], -1).sum(axis=1)
-        else:
-            self.a.grad += masked.sum()
+        self.a.grad += masked.reshape(self.a.size, -1).sum(axis=1).reshape(self.a.value.shape)
         if not input_grad:
             return None
         return np.where(neg, self._slopes(grad_out.ndim) * grad_out, grad_out)

@@ -320,13 +320,14 @@ def unit_to_doa(v) -> tuple[float, float]:
 
 def grid_argmax(values: np.ndarray, grid) -> tuple[tuple[float, float], tuple[int, int]]:
     """Grid (theta, phi) of the map maximum and its (i, j) index; ties break
-    to the lowest row-major index."""
+    to the lowest row-major index, and a maximum at a pole has azimuth 0."""
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"map shape {values.shape} != grid shape {grid.shape}")
     flat = int(np.argmax(values))
     i, j = divmod(flat, grid.n_phi)
-    return (float(grid.thetas[i]), float(grid.phis[j])), (i, j)
+    phi = 0.0 if i in (0, grid.n_theta - 1) else float(grid.phis[j])
+    return (float(grid.thetas[i]), phi), (i, j)
 
 
 def angular_errors_per_frame(est: np.ndarray, gt: np.ndarray) -> np.ndarray:

@@ -229,6 +229,7 @@ class TestConfigFiles:
             ('{"train": {"seed": 1.5}}', "bad value in section 'train': seed must be"),
             ('{"scene": {"duration": true}}', "bad value in section 'scene': duration must be"),
             ('{"scene": {"room_min": [true, 3, 2.5]}}', "bad value in section 'scene': room_min must hold"),
+            ('{"scene": {"t60_range": [0.2, 30.0]}}', r"bad value in section 'scene': room .* t_max 30\.0 s needs"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
@@ -240,7 +241,7 @@ class TestConfigFiles:
              "train-negative-trajectories", "train-negative-phase1", "train-float-phase1", "train-string-lr",
              "train-zero-lr", "train-inf-lr", "train-negative-seconds", "train-bool-seconds", "train-nan-snr",
              "train-null-snr", "train-negative-seed", "train-float-seed", "scene-bool-duration",
-             "scene-bool-room"],
+             "scene-bool-room", "scene-unrenderable-t60"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"

@@ -8,7 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from srptrack import evaluate
-from srptrack.errors import EmptySelection, FormatError, ShapeError
+from srptrack.errors import EmptySelection, FormatError, ImageGridTooLarge, ShapeError
 from srptrack.evaluate import (
     ExperimentGrid,
     PLOT_CSV_HEADER,
@@ -156,6 +156,11 @@ class TestRunGrid:
         models = {(4, 8): {"baseline-max": build_baseline_max(), "wide": build_cross3d(8, 16)}}
         with pytest.raises(ShapeError, match="wide is a 8x16 cross3d model, filed under 4x8"):
             run_grid(grid, _toy_scene_cfg(), default_array(), checkpoints=models)
+
+    def test_unrenderable_t60_rejected_before_rendering(self, no_render):
+        grid = ExperimentGrid(t60s=(0.2, 30.0), snrs=(30.0,), resolutions=((4, 8),), trajectories_per_cell=1)
+        with pytest.raises(ImageGridTooLarge, match=r"t_max 30.0 s needs \d+ grid images"):
+            run_grid(grid, SceneConfig(duration=1.0), default_array())
 
 
 class TestSceneErrors:

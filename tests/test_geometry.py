@@ -322,7 +322,16 @@ class TestGridArgmax:
         doa, idx = self.argmax(np.zeros(g.shape), g)
         assert idx == (0, 0)
         assert doa[0] == 0.0
-        assert doa[1] == pytest.approx(-math.pi)
+        assert doa[1] == 0.0  # a pole is one direction: azimuth 0, not the grid's -pi
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_pole_peak_has_azimuth_zero(self, row):
+        g = SphericalGrid(4, 8)
+        m = np.zeros(g.shape)
+        m[row, 5] = 1.0
+        doa, idx = self.argmax(m, g)
+        assert idx == (row, 5)
+        assert doa == (g.thetas[row], 0.0)
 
     def test_tie_breaks_row_major(self):
         g = SphericalGrid(4, 8)

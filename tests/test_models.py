@@ -458,6 +458,22 @@ class TestBaselineFeatures:
         np.testing.assert_array_equal(feats[:, 1], 0.0)
         assert feats[0, 0] == pytest.approx(grid.thetas[2] / np.pi)
 
+    def test_pole_peaks_are_not_silence(self):
+        """A voiced frame whose map peaks at either pole, any azimuth cell of
+        its ring, gets azimuth 0: (0, 0.5) at the north pole and (1, 0.5) at
+        the south pole, never the (0, 0) of a silent frame."""
+        grid = SphericalGrid(4, 8)
+        maps = np.zeros((5,) + grid.shape)
+        maps[0, 0, :] = 1.0  # the whole north ring ties
+        maps[1, 0, 5] = 1.0
+        maps[2, 3, :] = 1.0
+        maps[3, 3, 2] = 1.0
+        maps[4, 2, 0] = 1.0  # not a pole: the grid's azimuth -pi scales to 0
+        tensor = assemble_input(maps, np.ones(5, dtype=bool), grid)
+        feats = model_features(build_baseline_max(), tensor, None, default_array(), FramingConfig())
+        np.testing.assert_array_equal(feats[:, :4], [[0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(feats[:, 4], [grid.thetas[2] / np.pi, 0.0])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cross3d_features_lay_out_maps_and_coordinates(self, dtype):
         """Channel 0 holds the maps, channels 1-2 each frame's map-maximum

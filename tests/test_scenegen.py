@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from srptrack import scenegen
-from srptrack.errors import FormatError
+from srptrack.errors import FormatError, ImageGridTooLarge
 from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table
 from srptrack.roomsim import MicSignals, Room, add_noise
 from srptrack.scenegen import (
@@ -50,6 +50,18 @@ class TestSceneConfigChecks:
     def test_bools_are_not_numbers(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SceneConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"t60_range": (0.2, 30.0)}, {"t60_range": (0.0, 0.0), "rir_t_max": 30.0}],
+                             ids=["t60", "rir-t-max"])
+    def test_unrenderable_rir_rejected(self, kwargs):
+        """The smallest room at the longest RIR is refused before any scene
+        renders, with the error a render of it would raise."""
+        with pytest.raises(ImageGridTooLarge, match=r"t_max 30.0 s needs \d+ grid images per parity block"):
+            SceneConfig(**kwargs)
+
+    def test_default_ranges_accepted(self):
+        SceneConfig()  # 3x3x2.5 m at T60 1.3 s: 4.1 M images per parity block
+        SceneConfig(t60_range=(0.0, 0.0))  # anechoic: no T60 bounds the RIR
 
     def test_numpy_numbers_accepted(self):
         cfg = SceneConfig(room_min=np.array([3, 3, 2], dtype=np.int64), snr_range=(np.float32(5.0), 30),
