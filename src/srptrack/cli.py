@@ -4,7 +4,9 @@ Subcommands: synth, features, train, eval, track, paramcount. Every command
 takes --seed and --config; the config is a JSON file with optional "scene",
 "framing" and "train" sections whose keys match the corresponding config
 dataclasses. The sample rate is the "framing" section's "fs"; any other
-section or key is rejected.
+section or key is rejected. ``run`` is the ``srptrack`` command: it reports a
+``SrpTrackError`` in one stderr line with exit status ERROR_EXIT, where
+``main`` raises it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import FormatError, ImageGridTooLarge
+from .errors import FormatError, ImageGridTooLarge, SrpTrackError
 from .evaluate import ExperimentGrid, emit_plot_data, run_grid, track_file, write_track_csv
 from .geometry import DEFAULT_GRID, MicArray, SphericalGrid, default_array, delay_table
 from .models import (
@@ -311,12 +313,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit status of a command stopped by one of the package's errors; argparse
+# exits with 2 on a usage error
+ERROR_EXIT = 1
+
+
 def main(argv=None) -> int:
+    """Run one command; the package's errors propagate to the caller."""
     args = build_parser().parse_args(argv)
     cfg = _load_config(args.config, args.seed)  # a bad config is reported before a bad array
     array = MicArray.from_json(args.array) if args.array else default_array()
     return args.func(args, cfg, array)
 
 
+def run(argv=None) -> int:
+    """The ``srptrack`` command: ``main``, with a ``SrpTrackError`` reported as
+    one line, ``srptrack: error: <message>``, on stderr and exit status
+    ERROR_EXIT instead of a traceback."""
+    try:
+        return main(argv)
+    except SrpTrackError as exc:
+        print("srptrack: error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        return ERROR_EXIT
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

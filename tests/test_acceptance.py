@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report. Criterion 10 is marked strict-xfail: a faithful pure image-source
+report. Criterion 10 is marked strict-xfail: this pure image-source
 simulator with the prescribed Sabine inversion reads 25-50% long on a
-Schroeder T20 fit (cross-validated against an independent image-method
-implementation), so the stated +-25% tolerance is not attainable; the test
-still runs the check verbatim.
+Schroeder T20 fit, so the stated +-25% tolerance is not met; the test still
+runs the check verbatim. No independent image-method implementation has
+checked that figure, and the simulator's far-wall reflection counts are
+wrong (ROADMAP item 1), though correcting them barely moves the fit.
 """
 
 import numpy as np
@@ -353,7 +354,8 @@ class TestCriterion10T60Fidelity:
         strict=True,
         reason="known limitation: a pure image-source model with Sabine-inverted "
         "uniform walls reads 25-50% long on the Schroeder -5..-25 dB fit "
-        "(verified against an independent image-method implementation); the "
+        "(not checked against an independent image-method implementation; the "
+        "far-wall exponent bug of ROADMAP item 1 barely moves it); the "
         "+-25% target needs a diffuse-tail model, which this simulator "
         "deliberately does not include. See README, Known limitation.",
     )

@@ -1,11 +1,15 @@
 """Tests for the srptrack command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srptrack.cli import main
+from srptrack.cli import ERROR_EXIT, main
 from srptrack.errors import FormatError
 from srptrack.roomsim import MicSignals
 
@@ -493,3 +497,33 @@ class TestMissingPaths:
         with pytest.raises(FormatError, match=named):
             main(argv)
         assert not (tmp_path / "out").exists()
+
+
+class TestOneLineErrors:
+    """The ``srptrack`` command, run as a process, reports the package's own
+    errors in one stderr line with exit status ERROR_EXIT, and usage errors
+    with argparse's 2; ``main`` still raises, as the tests above expect."""
+
+    @staticmethod
+    def run_cli(args, cwd):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "srptrack.cli", *args], env=env, cwd=cwd,
+                              capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("args, named", [
+        (["eval", "--t60", "0.2", "30", "--snr", "30", "--out", "out.csv"], "grid images per parity block"),
+        (["track", "--wav", "missing.wav", "--out", "out.csv"], "missing.wav: No such file"),
+        (["eval", "--t60", "0", "--snr", "30", "--checkpoint", "bad.sstc", "--out", "out.csv"], "not a checkpoint"),
+    ], ids=["unrenderable-t60", "missing-wav", "malformed-checkpoint"])
+    def test_package_error_is_one_line(self, tmp_path, args, named):
+        (tmp_path / "bad.sstc").write_bytes(b"not a checkpoint")
+        done = self.run_cli(args, tmp_path)
+        lines = done.stderr.splitlines()
+        assert done.returncode == ERROR_EXIT != 2
+        assert len(lines) == 1 and lines[0].startswith("srptrack: error: ") and named in lines[0], done.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_usage_error_keeps_argparse_status(self, tmp_path):
+        done = self.run_cli(["paramcount", "--model", "cross3d", "--seed", "-1"], tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and "--seed" in done.stderr.splitlines()[-1]

@@ -16,6 +16,7 @@ from srptrack.tensornet import (
     Sequential,
     Tanh,
     euclidean_distance_loss,
+    layers,
 )
 
 from oracles import conv1d_loop_backward, conv1d_loop_forward, conv3d_im2col_backward, conv3d_im2col_forward
@@ -463,8 +464,8 @@ def _normal(rng, shape, transposed):
 
 
 class TestTapLoopMatchesOldLayers:
-    """The flat padded layout against the im2col / per-layer loops it
-    replaced (kept in tests/oracles.py), float64. The edge cases add what
+    """The chunked valid-grid correlation against the im2col / per-layer
+    loops that the tap loop replaced (kept in tests/oracles.py), float64. The edge cases add what
     Cross3D meets at small grids and in its backward pass: spatial axes
     shorter than the kernel, more input than output channels, and
     non-contiguous inputs and probes."""
@@ -523,6 +524,49 @@ class TestTapLoopMatchesOldLayers:
     @pytest.mark.parametrize("t", [1, 16])
     def test_conv1d_edge_cases(self, kernel, dilation, t, in_ch, out_ch, transposed):
         self.check_conv1d(kernel, dilation, t, in_ch, out_ch, transposed)
+
+
+class TestChunkBoundaries:
+    """Correlations that span several chunks of frames, float64, against the
+    same oracles: a chunk holds CHUNK_COLUMNS // (H * W) frames, at least one,
+    and reads up to (kt - 1) * dilation frames before it."""
+
+    @pytest.mark.parametrize("kernel", [(5, 3, 3), (3, 1, 5), (2, 3, 3)])
+    def test_frames_not_a_multiple_of_the_chunk(self, monkeypatch, kernel):
+        monkeypatch.setattr(layers, "CHUNK_COLUMNS", 3 * 24)  # 3 frames of 4x6, T = 7
+        TestTapLoopMatchesOldLayers.check_conv3d(kernel, 7, 3, 4, (4, 6), False)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_one_frame_chunks_shorter_than_the_time_history(self, monkeypatch, transposed):
+        monkeypatch.setattr(layers, "CHUNK_COLUMNS", 24)  # 1 frame of 4x6 against kt = 5
+        TestTapLoopMatchesOldLayers.check_conv3d((5, 3, 3), 7, 3, 4, (4, 6), transposed)
+
+    def test_frame_larger_than_the_column_budget(self):
+        space = (2, layers.CHUNK_COLUMNS // 2 + 1)  # one frame exceeds the budget
+        TestTapLoopMatchesOldLayers.check_conv3d((2, 3, 3), 3, 2, 2, space, False)
+
+    @pytest.mark.parametrize("dilation", [2, 3])
+    @pytest.mark.parametrize("frames", [1, 4])
+    def test_dilated_conv1d(self, monkeypatch, dilation, frames):
+        monkeypatch.setattr(layers, "CHUNK_COLUMNS", frames)
+        TestTapLoopMatchesOldLayers.check_conv1d(5, dilation, 16, 4, 3, False)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (CausalConv3d(3, 4, (5, 3, 3), rng, dtype=np.float64), (3, 9, 4, 6)),
+        lambda rng: (CausalConv3d(2, 3, (3, 5, 1), rng, dtype=np.float64), (2, 6, 5, 3)),
+        lambda rng: (CausalConv1d(4, 3, 5, rng, dilation=2, dtype=np.float64), (4, 13)),
+    ], ids=["conv3d", "conv3d-width-1-kernel", "conv1d-dilated"])
+    def test_one_frame_chunks_match_a_single_chunk(self, monkeypatch, make):
+        rng = np.random.default_rng(3)
+        layer, shape = make(rng)
+        layer.b.value[:] = rng.normal(size=layer.out_ch)
+        x = rng.normal(size=shape)
+        probe = rng.normal(size=layer.out_shape(shape))
+        passes = []
+        for columns in (1, 10**9):  # every chunk one frame; one chunk of every frame
+            monkeypatch.setattr(layers, "CHUNK_COLUMNS", columns)
+            passes.append([a.copy() for a in _forward_backward(layer, x, probe)])
+        _assert_all_close(*passes, atol=1e-12)
 
 
 def test_conv3d_peak_memory_stays_a_few_inputs():
