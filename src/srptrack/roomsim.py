@@ -350,7 +350,10 @@ def render_moving_source(
     The dry signal is split into one contiguous segment per trajectory point;
     each segment is convolved with that point's RIR set (``_convolve_segment``,
     bit-identical to ``fftconvolve``) and the results are overlap-added at the
-    segments' original offsets.
+    segments' original offsets. Only the samples that a later segment's wet
+    signal can still reach keep float64 sums; each segment's own span is cast
+    into the ``dtype`` output as soon as it is complete, so the result has
+    the bits of a full-length float64 sum cast once.
     """
     dry = np.asarray(dry, dtype=float)
     traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
@@ -379,20 +382,27 @@ def render_moving_source(
     def rirs(run):
         return _rirs_for_point(room, traj_points[run[0]], mic_positions, fs, t_max)
 
+    out = np.empty((mic_positions.shape[0], len(dry)), dtype)
+    # float64 sums of the earlier wet tails over the samples from this
+    # segment's start on; no later segment reaches a sample before it
+    pending = np.zeros((mic_positions.shape[0], 0))
     # pool threads compute the RIR sets and map yields them in trajectory
     # order, so the calling thread overlap-adds the same sums for any pool size
     pool = ThreadPoolExecutor(min(_worker_count(), len(runs)))
     try:
-        out = np.zeros((mic_positions.shape[0], len(dry)))
         for (start, stop), rir_set in zip(runs, pool.map(rirs, runs)):
             seg_lo = start * hop
             seg_hi = stop * hop if stop < n_points else len(dry)
-            wet = _convolve_segment(dry[seg_lo:seg_hi], rir_set)
-            hi = min(seg_lo + wet.shape[1], len(dry))
-            out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
+            wet = _convolve_segment(dry[seg_lo:seg_hi], rir_set)[:, : len(dry) - seg_lo]
+            # each sample sums 0.0, then its wet values in trajectory order:
+            # x + 0.0 turns a lone -0.0 into 0.0 as that sum does
+            wet[:, : pending.shape[1]] += pending
+            wet[:, pending.shape[1] :] += 0.0
+            out[:, seg_lo:seg_hi] = wet[:, : seg_hi - seg_lo]
+            pending = wet[:, seg_hi - seg_lo :].copy()
     finally:
         pool.shutdown(cancel_futures=True)
-    return MicSignals(channels=out.astype(dtype), fs=fs)
+    return MicSignals(channels=out, fs=fs)
 
 
 def _convolve_segment(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
@@ -419,6 +429,19 @@ def _default_t_max(room: Room, fs: float) -> float:
     return float(np.linalg.norm(room.dims) / SPEED_OF_SOUND + 2.0 * SINC_HALF_WIDTH / fs)
 
 
+def _voiced_power(frames: np.ndarray, vad_mask: np.ndarray) -> float:
+    """Mean square of the voiced frames of a (T, K, n_ch) frame view.
+
+    The frames are copied in C order, channels fastest: the float sum runs in
+    memory order, so this layout fixes the calibrated SNR's bits. They are
+    copied one at a time, where ``compress`` would first copy every frame of
+    the view."""
+    voiced = np.empty((np.count_nonzero(vad_mask),) + frames.shape[1:], frames.dtype)
+    for row, t in zip(voiced, np.flatnonzero(vad_mask)):
+        row[:] = frames[t]
+    return float(np.mean(np.square(voiced, out=voiced)))
+
+
 def add_noise(
     sig: MicSignals,
     snr_db: float,
@@ -438,9 +461,10 @@ def add_noise(
         return MicSignals(channels=sig.channels.copy(), fs=sig.fs)
     if not vad_mask.any():
         raise AllSilent("cannot set an SNR with every frame silent")
-    # compress copies the voiced frames in C order, channels fastest; the float
-    # sum runs in memory order, so this layout fixes the calibrated SNR's bits
-    p_sig = float(np.mean(frames.compress(vad_mask, axis=0) ** 2))
-    sigma = math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0))
-    noise = rng.normal(0.0, sigma, size=sig.channels.shape)
-    return MicSignals(channels=(sig.channels + noise).astype(sig.channels.dtype), fs=sig.fs)
+    sigma = math.sqrt(_voiced_power(frames, vad_mask) * 10.0 ** (-snr_db / 10.0))
+    # one channel's noise at a time: row draws in channel order take the
+    # generator's values in the order one (n_ch, n) draw does
+    out = np.empty_like(sig.channels)
+    for row, channel in zip(out, sig.channels):
+        row[:] = channel + rng.normal(0.0, sigma, size=channel.shape)
+    return MicSignals(channels=out, fs=sig.fs)

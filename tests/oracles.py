@@ -6,12 +6,14 @@ under test.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import fftconvolve, firwin, lfilter
 
+from srptrack import roomsim
 from srptrack.errors import DegenerateDirection
 from srptrack.roomsim import OVERSAMPLE, SINC_HALF_WIDTH, MicSignals, Room, image_counts
 from srptrack.srpfeat import _PHAT_EPS_REL, default_lag_range, gcc_set, srp_map
@@ -384,6 +386,40 @@ def clean_dry_signal_gather(sig: np.ndarray, vad_mask: np.ndarray, framing) -> n
 # before the package stopped importing scipy.signal.
 def convolve_segment_fftconvolve(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
     return fftconvolve(segment[None], rirs, axes=1)
+
+
+# render_moving_source's rendering as it stood before the overlap-add kept
+# only a window of float64 sums: one full-length float64 sum, cast at the end.
+# The body is verbatim after the argument checks, which it leaves out; the RIR
+# sets, the segment convolution and the worker count come from roomsim.
+def render_moving_source_full_length(dry, traj_points, mic_positions, room, fs, t_max=None, hop=None, dtype=np.float32):
+    dry = np.asarray(dry, dtype=float)
+    traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
+    mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=float))
+    n_points = traj_points.shape[0]
+    if t_max is None:
+        t_max = roomsim._default_t_max(room, fs)
+    if hop is None:
+        hop = int(math.ceil(len(dry) / n_points))
+
+    starts = np.flatnonzero(np.r_[True, np.any(traj_points[1:] != traj_points[:-1], axis=1)]).tolist()
+    runs = list(zip(starts, starts[1:] + [n_points]))
+
+    def rirs(run):
+        return roomsim._rirs_for_point(room, traj_points[run[0]], mic_positions, fs, t_max)
+
+    pool = ThreadPoolExecutor(min(roomsim._worker_count(), len(runs)))
+    try:
+        out = np.zeros((mic_positions.shape[0], len(dry)))
+        for (start, stop), rir_set in zip(runs, pool.map(rirs, runs)):
+            seg_lo = start * hop
+            seg_hi = stop * hop if stop < n_points else len(dry)
+            wet = roomsim._convolve_segment(dry[seg_lo:seg_hi], rir_set)
+            hi = min(seg_lo + wet.shape[1], len(dry))
+            out[:, seg_lo:hi] += wet[:, : hi - seg_lo]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return MicSignals(channels=out.astype(dtype), fs=fs)
 
 
 def lowpass_taps_firwin(fs: float) -> np.ndarray:

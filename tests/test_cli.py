@@ -1,5 +1,6 @@
 """Tests for the srptrack command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srptrack.cli import ERROR_EXIT, main
+from srptrack.cli import ERROR_EXIT, build_parser, main, run
 from srptrack.errors import FormatError
 from srptrack.roomsim import MicSignals
 
@@ -497,6 +498,64 @@ class TestMissingPaths:
         with pytest.raises(FormatError, match=named):
             main(argv)
         assert not (tmp_path / "out").exists()
+
+
+# Each command's arguments apart from the bad input; {dir} is the test's
+# directory, which holds good.wav, bad.wav, bad.sstc, badcorpus/bad.wav and
+# long-t60.json, and no file named missing*. A repeated option takes its last value.
+_COMMANDS = {
+    "synth": ["synth", "--out", "{dir}/out"],
+    "features": ["features", "--wav", "{dir}/good.wav", "--out", "{dir}/out"],
+    "train": ["train", "--resolution", "4x8", "--out", "{dir}/out"],
+    "eval": ["eval", "--t60", "0", "--snr", "30", "--resolution", "2x4", "--trajectories", "1", "--out", "{dir}/out"],
+    "track": ["track", "--wav", "{dir}/good.wav", "--out", "{dir}/out"],
+    "paramcount": ["paramcount", "--model", "cross3d"],
+}
+_RENDERING = ("synth", "train", "eval")
+# bad input -> its arguments, a part of the error line, the commands that take it
+_BAD_INPUTS = {
+    "missing-config": (["--config", "{dir}/missing.json"], "missing.json: No such file", tuple(_COMMANDS)),
+    "missing-array": (["--array", "{dir}/missing.json"], "missing.json: No such file", tuple(_COMMANDS)),
+    "missing-wav": (["--wav", "{dir}/missing.wav"], "missing.wav: No such file", ("features", "track")),
+    "missing-corpus": (["--corpus", "{dir}/missing"], "no .wav files under", _RENDERING),
+    "missing-checkpoint": (["--checkpoint", "{dir}/missing.sstc"], "missing.sstc: No such file", ("eval", "track")),
+    "malformed-wav": (["--wav", "{dir}/bad.wav"], "bad.wav is not a readable WAV file", ("features", "track")),
+    "malformed-corpus-wav": (["--corpus", "{dir}/badcorpus"], "bad.wav is not a readable WAV file", _RENDERING),
+    "malformed-checkpoint": (["--checkpoint", "{dir}/bad.sstc"], "not a checkpoint", ("eval", "track")),
+    "unrenderable-t60-config": (["--config", "{dir}/long-t60.json"], "grid images per parity block", _RENDERING),
+    "unrenderable-t60": (["--t60", "0.2", "30"], "grid images per parity block", ("eval",)),
+}
+_ERROR_CASES = [(command, bad) for bad, (*_, commands) in _BAD_INPUTS.items() for command in commands]
+
+
+class TestErrorTable:
+    """Every command, given a missing file, a malformed WAV, a malformed
+    checkpoint or an unrenderable T60 wherever it takes one, prints one line
+    ``srptrack: error: ...`` on stderr, no traceback, and exits ERROR_EXIT.
+    Run in-process through ``run``; TestOneLineErrors runs a few as processes."""
+
+    def test_every_command_takes_part(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(_COMMANDS) == set(commands.choices)
+
+    @pytest.mark.parametrize("command, bad", _ERROR_CASES, ids=[f"{c}-{b}" for c, b in _ERROR_CASES])
+    def test_one_line_and_exit_status(self, tmp_path, capsys, command, bad):
+        MicSignals(channels=np.zeros((12, 16000), dtype=np.float32), fs=16000).to_wav(tmp_path / "good.wav")
+        (tmp_path / "badcorpus").mkdir()
+        for path in (tmp_path / "bad.wav", tmp_path / "badcorpus" / "bad.wav"):
+            path.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        (tmp_path / "bad.sstc").write_bytes(b"not a checkpoint")
+        (tmp_path / "long-t60.json").write_text(json.dumps({"scene": {"t60_range": [0.2, 30.0]}}))
+        args, named, _ = _BAD_INPUTS[bad]
+        code = run([a.format(dir=tmp_path) for a in _COMMANDS[command] + args])
+        err = capsys.readouterr().err
+        assert code == ERROR_EXIT == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("srptrack: error: ") and named in lines[0], err
+        # nothing written; synth makes its output directory before the first scene
+        out = tmp_path / "out"
+        assert not out.is_file() and not any(out.iterdir() if out.is_dir() else ())
 
 
 class TestOneLineErrors:

@@ -1,5 +1,6 @@
 """Tests for srptrack.scenegen."""
 
+import itertools
 import math
 import signal
 
@@ -9,7 +10,7 @@ import pytest
 from srptrack import scenegen
 from srptrack.errors import FormatError, ImageGridTooLarge
 from srptrack.geometry import SphericalGrid, angular_error, default_array, delay_table
-from srptrack.roomsim import MicSignals, Room, add_noise
+from srptrack.roomsim import MicSignals, Room, add_noise, render_moving_source
 from srptrack.scenegen import (
     SceneConfig,
     clean_dry_signal,
@@ -317,6 +318,34 @@ class TestSynthesizeTrajectorySample:
             if mask[i]:
                 _, idx = grid_argmax(maps[i], grid)
                 assert idx == doa_ij
+
+
+class TestDoaConventionEndToEnd:
+    """Render, features and argmax agree on which way a source lies. The true
+    direction comes from the source position alone, and the estimate's unit
+    vector from its angles by the textbook formula, so no package convention
+    is shared with the check."""
+
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=3)), ids=str)
+    def test_static_anechoic_source_in_each_octant(self, signs):
+        framing = FramingConfig()
+        array = default_array()
+        grid = SphericalGrid(16, 32)
+        centre = np.array([3.0, 2.5, 1.5])
+        # off-grid directions, a different one in each octant
+        i = int("".join("0" if s > 0 else "1" for s in signs), 2)
+        u = np.array(signs) * [0.5 + 0.05 * i, 0.4 + 0.03 * i, 0.6 - 0.04 * i]
+        u /= np.linalg.norm(u)
+        dry = np.random.default_rng(48).normal(size=framing.K + 3 * framing.hop)
+        sig = render_moving_source(dry, (centre + 1.5 * u)[None], centre + array.positions,
+                                   Room([6.0, 5.0, 3.0], 0.0), framing.fs)
+        voiced = np.ones(framing.n_frames(len(dry)), dtype=bool)
+        theta, phi = compute_input_tensor(sig.channels, delay_table(array, grid), framing, voiced).argmax_doa.T
+        est = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+        err_deg = np.degrees(np.arccos(np.clip(est @ u, -1.0, 1.0)))
+        # within one cell: the grid's steps are 12 degrees in elevation and
+        # 11.25 in azimuth; measured, at most 7.1 degrees
+        assert err_deg.max() < 360.0 / grid.n_phi
 
 
 class TestWavCorpusProvider:

@@ -137,6 +137,21 @@ class TestGccPhat:
         r = _pair_gcc(delayed, base, 10)
         assert np.argmax(r) - 10 == 5
 
+    def test_linear_shift_peaks_at_plus_d_over_the_lag_range(self):
+        # x_0(t) = x_1(t - d), both cut from one longer signal, not rolled,
+        # and Hann-windowed as the feature pass frames them: for every d the
+        # default array's lag range holds, the pair (0, 1) peaks at lag +d
+        from srptrack.geometry import default_array
+
+        k, lag_range = 4096, default_lag_range(default_array(), 16000)
+        s = np.random.default_rng(10).normal(size=k + 2 * lag_range)
+        window = np.hanning(k)
+        x1 = s[lag_range : lag_range + k]
+        for d in range(-lag_range, lag_range + 1):
+            x0 = s[lag_range - d : lag_range - d + k]  # x0[t] = s[t + L - d] = x1[t - d]
+            r = _pair_gcc(x0 * window, x1 * window, lag_range)
+            assert np.argmax(r) - lag_range == d
+
     def test_zero_frames_give_zero(self):
         r = _pair_gcc(np.zeros(256), np.zeros(256), 8)
         np.testing.assert_array_equal(r, 0.0)
