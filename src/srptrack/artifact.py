@@ -47,9 +47,9 @@ def write(path, magic: bytes, version: int, meta: dict, tensors: dict) -> None:
 
 def read(path, magic: bytes, version: int, what: str) -> tuple[dict, dict]:
     """(metadata, name -> float32 array) of a file ``write`` made with this
-    ``magic`` and ``version``; FormatError naming ``what`` for anything else,
-    a NaN or infinite value included, and naming ``path`` when it cannot be
-    opened."""
+    ``magic`` and ``version``; for anything else, a NaN or infinite value and
+    a file that cannot be opened included, FormatError naming ``path`` and
+    ``what``."""
     try:
         f = open(path, "rb")
     except OSError as exc:
@@ -58,24 +58,24 @@ def read(path, magic: bytes, version: int, what: str) -> tuple[dict, dict]:
         size = os.fstat(f.fileno()).st_size
         lead = f.read(12)
         if lead[:4] != magic:
-            raise FormatError(f"not a {what} (bad magic)")
+            raise FormatError(f"{path}: not a {what} (bad magic)")
         if len(lead) < 12:
-            raise FormatError(f"{what} truncated")
+            raise FormatError(f"{path}: {what} truncated")
         found, header_len = struct.unpack_from("<2I", lead, 4)
         if found != version:
-            raise FormatError(f"unsupported {what} version {found}")
+            raise FormatError(f"{path}: unsupported {what} version {found}")
         body = 12 + header_len
         if size < body:
-            raise FormatError(f"{what} truncated inside header")
+            raise FormatError(f"{path}: {what} truncated inside header")
         try:
             meta = json.loads(f.read(header_len).decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 and bad JSON are both ValueErrors
-            raise FormatError(f"corrupt {what} header: {exc}") from exc
+            raise FormatError(f"{path}: corrupt {what} header: {exc}") from exc
         if not isinstance(meta, dict):
-            raise FormatError(f"{what} header is not a JSON object")
+            raise FormatError(f"{path}: {what} header is not a JSON object")
         directory = meta.pop("tensors", None)
         if not isinstance(directory, list):
-            raise FormatError(f"{what} header has a missing or bad 'tensors': {directory!r}")
+            raise FormatError(f"{path}: {what} header has a missing or bad 'tensors': {directory!r}")
         tensors = {}
         for entry in directory:
             if not (
@@ -85,18 +85,18 @@ def read(path, magic: bytes, version: int, what: str) -> tuple[dict, dict]:
                 and all(is_count(n) for n in entry["shape"])
                 and is_count(entry.get("offset"))
             ):
-                raise FormatError(f"bad {what} tensor entry {entry!r}")
+                raise FormatError(f"{path}: bad {what} tensor entry {entry!r}")
             name, shape = entry["name"], entry["shape"]
             count = math.prod(shape)
             start = body + entry["offset"]
             if start + 4 * count > size:
-                raise FormatError(f"{what} truncated: tensor {name} out of range")
+                raise FormatError(f"{path}: {what} truncated: tensor {name} out of range")
             f.seek(start)
             try:
                 arr = np.fromfile(f, "<f4", count).reshape(shape)
             except ValueError as exc:  # an empty shape too large for numpy, like [0, 10**20]
-                raise FormatError(f"bad {what} tensor shape {shape}: {exc}") from exc
+                raise FormatError(f"{path}: bad {what} tensor shape {shape}: {exc}") from exc
             if not np.isfinite(arr).all():
-                raise FormatError(f"{what} tensor {name} holds a NaN or an infinity")
+                raise FormatError(f"{path}: {what} tensor {name} holds a NaN or an infinity")
             tensors[name] = arr
     return meta, tensors

@@ -150,24 +150,26 @@ def _source_provider(args, fs: int):
     return synthetic_source
 
 
-def _new_model(args, array: MicArray, fs: int):
-    """An untrained model of kind ``--model``, seeded with ``--seed``."""
+def _new_model(args, cfg: _Config, array: MicArray):
+    """An untrained model of kind ``--model``, seeded with the training seed,
+    which is ``--seed`` unless the config's "train" section sets one."""
+    seed = cfg.train.seed
     if args.model == "cross3d":
-        return build_cross3d(*args.resolution, seed=args.seed)
+        return build_cross3d(*args.resolution, seed=seed)
     if args.model == "baseline-max":
-        return build_baseline_max(seed=args.seed)
-    return build_baseline_gcc(array, fs, seed=args.seed)
+        return build_baseline_max(seed=seed)
+    return build_baseline_gcc(array, cfg.framing.fs, seed=seed)
 
 
 def cmd_synth(args, cfg: _Config, array: MicArray) -> int:
     provider = _source_provider(args, cfg.framing.fs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         rng = sample_rng(args.seed, k)
         signals, scene = synthesize_trajectory_sample(
             cfg.scene, provider, rng, array=array, framing=cfg.framing
         )
+        out.mkdir(parents=True, exist_ok=True)  # only once a scene exists to write
         signals.to_wav(out / f"scene_{k:04d}.wav")
         write_scene_metadata(out / f"scene_{k:04d}.json", scene, cfg.framing)
     print(f"wrote {args.count} scene(s) to {out}")
@@ -186,7 +188,7 @@ def cmd_features(args, cfg: _Config, array: MicArray) -> int:
 def cmd_train(args, cfg: _Config, array: MicArray) -> int:
     provider = _source_provider(args, cfg.framing.fs)
     grid = SphericalGrid(*args.resolution)
-    model = _new_model(args, array, cfg.framing.fs)
+    model = _new_model(args, cfg, array)
 
     def log(epoch, batch, loss):
         print(f"epoch {epoch} batch {batch}: loss {loss:.6f}", flush=True)
@@ -250,7 +252,7 @@ def cmd_track(args, cfg: _Config, array: MicArray) -> int:
 
 
 def cmd_paramcount(args, cfg: _Config, array: MicArray) -> int:
-    print(_new_model(args, array, cfg.framing.fs).parameter_count())
+    print(_new_model(args, cfg, array).parameter_count())
     return 0
 
 

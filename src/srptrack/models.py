@@ -361,7 +361,7 @@ def load_checkpoint(path) -> Checkpoint:
     header, tensors = artifact.read(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
     kind, spec, step = (header.get(key) for key in ("kind", "spec", "step"))
     if not (isinstance(kind, str) and isinstance(spec, dict) and artifact.is_count(step)):
-        raise FormatError(f"checkpoint header needs a string 'kind', an object 'spec' and a"
+        raise FormatError(f"{path}: checkpoint header needs a string 'kind', an object 'spec' and a"
                           f" non-negative integer 'step', got {kind!r}, {spec!r}, {step!r}")
     return Checkpoint(kind=kind, spec=spec, tensors=tensors, step=step)
 

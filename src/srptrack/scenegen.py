@@ -2,9 +2,11 @@
 
 Scenes are drawn on the fly: room size, reverberation time, SNR and array
 placement come from uniform distributions; the source follows a line between
-two random points plus a bounded random sinusoid per axis. Every sample is a
-pure function of (config, seed, source signal), so the training stream behaves
-like an infinite dataset while staying reproducible.
+two random points plus a bounded random sinusoid per axis. A trajectory is
+just its (L, 3) points, one per analysis frame; the draws that shaped it are
+not kept. Every sample is a pure function of (config, seed, source signal),
+so the training stream behaves like an infinite dataset while staying
+reproducible.
 """
 
 from __future__ import annotations
@@ -70,21 +72,6 @@ class SceneConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """L source positions: straight line p0 -> p_end plus a per-axis sinusoid."""
-
-    points: np.ndarray  # (L, 3)
-    p0: np.ndarray
-    p_end: np.ndarray
-    amplitude: np.ndarray  # (3,)
-    omega: np.ndarray  # (3,) radians per point index
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class AcousticScene:
     """One synthesized scene with its ground truth.
 
@@ -98,7 +85,7 @@ class AcousticScene:
     room: Room
     array: MicArray
     array_origin: np.ndarray
-    trajectory: Trajectory
+    trajectory: np.ndarray  # (L, 3) source positions, one per analysis frame
     snr: float
     vad_mask: np.ndarray  # (L,) bool, from the dry source
     gt_doa: np.ndarray  # (L, 2) theta, phi in the array frame
@@ -116,7 +103,7 @@ class AcousticScene:
             "snr_db": self.snr,
             "array_origin_m": self.array_origin.tolist(),
             "array_name": self.array.name,
-            "trajectory_points_m": self.trajectory.points.tolist(),
+            "trajectory_points_m": self.trajectory.tolist(),
             "vad_mask": self.vad_mask.astype(int).tolist(),
             "vad_energy_mask": self.vad_energy_mask.astype(int).tolist(),
             "gt_doa_deg": np.degrees(self.gt_doa).tolist(),
@@ -139,8 +126,9 @@ def sample_scene(cfg: SceneConfig, rng: np.random.Generator) -> tuple[Room, np.n
     return Room(dims, t60), origin, snr
 
 
-def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> Trajectory:
-    """Line-plus-sine source path with every point strictly inside the room.
+def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> np.ndarray:
+    """Line-plus-sine source path with every point strictly inside the room,
+    as its (n_points, 3) positions; the first is the line's start.
 
     Per axis the sine frequency allows at most two full oscillations over the
     trajectory and the amplitude is capped by the straight line's distance to
@@ -156,8 +144,7 @@ def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> 
     line = p0 + i / (n_points - 1) * (p_end - p0)  # (L, 3)
     head_room = np.minimum(line, dims - line).min(axis=0)  # nearest wall per axis
     amplitude = rng.uniform(0.0, _AMP_SAFETY * head_room)
-    points = line + amplitude * np.sin(omega * i)
-    return Trajectory(points=points, p0=p0, p_end=p_end, amplitude=amplitude, omega=omega)
+    return line + amplitude * np.sin(omega * i)
 
 
 @lru_cache(maxsize=8)
@@ -276,11 +263,11 @@ def synthesize_trajectory_sample(
 
     mic_positions = origin + array.positions
     signals = render_moving_source(
-        dry, traj.points, mic_positions, room, framing.fs, t_max=cfg.rir_t_max, hop=framing.hop
+        dry, traj, mic_positions, room, framing.fs, t_max=cfg.rir_t_max, hop=framing.hop
     )
     signals = add_noise(signals, snr, vad_mask, rng, framing)
 
-    gt = np.stack(unit_to_sphere(traj.points - origin), axis=1)
+    gt = np.stack(unit_to_sphere(traj - origin), axis=1)
     scene = AcousticScene(
         room=room,
         array=array,
@@ -301,5 +288,5 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def write_scene_metadata(path, scene: AcousticScene, framing: FramingConfig) -> None:
     meta = scene.metadata()
-    meta["frame_timestamps_s"] = framing.frame_times(scene.trajectory.n_points).tolist()
+    meta["frame_timestamps_s"] = framing.frame_times(len(scene.trajectory)).tolist()
     Path(path).write_text(json.dumps(meta, indent=2) + "\n")

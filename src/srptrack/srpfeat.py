@@ -21,7 +21,8 @@ the pair's largest cross magnitude, and it is re-applied exactly to the pairs
 whose per-channel magnitude bounds allow it to bite (silent, dead or
 narrowband channels). Only the 2L + 1 lags in use are computed, by one
 product of the cross-spectra, viewed as real, against a cached real DFT
-basis; no inverse FFT runs.
+basis; no inverse FFT runs. A ``GccSet`` keeps only those lags and the
+autoterms: ``srp_map`` reads L from the width of its ``pair_lags``.
 """
 
 from __future__ import annotations
@@ -129,11 +130,11 @@ class GccSet:
     """All-pairs GCC-PHAT of one frame. ``pair_lags[p]`` covers lags -L..+L
     of the p-th pair (n, m), n < m, in ``np.triu_indices(n_mics, k=1)``
     order; with x_n(t) = x_m(t - d) its peak sits at lag +d, and
-    ``R_mn(tau) = R_nm(-tau)``. ``auto_zero[n]`` is the n == m term at lag 0."""
+    ``R_mn(tau) = R_nm(-tau)``. L is not stored: ``pair_lags`` has 2L + 1
+    columns. ``auto_zero[n]`` is the n == m term at lag 0."""
 
-    pair_lags: np.ndarray  # (n_pairs, 2 * lag_range + 1)
+    pair_lags: np.ndarray  # (n_pairs, 2L + 1)
     auto_zero: np.ndarray  # (n_mics,)
-    lag_range: int
 
 
 def default_lag_range(array: MicArray, fs: float) -> int:
@@ -201,7 +202,7 @@ def gcc_set(frames: np.ndarray, lag_range: int) -> GccSet:
     auto_mag = mag ** 2
     auto_floor = np.maximum(auto_mag.max(axis=-1, keepdims=True) * _PHAT_EPS_REL, tiny)
     auto_zero = np.mean(auto_mag / np.maximum(auto_mag, auto_floor), axis=-1)
-    return GccSet(pair_lags=pair_lags, auto_zero=auto_zero, lag_range=lag_range)
+    return GccSet(pair_lags=pair_lags, auto_zero=auto_zero)
 
 
 # per delay table, {(fs, lag_range): steering index}; an entry goes with its table
@@ -235,7 +236,8 @@ def srp_map(gcc: GccSet, delays: DelayTable, fs: float) -> np.ndarray:
 
     Evaluates the double sum over all sensor pairs, autoterms included.
     """
-    steered = np.take(gcc.pair_lags, _steering_index(delays, fs, gcc.lag_range))
+    lag_range = (gcc.pair_lags.shape[1] - 1) // 2
+    steered = np.take(gcc.pair_lags, _steering_index(delays, fs, lag_range))
     # R_mn(-l) == R_nm(l), so each unordered pair contributes twice its value
     return (2.0 * steered).sum(axis=0, initial=float(np.sum(gcc.auto_zero)))
 
@@ -319,7 +321,8 @@ def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
     meta, tensors = artifact.read(path, _FEATURE_MAGIC, _FEATURE_VERSION, "feature dump")
     maps = tensors.get("maps")
     if list(tensors) != ["maps"] or maps.ndim != 3:
-        raise FormatError(f"feature dump tensors {list(tensors)} are not one (T, n_theta, n_phi) 'maps'")
+        raise FormatError(f"{path}: feature dump tensors {list(tensors)}"
+                          f" are not one (T, n_theta, n_phi) 'maps'")
     t, n_theta, n_phi = maps.shape
     try:
         same_grid = meta["grid"] == {"n_theta": n_theta, "n_phi": n_phi}
@@ -328,8 +331,8 @@ def load_features(path) -> tuple[InputTensor, SphericalGrid, FramingConfig]:
         vad = np.array(meta["vad"], dtype=bool)
         argmax = np.array(meta["argmax_doa"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad feature dump header: {exc!r}") from exc
+        raise FormatError(f"{path}: bad feature dump header: {exc!r}") from exc
     if not same_grid or vad.shape != (t,) or argmax.shape != (t, 2):
-        raise FormatError(f"header grid {meta['grid']}, vad {vad.shape} and argmax {argmax.shape}"
+        raise FormatError(f"{path}: header grid {meta['grid']}, vad {vad.shape} and argmax {argmax.shape}"
                           f" do not match the dump's {t} frames on {n_theta}x{n_phi}")
     return InputTensor(maps=maps.astype(float), vad=vad, argmax_doa=argmax), grid, cfg

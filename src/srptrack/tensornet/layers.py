@@ -13,7 +13,8 @@ without one it computes the same output.
 
 Both convolutions are one class body, ``_CausalConv``, generic in the
 number of spatial axes; ``CausalConv3d`` and ``CausalConv1d`` only name its
-kernel. They share one correlation core on the valid grid. The output frames
+kernel and bind its ``forward`` and ``backward`` as their own, one line
+each. They share one correlation core on the valid grid. The output frames
 are walked in chunks of at most CHUNK_COLUMNS output columns (frames times
 spatial positions, at least one frame). A chunk's patches are an im2col over
 every spatial kernel axis: one row per (input channel, spatial tap), one
@@ -253,13 +254,13 @@ class _CausalConv(Layer):
             raise ShapeError(f"{self.name}: empty input {in_shape}")
         return (self.out_ch, *rest)
 
-    def _conv_forward(self, x, tape):
+    def forward(self, x, tape=None):
         self.out_shape(x.shape)
         out = _correlate(x, self.w.value, self.dilation)
         out += self.b.value.reshape(-1, *(1,) * (x.ndim - 1))
         return self._record(tape, out, x)
 
-    def _conv_backward(self, grad_out, tape, input_grad):
+    def backward(self, grad_out, tape=None, input_grad=True):
         """Accumulate the weight and bias gradients; return the input gradient."""
         x, = self._replay(grad_out, tape)
         w = self.w.value
@@ -272,8 +273,9 @@ class _CausalConv(Layer):
         return _correlate(grad_out[reverse], w.swapaxes(0, 1), self.dilation)[reverse]
 
 
-# Each rank keeps forward and backward in its own body: perfbench's tracer
-# wraps only the methods a class defines itself, and times each rank apart.
+# Each rank binds the shared forward and backward as its own attributes:
+# perfbench's tracer wraps only the methods a class defines itself, and so
+# times each rank apart.
 class CausalConv3d(_CausalConv):
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int, int],
                  rng: np.random.Generator | None, dtype=np.float32, name: str = "conv3d"):
@@ -281,11 +283,7 @@ class CausalConv3d(_CausalConv):
         self.kernel = (kt, kh, kw)
         super().__init__(in_ch, out_ch, self.kernel, rng, 1, dtype, name)
 
-    def forward(self, x, tape=None):
-        return self._conv_forward(x, tape)
-
-    def backward(self, grad_out, tape=None, input_grad=True):
-        return self._conv_backward(grad_out, tape, input_grad)
+    forward, backward = _CausalConv.forward, _CausalConv.backward
 
 
 class CausalConv1d(_CausalConv):
@@ -294,11 +292,7 @@ class CausalConv1d(_CausalConv):
         self.kernel = kernel
         super().__init__(in_ch, out_ch, (kernel,), rng, dilation, dtype, name)
 
-    def forward(self, x, tape=None):
-        return self._conv_forward(x, tape)
-
-    def backward(self, grad_out, tape=None, input_grad=True):
-        return self._conv_backward(grad_out, tape, input_grad)
+    forward, backward = _CausalConv.forward, _CausalConv.backward
 
 
 class PReLU(Layer):

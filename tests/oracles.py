@@ -1,8 +1,55 @@
-"""Independent reference implementations used only to verify the package.
+"""Reference implementations used only to verify the package.
 
-Everything here is computed from first principles (full-spectrum DFTs,
-explicit loops, textbook formulas) and deliberately avoids the code paths
-under test.
+Not every oracle here is independent of the code it checks. Each is one of
+three kinds:
+
+- independent: derived another way, sharing no formula with the package;
+- same formula: the package's formula restated, or computed by another
+  algorithm or library, so it cannot catch a wrong formula;
+- old path: the code a refactor replaced, kept verbatim apart from the notes
+  above each group; it shares the package's formulas by design.
+
+In brackets, the test that checks a shared formula without sharing it.
+
+plane_wave_frames (same formula): far-field channels, tau_n = -(r_n . u) / c [test_matches_a_distant_point_source]
+srp_direct_pairwise (independent): SRP from full DFTs, pair by pair; shares plane_wave_frames' delays
+srp_direct_two_mic (independent): literal two-sensor steered power; shares plane_wave_frames' delays
+schroeder_t60 (independent): T60 by a line fit to the Schroeder decay of a rendered RIR
+sinc_kernel_oversampled (old path): the Hann-windowed sinc before the polyphase split
+deposit_to_rirs_oversampled (old path): oversampled deposits convolved with that sinc, then decimated
+rirs_for_point_oversampled (old path): image-source RIRs, with the package's reflection count
+    |n + p| + |n|, which is wrong (ROADMAP item 1) [test_mirror_through_the_centre_keeps_the_rir, strict xfail]
+gcc_phat (old path): one pair's GCC-PHAT by irfft [test_linear_shift_peaks_at_plus_d_over_the_lag_range]
+frame_signal_per_frame (old path): Hann-windowed frames through an index gather
+energy_vad_per_frame (old path): the energy VAD on frames from an index gather
+gcc_set_per_pair (old path): one frame's GCC set a pair at a time, by irfft
+srp_map_per_pair (old path): one map from a loop over the pairs
+normalize_map_single (old path): one map zero-meaned and scaled
+input_tensor_per_frame (old path): the per-frame feature pass built from the four above
+power_maps_windowed (old path): whole-array framing, then the package's gcc_set and srp_map; pins the streaming only
+gcc_features_windowed (old path): whole-array framing, then the package's gcc_set; pins the streaming only
+grid_unit_vectors_broadcast (same formula): the grid's unit vectors [TestDoaConventionEndToEnd]
+delay_table_from_units (same formula): the delay table from unit vectors [test_matches_a_distant_point_source]
+gt_units_from_angles (same formula): ground-truth unit vectors from angles [TestDoaConventionEndToEnd]
+doa_to_unit_from_pair (same formula): one (theta, phi) as a unit vector [TestDoaConventionEndToEnd]
+unit_to_doa (old path): one vector as (theta, phi)
+grid_argmax (old path): one map's maximum on the grid, azimuth 0 at a pole
+angular_errors_per_frame (same formula): the angle by acos of the cosine, where angular_error takes atan2
+clean_dry_signal_per_frame (old path): dry-signal cleaning by a loop over voiced frames
+frame_index_table (old path): the (T, K) frame sample indices of the gathers below
+add_noise_gather (old path): add_noise with the signal power measured through an index gather
+activity_mask_gather (old path): synthetic_source's activity mask through an index gather
+clean_dry_signal_gather (old path): dry-signal cleaning through an index gather
+convolve_segment_fftconvolve (same formula): the segment convolution by SciPy's fftconvolve
+render_moving_source_full_length (old path): the full-length float64 overlap-add, with roomsim's RIR sets
+lowpass_taps_firwin (same formula): the source lowpass by SciPy's firwin
+synthetic_source_lfilter (old path): the synthetic source through firwin and lfilter
+_conv3d_pad, _conv3d_cols (old path): the padding and im2col of the two below
+conv3d_im2col_forward (old path): conv3d forward as one im2col product [test_conv3d_identity_kernel, TestCausality]
+conv3d_im2col_backward (old path): conv3d gradients by col2im [TestGradients, finite differences]
+conv1d_loop_forward (old path): conv1d forward as a loop over taps [test_conv1d_identity_kernel, TestCausality]
+conv1d_loop_backward (old path): conv1d gradients by that loop [TestGradients, finite differences]
+wav_rows_scipy (independent): WAV samples read by SciPy's wavfile, scaled as the package once did
 """
 
 import math
@@ -100,7 +147,8 @@ def schroeder_t60(taps: np.ndarray, fs: float) -> float:
 # The image-source RIR path as it stood before the polyphase kernel: every
 # microphone runs its own pass over the whole image grid, and one FFT
 # convolution on the 16x oversampled grid applies the 1281-tap kernel. It
-# shares only the kernel constants and image_counts with the package.
+# shares the kernel constants and image_counts with the package, and restates
+# its reflection count.
 def sinc_kernel_oversampled() -> np.ndarray:
     """Hann-windowed sinc on the oversampled grid, 1281 taps."""
     half = SINC_HALF_WIDTH * OVERSAMPLE

@@ -12,6 +12,7 @@ import pytest
 
 from srptrack.cli import ERROR_EXIT, build_parser, main, run
 from srptrack.errors import FormatError
+from srptrack.models import build_cross3d, load_checkpoint, make_checkpoint, save_checkpoint
 from srptrack.roomsim import MicSignals
 
 TOY_CONFIG = {
@@ -307,6 +308,22 @@ class TestSeedArgument:
         assert exc.value.code == 2 and "argument --seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_train_seed_seeds_the_weights_too(self, tmp_path):
+        """One seed per training run: a config's train seed replaces --seed for
+        the initial weights as well as for the samples."""
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({**TOY_CONFIG, "train": {**TOY_CONFIG["train"], "seed": 7}}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(TOY_CONFIG))
+        tensors = []
+        for config, seed in ((seeded, "3"), (plain, "7")):
+            ckpt = tmp_path / f"{config.stem}.sstc"
+            main(["train", "--config", str(config), "--seed", seed, "--resolution", "4x8", "--out", str(ckpt)])
+            tensors.append(load_checkpoint(ckpt).tensors)
+        assert list(tensors[0]) == list(tensors[1])
+        for name in tensors[0]:
+            np.testing.assert_array_equal(tensors[0][name], tensors[1][name], strict=True)
+
 
 LOW_RATE_CONFIG = {**TOY_CONFIG, "framing": {"fs": 6000, "K": 512, "hop": 256}}
 
@@ -400,7 +417,7 @@ class TestTrainEval:
         assert len(track.read_text().strip().splitlines()) > 1
 
     def test_eval_rejects_cross3d_checkpoint_off_the_requested_grids(self, tmp_path, config_path):
-        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
+        from srptrack.models import build_cross3d, load_checkpoint, make_checkpoint, save_checkpoint
 
         ckpt = tmp_path / "small.sstc"
         save_checkpoint(ckpt, make_checkpoint(build_cross3d(4, 8)))
@@ -451,7 +468,7 @@ class TestTrainEval:
 
     def test_eval_takes_one_cross3d_name_at_two_resolutions(self, tmp_path, config_path):
         """Rows carry the resolution, so same-named Cross3D checkpoints of two grids do not clash."""
-        from srptrack.models import build_cross3d, make_checkpoint, save_checkpoint
+        from srptrack.models import build_cross3d, load_checkpoint, make_checkpoint, save_checkpoint
 
         paths = [tmp_path / d / "m.sstc" for d in ("small", "large")]
         for path, res in zip(paths, ((2, 4), (4, 8))):
@@ -521,7 +538,7 @@ _BAD_INPUTS = {
     "missing-checkpoint": (["--checkpoint", "{dir}/missing.sstc"], "missing.sstc: No such file", ("eval", "track")),
     "malformed-wav": (["--wav", "{dir}/bad.wav"], "bad.wav is not a readable WAV file", ("features", "track")),
     "malformed-corpus-wav": (["--corpus", "{dir}/badcorpus"], "bad.wav is not a readable WAV file", _RENDERING),
-    "malformed-checkpoint": (["--checkpoint", "{dir}/bad.sstc"], "not a checkpoint", ("eval", "track")),
+    "malformed-checkpoint": (["--checkpoint", "{dir}/bad.sstc"], "bad.sstc: not a checkpoint", ("eval", "track")),
     "unrenderable-t60-config": (["--config", "{dir}/long-t60.json"], "grid images per parity block", _RENDERING),
     "unrenderable-t60": (["--t60", "0.2", "30"], "grid images per parity block", ("eval",)),
 }
@@ -553,9 +570,8 @@ class TestErrorTable:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("srptrack: error: ") and named in lines[0], err
-        # nothing written; synth makes its output directory before the first scene
-        out = tmp_path / "out"
-        assert not out.is_file() and not any(out.iterdir() if out.is_dir() else ())
+        # nothing written, not even synth's output directory
+        assert not (tmp_path / "out").exists()
 
 
 class TestOneLineErrors:
@@ -572,9 +588,11 @@ class TestOneLineErrors:
     @pytest.mark.parametrize("args, named", [
         (["eval", "--t60", "0.2", "30", "--snr", "30", "--out", "out.csv"], "grid images per parity block"),
         (["track", "--wav", "missing.wav", "--out", "out.csv"], "missing.wav: No such file"),
-        (["eval", "--t60", "0", "--snr", "30", "--checkpoint", "bad.sstc", "--out", "out.csv"], "not a checkpoint"),
+        (["eval", "--t60", "0", "--snr", "30", "--checkpoint", "good.sstc", "bad.sstc", "--out", "out.csv"],
+         "bad.sstc: not a checkpoint"),
     ], ids=["unrenderable-t60", "missing-wav", "malformed-checkpoint"])
     def test_package_error_is_one_line(self, tmp_path, args, named):
+        save_checkpoint(tmp_path / "good.sstc", make_checkpoint(build_cross3d(2, 2)))
         (tmp_path / "bad.sstc").write_bytes(b"not a checkpoint")
         done = self.run_cli(args, tmp_path)
         lines = done.stderr.splitlines()

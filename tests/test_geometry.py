@@ -298,6 +298,24 @@ class TestDelayTable:
         table = delay_table(arr, SphericalGrid(16, 32))
         assert np.max(np.abs(table.delays)) <= arr.aperture / SPEED_OF_SOUND + 1e-12
 
+    def test_matches_a_distant_point_source(self):
+        """The plane-wave model against spherical propagation, sharing no
+        formula with delay_table or its oracle: a point source s 1 km along u
+        reaches sensor n after |s - r_n| / c, and the difference of two such
+        times is within aperture**2 / (2 * 1000 m * c) of tau_n - tau_m. The
+        directions are random: a fixed grid under a randomly rotated array."""
+        distance = 1000.0
+        grid = SphericalGrid(7, 12)
+        sources = distance * grid.unit_vectors()  # (n_theta, n_phi, 3)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            arr = MicArray(positions=default_array().positions @ rotation.T)
+            arrival = np.linalg.norm(sources - arr.positions[:, None, None], axis=-1) / SPEED_OF_SOUND
+            expected = arrival[:, None] - arrival[None, :]  # (n_mics, n_mics, n_theta, n_phi)
+            bound = arr.aperture**2 / (2.0 * distance * SPEED_OF_SOUND)
+            assert np.max(np.abs(delay_table(arr, grid).delays - expected)) <= bound
+
 
 class TestGridArgmax:
     """The tie rule of the grid_argmax oracle, and the package's argmax

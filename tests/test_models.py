@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -582,13 +583,13 @@ class TestCheckpoints:
         save_checkpoint(path, make_checkpoint(build_baseline_max()))
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
         path.write_bytes(b"XXXX" + b"\x00" * 100)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -623,14 +624,14 @@ class TestCheckpoints:
         corrupt(header)
         text = json.dumps(header).encode()
         path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_header_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "model.sstc"
         text = b"[1, 2]"
         path.write_bytes(b"SSTC" + struct.pack("<2I", 1, len(text)) + text)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

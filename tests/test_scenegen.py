@@ -95,6 +95,20 @@ class TestSampleScene:
             assert origin[2] <= 0.5 * room.dims[2]
 
 
+class RecordingRng:
+    """A generator that keeps every ``uniform`` draw, in order: for
+    ``generate_trajectory`` the start point, the end point, the sine
+    frequencies and the amplitudes."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def uniform(self, *args, **kwargs):
+        self.draws.append(self._rng.uniform(*args, **kwargs))
+        return self.draws[-1]
+
+
 class TestGenerateTrajectory:
     def _room(self):
         return Room([5.0, 4.0, 3.0], 0.5)
@@ -116,28 +130,30 @@ class TestGenerateTrajectory:
                     return np.zeros(3)  # omega
                 return np.zeros(3)  # amplitude
 
-        traj = generate_trajectory(room, 3, FixedRng())
-        np.testing.assert_allclose(traj.points, [[1, 1, 1], [2, 1, 1], [3, 1, 1]])
+        points = generate_trajectory(room, 3, FixedRng())
+        np.testing.assert_allclose(points, [[1, 1, 1], [2, 1, 1], [3, 1, 1]])
 
     def test_first_point_is_p0(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            traj = generate_trajectory(self._room(), 16, rng)
-            np.testing.assert_array_equal(traj.points[0], traj.p0)
+        for seed in range(100):
+            rng = RecordingRng(seed)
+            points = generate_trajectory(self._room(), 16, rng)
+            assert points.shape == (16, 3)
+            np.testing.assert_array_equal(points[0], rng.draws[0])
 
     def test_points_strictly_inside_10k(self):
         rng = np.random.default_rng(3)
         room = self._room()
         for _ in range(10_000):
-            traj = generate_trajectory(room, 12, rng)
-            assert np.all(traj.points > 0.0) and np.all(traj.points < room.dims)
+            points = generate_trajectory(room, 12, rng)
+            assert np.all(points > 0.0) and np.all(points < room.dims)
 
     def test_oscillation_bound(self):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            n = int(rng.integers(2, 40))
-            traj = generate_trajectory(self._room(), n, rng)
-            assert np.all(traj.omega * (n - 1) <= 4.0 * np.pi + 1e-12)
+        sizes = np.random.default_rng(4).integers(2, 40, size=500)
+        for seed, n in enumerate(sizes):
+            rng = RecordingRng(seed)
+            generate_trajectory(self._room(), int(n), rng)
+            omega = rng.draws[2]
+            assert omega.shape == (3,) and np.all(omega * (n - 1) <= 4.0 * np.pi + 1e-12)
 
 
 class TestSyntheticSource:
@@ -225,7 +241,7 @@ class TestSynthesizeTrajectorySample:
     def test_full_length_sample_has_103_ground_truth_doas(self):
         cfg = self._toy_cfg(duration=20.0, rir_t_max=0.08, t60_range=(0.2, 0.25))
         sig, scene = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(20, 0))
-        assert scene.trajectory.n_points == 103
+        assert len(scene.trajectory) == 103
         assert scene.gt_doa.shape == (103, 2)
         assert scene.vad_mask.shape == (103,)
         assert sig.n_samples == 320000
@@ -236,11 +252,11 @@ class TestSynthesizeTrajectorySample:
         sig2, scene2 = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(9, 0))
         framing = FramingConfig()
         t = framing.n_frames(int(cfg.duration * framing.fs))
-        assert scene1.trajectory.n_points == t
+        assert len(scene1.trajectory) == t
         assert scene1.gt_doa.shape == (t, 2)
         assert sig1.channels.shape == (12, int(cfg.duration * framing.fs))
         np.testing.assert_array_equal(sig1.channels, sig2.channels)
-        np.testing.assert_array_equal(scene1.trajectory.points, scene2.trajectory.points)
+        np.testing.assert_array_equal(scene1.trajectory, scene2.trajectory)
         assert scene1.snr == scene2.snr
 
     @pytest.mark.parametrize(
@@ -255,7 +271,7 @@ class TestSynthesizeTrajectorySample:
         t = framing.n_frames(n)
         assert sig.fs == framing.fs and sig.n_samples == n
         assert scene.vad_mask.shape == scene.vad_energy_mask.shape == (t,)
-        assert scene.trajectory.n_points == t
+        assert len(scene.trajectory) == t
 
     def test_different_seeds_differ(self):
         cfg = self._toy_cfg()
@@ -266,14 +282,14 @@ class TestSynthesizeTrajectorySample:
     def test_gt_doa_matches_geometry(self):
         cfg = self._toy_cfg()
         _, scene = synthesize_trajectory_sample(cfg, synthetic_source, sample_rng(10, 0))
-        rel = scene.trajectory.points - scene.array_origin
+        rel = scene.trajectory - scene.array_origin
         units = scene.gt_units()
-        for i in range(scene.trajectory.n_points):
+        for i in range(len(scene.trajectory)):
             assert angular_error(rel[i], units[i]) < 1e-9
 
     def test_gt_doa_matches_per_point_oracle(self):
         _, scene = synthesize_trajectory_sample(self._toy_cfg(), synthetic_source, sample_rng(10, 2))
-        rel = scene.trajectory.points - scene.array_origin
+        rel = scene.trajectory - scene.array_origin
         expected = np.array([unit_to_doa(v) for v in rel])
         np.testing.assert_allclose(scene.gt_doa, expected, rtol=0, atol=1e-12)
 

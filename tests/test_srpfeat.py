@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import struct
 
 import numpy as np
@@ -548,19 +549,19 @@ class TestFeatureDump:
         path = tmp_path / "feat.srpm"
         save_features(path, tensor, grid, cfg)
         path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_features(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "feat.srpm"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_features(path)
 
     def test_version_1_dump_rejected(self, tmp_path):
         path = tmp_path / "feat.srpm"
         path.write_bytes(b"SRPM" + struct.pack("<5I", 1, 3, 1, 2, 2) + bytes(4 * 12))
-        with pytest.raises(FormatError, match="unsupported feature dump version 1"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unsupported feature dump version 1")):
             load_features(path)
 
     def test_version_2_dump_rejected(self, tmp_path):
@@ -570,7 +571,7 @@ class TestFeatureDump:
                   "vad": [1], "argmax_doa": [[0.0, 0.0]],
                   "tensors": [{"name": "data", "shape": [3, 1, 2, 2], "offset": 0}]}
         path.write_bytes(_srpm(header, bytes(4 * 12), version=2))
-        with pytest.raises(FormatError, match="unsupported feature dump version 2"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unsupported feature dump version 2")):
             load_features(path)
 
     @staticmethod
@@ -587,7 +588,7 @@ class TestFeatureDump:
         tensor.maps[1, 1, 0] = value
         path = tmp_path / "feat.srpm"
         save_features(path, tensor, grid, FramingConfig())
-        with pytest.raises(FormatError, match="tensor maps holds a NaN or an infinity"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: feature dump tensor maps holds a NaN")):
             load_features(path)
 
     @pytest.mark.parametrize(
@@ -623,7 +624,7 @@ class TestFeatureDump:
         blob = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, 8)
         path.write_bytes(corrupt(json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_features(path)
 
     @settings(max_examples=150, deadline=None)
@@ -639,8 +640,9 @@ class TestFeatureDump:
         path.write_bytes(bytes(blob))
         try:
             load_features(path)
-        except FormatError:
-            pass  # a flip inside the float payload or a VAD digit loads as other values, which is fine
+        except FormatError as exc:
+            assert str(path) in str(exc)
+        # a flip inside the float payload or a VAD digit loads as other values, which is fine
 
 
 class TestComputePowerMaps:

@@ -5,6 +5,7 @@ the layer counts the tracer attaches to a model's forward must be the
 model's own. perfbench's warm-up must run on the package as it stands too,
 calling it the way the workloads do."""
 
+import collections
 import importlib.util
 import sys
 from pathlib import Path
@@ -72,3 +73,27 @@ def test_cross3d_features_from_is_its_model_input_when_all_voiced():
     model = build_cross3d(4, 8)
     np.testing.assert_array_equal(model.features_from(tensor),
                                   model_features(model, tensor, channels, array, framing), strict=True)
+
+
+def test_tracer_times_each_conv_rank_apart():
+    """Both ranks run the one ``_CausalConv`` forward and backward, bound as
+    each class's own attributes, so the tracer still gives each rank its spans:
+    a taped Cross3D step (op 0) and a baseline forward (op 1)."""
+    model, baseline = build_cross3d(4, 8), build_baseline_max()
+    rng = np.random.default_rng(5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tape = []
+        out = model.forward(rng.normal(size=(3, 4, 4, 8)), tape)
+        model.backward(np.ones_like(out), tape)
+        tracer.mark(1)
+        baseline.forward(rng.normal(size=(2, 4)))
+    finally:
+        tracer.uninstall()
+    spans = [collections.Counter(s[0] for s in tracer.spans if s[4] == op) for op in (0, 1)]
+    conv3d = 1 + 2 * model.depth
+    assert spans[0]["tensornet.conv3d_fwd"] == spans[0]["tensornet.conv3d_bwd"] == conv3d == 5
+    assert spans[0]["tensornet.conv1d_fwd"] == spans[0]["tensornet.conv1d_bwd"] == 2
+    assert spans[1]["tensornet.conv1d_fwd"] == 7
+    assert spans[1]["tensornet.conv3d_fwd"] == spans[1]["tensornet.conv1d_bwd"] == 0
