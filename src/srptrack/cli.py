@@ -4,7 +4,9 @@ Subcommands: synth, features, train, eval, track, paramcount. Every command
 takes --seed and --config; the config is a JSON file with optional "scene",
 "framing" and "train" sections whose keys match the corresponding config
 dataclasses. The sample rate is the "framing" section's "fs"; any other
-section or key is rejected. ``run`` is the ``srptrack`` command: it reports a
+section or key is rejected. eval and track fit their checkpoints to the run
+through ``evaluate.load_models``: one grid rule, and every checkpoint error
+names its file. ``run`` is the ``srptrack`` command: it reports a
 ``SrpTrackError`` in one stderr line with exit status ERROR_EXIT, where
 ``main`` raises it.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FormatError, ImageGridTooLarge, SrpTrackError
-from .evaluate import ExperimentGrid, emit_plot_data, run_grid, track_file, write_track_csv
+from .evaluate import ExperimentGrid, emit_plot_data, load_models, run_grid, track_file, write_track_csv
 from .geometry import DEFAULT_GRID, MicArray, SphericalGrid, default_array, delay_table
 from .models import (
     MODEL_KINDS,
@@ -28,8 +30,6 @@ from .models import (
     build_baseline_gcc,
     build_baseline_max,
     build_cross3d,
-    load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
     train,
 )
@@ -204,37 +204,10 @@ def cmd_train(args, cfg: _Config, array: MicArray) -> int:
 
 def cmd_eval(args, cfg: _Config, array: MicArray) -> int:
     provider = _source_provider(args, cfg.framing.fs)
-    requested = tuple(args.resolution) if args.resolution else None
-    cross3d: dict = {}
-    baselines: dict = {}
-    paths: dict = {}  # (resolution or None for a baseline, row name) -> checkpoint path
-    for path in args.checkpoint or []:
-        model = model_from_checkpoint(load_checkpoint(path), array=array, fs=cfg.framing.fs)
-        name = f"{model.kind}:{Path(path).stem}"
-        res = (model.spec["n_theta"], model.spec["n_phi"]) if model.kind == "cross3d" else None
-        if (res, name) in paths:
-            raise FormatError(f"{paths[res, name]} and {path} would both give the rows of {name}")
-        paths[res, name] = path
-        if res is None:
-            baselines[name] = model
-        elif requested and res not in requested:
-            wanted = " ".join(f"{t}x{p}" for t, p in requested)
-            raise FormatError(f"{path} is a {res[0]}x{res[1]} cross3d checkpoint,"
-                              f" not one of --resolution {wanted}")
-        else:
-            cross3d.setdefault(res, {})[name] = model
-    # baselines run at every resolution of the sweep, since baseline-max reads the map maximum
-    resolutions = requested or tuple(cross3d) or (DEFAULT_GRID,)
-    checkpoints = {res: {**baselines, **cross3d.get(res, {})} for res in resolutions}
-    grid = ExperimentGrid(
-        t60s=tuple(args.t60),
-        snrs=tuple(args.snr),
-        resolutions=resolutions,
-        trajectories_per_cell=args.trajectories,
-        master_seed=args.seed,
-    )
-    rows = run_grid(grid, cfg.scene, array, checkpoints, framing=cfg.framing,
-                    source_provider=provider)
+    checkpoints = load_models(args.checkpoint or [], array, cfg.framing.fs, args.resolution)
+    grid = ExperimentGrid(t60s=tuple(args.t60), snrs=tuple(args.snr), resolutions=tuple(checkpoints),
+                          trajectories_per_cell=args.trajectories, master_seed=args.seed)
+    rows = run_grid(grid, cfg.scene, array, checkpoints, framing=cfg.framing, source_provider=provider)
     emit_plot_data(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

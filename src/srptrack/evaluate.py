@@ -1,10 +1,11 @@
 """RMSAE metrics, experiment grids over (T60, SNR, resolution), file tracking.
 
-``track_signal`` is the one path from a multichannel signal to per-model
-tracks (features, then each model's input, then unit vectors); scene
-evaluation and file tracking both call it. Angular errors are kept in radians
-internally and reported in degrees in all user-facing output. RMSAE pools
-frames across every trajectory of a cell.
+``load_models`` fits checkpoint files to a run's grids, for the eval sweep and
+file tracking alike. ``track_signal`` is the one path from a multichannel
+signal to per-model tracks (features, then each model's input, then unit
+vectors); scene evaluation and file tracking both call it. Angular errors are
+kept in radians internally and reported in degrees in all user-facing output.
+RMSAE pools frames across every trajectory of a cell.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +78,39 @@ class ExperimentGrid:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ValueError(f"{axis} repeats {repeats[0]!r}")
+
+
+def load_models(paths, array: MicArray, fs: int, grids=None) -> dict:
+    """Checkpoint files' models fitted to a run, ``{(n_theta, n_phi): {row name:
+    model}}``, rows named ``kind:stem``. The grids are ``grids``, else the
+    Cross3D checkpoints' own, else DEFAULT_GRID; each baseline runs on every
+    grid (baseline-max reads the map maximum), a Cross3D model on its own.
+    FormatError, naming the file, for a checkpoint that describes no model for
+    ``array`` at ``fs`` or lies off ``grids``, or two giving one row on one grid.
+    """
+    grids = [tuple(g) for g in grids] if grids else None
+    cross3d, baselines = {}, {}
+    named = {}  # (grid, or None for a baseline, row name) -> checkpoint path
+    for path in paths:
+        ckpt = load_checkpoint(path)  # which names the file in its own errors
+        try:
+            model = model_from_checkpoint(ckpt, array=array, fs=fs)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        name = f"{model.kind}:{Path(path).stem}"
+        shape = (model.n_theta, model.n_phi) if model.kind == "cross3d" else None
+        if (shape, name) in named:
+            raise FormatError(f"{named[shape, name]} and {path} would both give the rows of {name}")
+        named[shape, name] = path
+        if shape is None:
+            baselines[name] = model
+        elif grids and shape not in grids:
+            wanted = " ".join(f"{t}x{p}" for t, p in grids)
+            raise FormatError(f"{path} is a {shape[0]}x{shape[1]} cross3d checkpoint,"
+                              f" not on the requested grids {wanted}")
+        else:
+            cross3d.setdefault(shape, {})[name] = model
+    return {shape: {**baselines, **cross3d.get(shape, {})} for shape in grids or cross3d or [DEFAULT_GRID]}
 
 
 def track_signal(channels: np.ndarray, array: MicArray, grid: SphericalGrid, framing: FramingConfig,
@@ -175,36 +210,27 @@ def track_file(
 ) -> list[dict]:
     """Frame-by-frame DOA estimates for a multichannel recording.
 
-    With a checkpoint the model tracks, a Cross3D one on its own grid (another
-    ``grid`` raises FormatError); without one the SRP argmax is reported. Every
-    frame uses only past context (causal convolutions, causal VAD), so rows for
-    early frames never change when the file is truncated later. Without
-    ``framing`` the default framing runs at the file's rate.
+    With a checkpoint the model tracks, without one the SRP argmax is
+    reported; ``load_models`` picks the grid from ``grid`` and the checkpoint.
+    Every frame uses only past context (causal convolutions, causal VAD), so
+    rows for early frames never change when the file is truncated later.
+    Without ``framing`` the default framing runs at the file's rate.
     """
     if vad_mode not in ("energy", "all"):
         raise ValueError(f"unknown vad mode {vad_mode!r}")
     signals, framing = read_recording(wav_path, array.n_mics, framing)
-    model = None
-    if checkpoint_path is not None:
-        model = model_from_checkpoint(load_checkpoint(checkpoint_path), array=array, fs=framing.fs)
-        if model.kind == "cross3d":
-            if grid is not None and grid.shape != (model.n_theta, model.n_phi):
-                raise FormatError(f"{checkpoint_path} is a {model.n_theta}x{model.n_phi} cross3d checkpoint,"
-                                  f" the requested grid is {grid.n_theta}x{grid.n_phi}")
-            grid = SphericalGrid(model.n_theta, model.n_phi)
-    if grid is None:
-        grid = SphericalGrid(*DEFAULT_GRID)
+    ((shape, models),) = load_models([] if checkpoint_path is None else [checkpoint_path], array, framing.fs,
+                                     None if grid is None else [grid.shape]).items()
 
     # None: the energy VAD runs on the frames the maps are computed from
     vad_mask = None if vad_mode == "energy" else np.ones(framing.n_frames(signals.n_samples), dtype=bool)
-    tensor, tracks = track_signal(signals.channels, array, grid, framing, vad_mask,
-                                  {} if model is None else {model.kind: model})
-    if model is None:
+    tensor, tracks = track_signal(signals.channels, array, SphericalGrid(*shape), framing, vad_mask, models)
+    if tracks:
+        ((units, degenerate),) = tracks.values()
+        theta, phi = unit_to_sphere(units)
+    else:
         theta, phi = tensor.argmax_doa.T
         degenerate = np.zeros(tensor.n_frames, dtype=bool)
-    else:
-        units, degenerate = tracks[model.kind]
-        theta, phi = unit_to_sphere(units)
 
     # one row per frame, keyed in CSV column order; tolist() gives Python scalars
     columns = (framing.frame_times(tensor.n_frames), np.degrees(phi), np.degrees(theta), tensor.vad,

@@ -15,6 +15,8 @@ plane_wave_frames (same formula): far-field channels, tau_n = -(r_n . u) / c [te
 srp_direct_pairwise (independent): SRP from full DFTs, pair by pair; shares plane_wave_frames' delays
 srp_direct_two_mic (independent): literal two-sensor steered power; shares plane_wave_frames' delays
 schroeder_t60 (independent): T60 by a line fit to the Schroeder decay of a rendered RIR
+images_in_sphere (independent): the images within c t_max of a microphone, one per room volume,
+    counted where the package deposits them [test_images_grow_as_the_sphere_over_the_room]
 sinc_kernel_oversampled (old path): the Hann-windowed sinc before the polyphase split
 deposit_to_rirs_oversampled (old path): oversampled deposits convolved with that sinc, then decimated
 rirs_for_point_oversampled (old path): image-source RIRs, with the package's reflection count
@@ -32,8 +34,8 @@ grid_unit_vectors_broadcast (same formula): the grid's unit vectors [TestDoaConv
 delay_table_from_units (same formula): the delay table from unit vectors [test_matches_a_distant_point_source]
 gt_units_from_angles (same formula): ground-truth unit vectors from angles [TestDoaConventionEndToEnd]
 doa_to_unit_from_pair (same formula): one (theta, phi) as a unit vector [TestDoaConventionEndToEnd]
-unit_to_doa (old path): one vector as (theta, phi)
-grid_argmax (old path): one map's maximum on the grid, azimuth 0 at a pole
+unit_to_doa (old path): one vector as (theta, phi) [test_round_trip_off_poles]
+grid_argmax (old path): one map's maximum on the grid, azimuth 0 at a pole [TestDoaConventionEndToEnd]
 angular_errors_per_frame (same formula): the angle by acos of the cosine, where angular_error takes atan2
 clean_dry_signal_per_frame (old path): dry-signal cleaning by a loop over voiced frames
 frame_index_table (old path): the (T, K) frame sample indices of the gathers below
@@ -142,6 +144,13 @@ def schroeder_t60(taps: np.ndarray, fs: float) -> float:
     t = np.arange(start, stop) / fs
     slope, _ = np.polyfit(t, curve[start:stop], 1)
     return -60.0 / slope
+
+
+def images_in_sphere(dims, t_max: float, c: float = 343.0) -> float:
+    """Expected image count within ``c * t_max`` of a point: the mirrored
+    rooms tile space, one image per room volume, so the sphere's volume over
+    the room's."""
+    return 4.0 / 3.0 * math.pi * (c * t_max) ** 3 / float(np.prod(dims))
 
 
 # The image-source RIR path as it stood before the polyphase kernel: every

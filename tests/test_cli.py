@@ -1,6 +1,7 @@
 """Tests for the srptrack command-line interface."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from srptrack import cli, evaluate
 from srptrack.cli import ERROR_EXIT, build_parser, main, run
 from srptrack.errors import FormatError
-from srptrack.models import build_cross3d, load_checkpoint, make_checkpoint, save_checkpoint
+from srptrack.geometry import MicArray
+from srptrack.models import (
+    Checkpoint,
+    build_baseline_gcc,
+    build_baseline_max,
+    build_cross3d,
+    load_checkpoint,
+    make_checkpoint,
+    save_checkpoint,
+)
 from srptrack.roomsim import MicSignals
 
 TOY_CONFIG = {
@@ -423,7 +434,7 @@ class TestTrainEval:
         save_checkpoint(ckpt, make_checkpoint(build_cross3d(4, 8)))
         args = ["eval", "--config", config_path, "--t60", "0.2", "--snr", "30", "--trajectories", "1",
                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval.csv")]
-        message = r"small\.sstc is a 4x8 cross3d checkpoint, not one of --resolution 8x16 2x4"
+        message = r"small\.sstc is a 4x8 cross3d checkpoint, not on the requested grids 8x16 2x4"
         with pytest.raises(FormatError, match=message):
             main([*args, "--resolution", "8x16", "2x4"])
         assert not (tmp_path / "eval.csv").exists()
@@ -491,6 +502,96 @@ class TestTrainEval:
             ])
             outs.append(path.read_text())
         assert outs[0] == outs[1]
+
+
+class _Stop(Exception):
+    """Raised by a stand-in once it has recorded the run it was handed."""
+
+
+# checkpoint -> the grid a run picks with no --resolution, 4x8 and 8x16; a
+# string is the FormatError's message
+_GRID_RULE = {
+    None: {None: (16, 32), "4x8": (4, 8), "8x16": (8, 16)},
+    "baseline-max": {None: (16, 32), "4x8": (4, 8), "8x16": (8, 16)},
+    "cross3d-4x8": {None: (4, 8), "4x8": (4, 8),
+                    "8x16": "m.sstc is a 4x8 cross3d checkpoint, not on the requested grids 8x16"},
+}
+_GRID_CASES = [(ckpt, res) for ckpt, row in _GRID_RULE.items() for res in row]
+
+
+class TestOneGridRule:
+    """eval and track pick the same grid, and the same models on it, for every
+    checkpoint and requested grid, and refuse the same Cross3D checkpoint off
+    that grid with the same message. Nothing is rendered or tracked: a
+    stand-in records what the command would run and stops it."""
+
+    @pytest.mark.parametrize("checkpoint, requested", _GRID_CASES,
+                             ids=[f"{c or 'none'}-{r or 'none'}" for c, r in _GRID_CASES])
+    def test_eval_and_track_agree(self, tmp_path, monkeypatch, checkpoint, requested):
+        monkeypatch.chdir(tmp_path)
+        MicSignals(channels=np.zeros((12, 16000), dtype=np.float32), fs=16000).to_wav("good.wav")
+        args = ["--out", "out.csv"] + (["--resolution", requested] if requested else [])
+        if checkpoint:
+            save_checkpoint("m.sstc", make_checkpoint(build_baseline_max() if checkpoint == "baseline-max"
+                                                      else build_cross3d(4, 8)))
+            args += ["--checkpoint", "m.sstc"]
+        seen = {}
+
+        def record(command, grids, models):
+            seen[command] = (grids, {shape: sorted(named) for shape, named in models.items()})
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_grid", lambda grid, _scene, _array, models, **_: record(
+            "eval", [tuple(r) for r in grid.resolutions], models))
+        monkeypatch.setattr(evaluate, "track_signal", lambda _x, _array, grid, _framing, _vad, models: record(
+            "track", [grid.shape], {grid.shape: models}))
+        outcomes = []
+        for command in (["eval", "--t60", "0", "--snr", "30", "--trajectories", "1"],
+                        ["track", "--wav", "good.wav"]):
+            with pytest.raises((_Stop, FormatError)) as caught:
+                main([*command, *args])
+            outcomes.append(str(caught.value) if caught.type is FormatError else seen[command[0]])
+        want = _GRID_RULE[checkpoint][requested]
+        names = {None: [], "baseline-max": ["baseline-max:m"], "cross3d-4x8": ["cross3d:m"]}[checkpoint]
+        assert outcomes == 2 * [want if isinstance(want, str) else ([want], {want: names})]
+        assert not (tmp_path / "out.csv").exists()
+
+
+# each makes, from a good Cross3D 2x2 checkpoint, one that parses but
+# describes no model for the default array at 16 kHz
+_NO_MODEL = {
+    "unknown-kind": lambda good: Checkpoint(kind="foo", spec={}, tensors={}, step=0),
+    "cross3d-spec-without-n_phi": lambda good: dataclasses.replace(good, spec={"n_theta": 2}),
+    "junk-spec-key": lambda good: dataclasses.replace(good, spec={**good.spec, "junk": 1}),
+    "cross3d-2x3": lambda good: dataclasses.replace(good, spec={"n_theta": 2, "n_phi": 3}),
+    "gcc-for-3-mics": lambda good: make_checkpoint(build_baseline_gcc(
+        MicArray(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])), 16000)),
+    "tensor-missing": lambda good: dataclasses.replace(
+        good, tensors={name: t for name, t in good.tensors.items() if name != "stem.w"}),
+    "tensor-shape": lambda good: dataclasses.replace(
+        good, tensors={**good.tensors, "stem.b": np.zeros(good.tensors["stem.b"].size + 1, np.float32)}),
+}
+
+
+class TestCheckpointErrorsNameTheFile:
+    """A checkpoint that no model fits is reported by eval (after a good
+    checkpoint) and by track in one line that starts with its path."""
+
+    @pytest.mark.parametrize("command", ["eval", "track"])
+    @pytest.mark.parametrize("row", list(_NO_MODEL))
+    def test_one_line_starts_with_the_path(self, tmp_path, capsys, monkeypatch, row, command):
+        monkeypatch.chdir(tmp_path)
+        MicSignals(channels=np.zeros((12, 16000), dtype=np.float32), fs=16000).to_wav("good.wav")
+        good = make_checkpoint(build_cross3d(2, 2))
+        save_checkpoint("good.sstc", good)
+        save_checkpoint("bad.sstc", _NO_MODEL[row](good))
+        argv = {"eval": ["eval", "--t60", "0", "--snr", "30", "--trajectories", "1",
+                         "--checkpoint", "good.sstc", "bad.sstc"],
+                "track": ["track", "--wav", "good.wav", "--checkpoint", "bad.sstc"]}[command]
+        assert run([*argv, "--out", "out.csv"]) == ERROR_EXIT == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("srptrack: error: bad.sstc: "), lines
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestMissingPaths:

@@ -386,7 +386,7 @@ class TestTrackFile:
         path, array, _, _, _ = _write_static_scene_wav(tmp_path, grid_res=(4, 8), duration=1.0)
         ckpt_path = tmp_path / "m.sstc"
         save_checkpoint(ckpt_path, make_checkpoint(build_cross3d(4, 8, seed=1)))
-        message = r"m\.sstc is a 4x8 cross3d checkpoint, the requested grid is 8x16"
+        message = r"m\.sstc is a 4x8 cross3d checkpoint, not on the requested grids 8x16"
         with pytest.raises(FormatError, match=message):
             track_file(path, array, checkpoint_path=ckpt_path, grid=SphericalGrid(8, 16))
         same = track_file(path, array, checkpoint_path=ckpt_path, grid=SphericalGrid(4, 8))

@@ -24,6 +24,7 @@ from srptrack.srpfeat import FramingConfig
 from oracles import (
     convolve_segment_fftconvolve,
     grid_argmax,
+    images_in_sphere,
     power_maps_windowed,
     render_moving_source_full_length,
     rirs_for_point_oversampled,
@@ -82,6 +83,39 @@ class TestImageCounts:
         np.testing.assert_array_equal(counts, np.ceil(343.0 * t_max / (2 * dims)))
         grid_size = np.prod(2 * counts + 1)
         assert grid_size == (2 * counts[0] + 1) * (2 * counts[1] + 1) * (2 * counts[2] + 1)
+
+    @staticmethod
+    def deposits(monkeypatch):
+        """Images deposited per ``np.bincount`` call, one call per microphone
+        and parity block of ``_rirs_for_point``."""
+        counts, bincount = [], np.bincount
+
+        def counting(q, *args, **kwargs):
+            counts.append(len(q))
+            return bincount(q, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        return counts
+
+    def test_images_grow_as_the_sphere_over_the_room(self, monkeypatch):
+        """The cull keeps about (4/3) pi (c t_max)^3 / V images per microphone,
+        from about 800 to 174,000 here. One point pair's count strays from it
+        by up to about 1 % at t_max 0.05 s (lattice points in a small sphere),
+        so 16 random pairs share the 1 % gate."""
+        dims = np.array([3.0, 3.5, 2.5])
+        pairs = np.random.default_rng(0).uniform(0.0, dims, size=(16, 2, 3))
+        counts = self.deposits(monkeypatch)
+        for t_max in (0.05, 0.1, 0.2, 0.3):
+            counts.clear()
+            for src, mic in pairs:
+                single_rir(Room(dims, 0.4), src, mic, t_max)
+            assert sum(counts) / len(pairs) == pytest.approx(images_in_sphere(dims, t_max), rel=0.01)
+
+    def test_anechoic_room_keeps_one_image_per_mic(self, monkeypatch):
+        mics = default_array().positions + np.array([2.0, 2.5, 1.5])
+        counts = self.deposits(monkeypatch)
+        roomsim._rirs_for_point(Room([6.0, 5.0, 3.0], 0.0), np.array([1.0, 1.0, 1.0]), mics, FS, 0.1)
+        assert counts == [1] * len(mics)
 
 
 class TestSimulateRir:
