@@ -8,7 +8,7 @@ section or key is rejected. eval and track fit their checkpoints to the run
 through ``evaluate.load_models``: one grid rule, and every checkpoint error
 names its file. ``run`` is the ``srptrack`` command: it reports a
 ``SrpTrackError`` in one stderr line with exit status ERROR_EXIT, where
-``main`` raises it.
+``main`` raises it, and each warning in one stderr line too.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -304,11 +305,16 @@ def main(argv=None) -> int:
 def run(argv=None) -> int:
     """The ``srptrack`` command: ``main``, with a ``SrpTrackError`` reported as
     one line, ``srptrack: error: <message>``, on stderr and exit status
-    ERROR_EXIT instead of a traceback."""
+    ERROR_EXIT instead of a traceback, and a warning as ``srptrack: warning: <message>``."""
+    def say(kind: str, message) -> None:
+        print(f"srptrack: {kind}:", " ".join(str(message).splitlines()), file=sys.stderr)
+
     try:
-        return main(argv)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_, **__: say("warning", message)
+            return main(argv)
     except SrpTrackError as exc:
-        print("srptrack: error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        say("error", exc)
         return ERROR_EXIT
 
 

@@ -129,10 +129,6 @@ class MicArray:
         except (ValueError, KeyError, TypeError) as exc:  # bad JSON or text, no key, wrong layout or shape
             raise FormatError(f"{path} is not an array geometry file: {exc!r}") from exc
 
-    def to_json(self, path) -> None:
-        obj = {"name": self.name, "positions_m": self.positions.tolist()}
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
 
 def default_array() -> MicArray:
     """The bundled 12-sensor robot-head array geometry."""
@@ -165,11 +161,6 @@ class SphericalGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_theta, self.n_phi)
-
-    @property
-    def n_distinct_directions(self) -> int:
-        """Grid points after merging each polar ring into a single direction."""
-        return (self.n_theta - 2) * self.n_phi + 2
 
     def unit_vectors(self) -> np.ndarray:
         """(n_theta, n_phi, 3) array of direction unit vectors."""

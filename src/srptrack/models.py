@@ -47,17 +47,6 @@ def branch_depth(n_theta: int, n_phi: int) -> int:
     return min(4, smallest.bit_length() - 1)
 
 
-def receptive_field_frames(depth: int) -> int:
-    """Frames seen by one output: stem + branch convs + two dilated 1D layers."""
-    return 1 + 4 + 4 * depth + 8 + 8
-
-
-def receptive_field_seconds(depth: int, framing: FramingConfig | None = None) -> float:
-    framing = framing or FramingConfig()
-    rf = receptive_field_frames(depth)
-    return (rf - 1) * framing.hop_seconds + framing.K / framing.fs
-
-
 class Cross3D:
     """Two-branch causal 3D CNN over power-map sequences: ``stem``, one
     sequence per branch, ``head``. Its weights are drawn from ``rng``; when

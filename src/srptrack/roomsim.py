@@ -342,15 +342,16 @@ def render_moving_source(
     room: Room,
     fs: int,
     t_max: float | None = None,
-    hop: int | None = None,
+    *,
+    hop: int,
     dtype=np.float32,
 ) -> MicSignals:
     """Propagate a dry signal along a trajectory to every microphone.
 
-    The dry signal is split into one contiguous segment per trajectory point;
-    each segment is convolved with that point's RIR set (``_convolve_segment``,
-    bit-identical to ``fftconvolve``) and the results are overlap-added at the
-    segments' original offsets. Only the samples that a later segment's wet
+    The dry signal is split into one segment of ``hop`` samples per trajectory
+    point, the last running to the end; each is convolved with that point's
+    RIR set (``_convolve_segment``, bit-identical to ``fftconvolve``) and the
+    results are overlap-added at the segments' original offsets. Only the samples that a later segment's wet
     signal can still reach keep float64 sums; each segment's own span is cast
     into the ``dtype`` output as soon as it is complete, so the result has
     the bits of a full-length float64 sum cast once.
@@ -370,8 +371,6 @@ def render_moving_source(
     if t_max is None:
         t_max = _default_t_max(room, fs)
     check_image_grid(room.dims, t_max)
-    if hop is None:
-        hop = int(math.ceil(len(dry) / n_points))
     if hop * (n_points - 1) >= len(dry):
         raise ValueError(f"dry signal too short for {n_points} segments of hop {hop}")
 
@@ -423,10 +422,8 @@ def _convolve_segment(segment: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 
 
 def _default_t_max(room: Room, fs: float) -> float:
-    if room.t60 > 0:
-        return room.t60
-    # anechoic: cover the longest direct path plus the kernel tail
-    return float(np.linalg.norm(room.dims) / SPEED_OF_SOUND + 2.0 * SINC_HALF_WIDTH / fs)
+    # the T60, but never short of the room's longest direct path plus the kernel tail
+    return max(room.t60, float(np.linalg.norm(room.dims) / SPEED_OF_SOUND + 2.0 * SINC_HALF_WIDTH / fs))
 
 
 def _voiced_power(frames: np.ndarray, vad_mask: np.ndarray) -> float:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import artifact
 from .errors import FormatError
-from .geometry import MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
+from .geometry import SPEED_OF_SOUND, MicArray, as_vec3, default_array, sphere_to_unit, unit_to_sphere
 from .roomsim import MicSignals, Room, add_noise, check_image_grid, read_recording, render_moving_source
 from .srpfeat import EnergyVad, FramingConfig
 
@@ -39,7 +38,7 @@ class SceneConfig:
     snr_range: tuple[float, float] = (5.0, 30.0)
     t60_range: tuple[float, float] = (0.2, 1.3)
     duration: float = 20.0
-    rir_t_max: float | None = None  # None: full T60
+    rir_t_max: float | None = None  # None: full T60, at least the room's direct paths
 
     def __post_init__(self):
         for name in ("room_min", "room_max"):
@@ -60,6 +59,10 @@ class SceneConfig:
         t_max = self.rir_t_max
         if t_max is not None and not (artifact.is_finite_number(t_max) and t_max > 0):
             raise ValueError(f"rir_t_max must be finite and positive, got {t_max}")
+        reach = float(np.linalg.norm(rmax)) / SPEED_OF_SOUND  # a shorter RIR can miss a direct path
+        if t_max is not None and t_max < reach:
+            raise ValueError(f"rir_t_max {t_max} s is shorter than sound takes across a {rmax.tolist()} m room,"
+                             f" {reach:.4f} s")
         # the smallest room at the longest RIR has the most images; an
         # anechoic room's RIR ends with its direct paths
         t_max = self.t60_range[1] if t_max is None else t_max
@@ -147,7 +150,6 @@ def generate_trajectory(room: Room, n_points: int, rng: np.random.Generator) -> 
     return line + amplitude * np.sin(omega * i)
 
 
-@lru_cache(maxsize=8)
 def _lowpass_taps(fs: int) -> np.ndarray:
     """63-tap Kaiser (beta 9) lowpass at 3400 Hz with unit DC gain, built as
     SciPy's ``firwin(63, 3400.0, fs=fs, window=("kaiser", 9.0))`` builds

@@ -61,10 +61,6 @@ class FramingConfig:
         if self.hop > self.K:
             raise ValueError(f"hop must be in (0, K], got hop={self.hop} K={self.K}")
 
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop / self.fs
-
     def n_frames(self, n_samples: int) -> int:
         if n_samples < self.K:
             raise TooShort(f"signal of {n_samples} samples is shorter than one window (K={self.K})")

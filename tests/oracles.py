@@ -449,15 +449,13 @@ def convolve_segment_fftconvolve(segment: np.ndarray, rirs: np.ndarray) -> np.nd
 # only a window of float64 sums: one full-length float64 sum, cast at the end.
 # The body is verbatim after the argument checks, which it leaves out; the RIR
 # sets, the segment convolution and the worker count come from roomsim.
-def render_moving_source_full_length(dry, traj_points, mic_positions, room, fs, t_max=None, hop=None, dtype=np.float32):
+def render_moving_source_full_length(dry, traj_points, mic_positions, room, fs, t_max=None, *, hop, dtype=np.float32):
     dry = np.asarray(dry, dtype=float)
     traj_points = np.atleast_2d(np.asarray(traj_points, dtype=float))
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=float))
     n_points = traj_points.shape[0]
     if t_max is None:
         t_max = roomsim._default_t_max(room, fs)
-    if hop is None:
-        hop = int(math.ceil(len(dry) / n_points))
 
     starts = np.flatnonzero(np.r_[True, np.any(traj_points[1:] != traj_points[:-1], axis=1)]).tolist()
     runs = list(zip(starts, starts[1:] + [n_points]))

@@ -70,20 +70,16 @@ class TestCriterion1ParameterCounts:
 class TestCriterion2ReceptiveField:
     def test_measured_receptive_fields(self, capsys):
         expected = {(16, 32): (4, 37, 7.17), (8, 16): (3, 33, 6.40), (4, 8): (2, 29, 5.63)}
+        framing = FramingConfig()
         results = {}
         for res, (depth, rf, seconds) in expected.items():
             model = build_cross3d(*res, seed=0)
             measured = measure_receptive_field(model, *res, t=rf + 4)
-            from srptrack.models import receptive_field_seconds
-
-            results[res] = (model.depth, int(measured), round(receptive_field_seconds(model.depth), 2))
-        ok = all(results[r] == expected[r][:1] + expected[r][1:] for r in expected)
-        ok = all(
-            results[r][0] == expected[r][0]
-            and results[r][1] == expected[r][1]
-            and results[r][2] == expected[r][2]
-            for r in expected
-        )
+            # the first frame seen starts (measured - 1) hops before the
+            # last one, which spans K samples
+            span = (measured - 1) * framing.hop / framing.fs + framing.K / framing.fs
+            results[res] = (model.depth, int(measured), round(span, 2))
+        ok = all(results[r] == expected[r] for r in expected)
         with capsys.disabled():
             report(2, "receptive fields 37/33/29 frames = 7.17/6.40/5.63 s", ok, str(results))
         assert ok
@@ -93,7 +89,7 @@ class TestCriterion3FrameArithmetic:
     def test_frames_and_hop(self, capsys):
         cfg = FramingConfig()
         frames = cfg.n_frames(20 * 16000)
-        hop_ms = cfg.hop_seconds * 1000.0
+        hop_ms = cfg.hop / cfg.fs * 1000.0
         ok = frames == 103 and hop_ms == pytest.approx(192.0)
         with capsys.disabled():
             report(3, "20 s / K=4096 / hop=3072 gives 103 frames at 192 ms", ok,
@@ -106,14 +102,12 @@ class TestCriterion4GridSemantics:
         grid = SphericalGrid(4, 8)
         el = np.degrees(np.diff(grid.thetas))
         az = np.degrees(np.diff(grid.phis))
-        ok = (
-            np.allclose(el, 60.0)
-            and np.allclose(az, 45.0)
-            and grid.n_distinct_directions == 18
-        )
+        # each pole's ring of 8 points is one direction
+        distinct = len(np.unique(np.round(grid.unit_vectors().reshape(-1, 3), 9), axis=0))
+        ok = np.allclose(el, 60.0) and np.allclose(az, 45.0) and distinct == 18
         with capsys.disabled():
             report(4, "4x8 grid: 60 deg x 45 deg spacing, 18 distinct directions", ok,
-                   f"distinct={grid.n_distinct_directions}")
+                   f"distinct={distinct}")
         assert ok
 
 

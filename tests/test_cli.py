@@ -247,6 +247,7 @@ class TestConfigFiles:
             ('{"scene": {"duration": true}}', "bad value in section 'scene': duration must be"),
             ('{"scene": {"room_min": [true, 3, 2.5]}}', "bad value in section 'scene': room_min must hold"),
             ('{"scene": {"t60_range": [0.2, 30.0]}}', r"bad value in section 'scene': room .* t_max 30\.0 s needs"),
+            ('{"scene": {"rir_t_max": 0.03}}', r"bad value in section 'scene': rir_t_max 0\.03 s is shorter"),
         ],
         ids=["bad-json", "top-level-list", "scene-fs", "scene-wall-margin", "framing-key", "train-key",
              "framing-window", "unknown-section", "section-list", "framing-type", "scene-vector",
@@ -258,7 +259,7 @@ class TestConfigFiles:
              "train-negative-trajectories", "train-negative-phase1", "train-float-phase1", "train-string-lr",
              "train-zero-lr", "train-inf-lr", "train-negative-seconds", "train-bool-seconds", "train-nan-snr",
              "train-null-snr", "train-negative-seed", "train-float-seed", "scene-bool-duration",
-             "scene-bool-room", "scene-unrenderable-t60"],
+             "scene-bool-room", "scene-unrenderable-t60", "scene-rir-t-max-short-of-the-room"],
     )
     def test_bad_config_rejected(self, tmp_path, text, match):
         path = tmp_path / "config.json"
@@ -705,3 +706,15 @@ class TestOneLineErrors:
         done = self.run_cli(["paramcount", "--model", "cross3d", "--seed", "-1"], tmp_path)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr and "--seed" in done.stderr.splitlines()[-1]
+
+    def test_warning_is_one_line(self, tmp_path):
+        # a process of its own: the suite turns the package's warnings into errors
+        (tmp_path / "room.json").write_text(json.dumps(
+            {"scene": {"duration": 2.0, "room_min": [6, 5, 3], "room_max": [6, 5, 3]}}))
+        done = self.run_cli(["eval", "--t60", "0.05", "--snr", "30", "--trajectories", "1", "--resolution", "4x8",
+                             "--config", "room.json", "--out", "out.csv"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out.csv").exists()
+        lines = done.stderr.splitlines()
+        assert lines and all(line.startswith("srptrack: warning: t60=0.05 s is not achievable") for line in lines), \
+            done.stderr

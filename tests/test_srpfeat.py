@@ -49,7 +49,8 @@ class TestFraming:
         assert cfg.n_frames(320000) == 103
 
     def test_hop_is_192ms(self):
-        assert FramingConfig().hop_seconds == pytest.approx(0.192)
+        cfg = FramingConfig()
+        assert cfg.hop / cfg.fs == pytest.approx(0.192)
 
     def test_exactly_one_window(self):
         cfg = FramingConfig()
